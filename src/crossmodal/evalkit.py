@@ -1,4 +1,8 @@
-"""Retrieval evaluation: ranking, CMC / mAP / mINP, and similarity diagnostics."""
+"""Retrieval evaluation: ranking, CMC / mAP / mINP, and similarity diagnostics.
+
+Equal distances (duplicated rows, exact zeros) rank by ascending gallery index.
+``evaluate`` memory is O(_BLOCK * m * d) plus the largest identity's n_i^2 * d.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, cross_distances
+from .core import NORM_EPS, as_matrix, cross_distances, pairwise_distances
 from .errors import ConfigError, DegenerateError, DimensionError, NumericError
 
 RANK_KS = (1, 5, 10, 20)
+#: Rows per ranking and similarity block: the live difference tensor is _BLOCK x m x d.
+_BLOCK = 64
 
 
 @dataclass
@@ -95,31 +101,47 @@ def cmc(result: RankingResult, max_k: int) -> np.ndarray:
     return (first[:, None] <= ks[None, :]).mean(axis=0)
 
 
+def _query_scores(relevant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-query first-hit rank, average precision and inverse negative penalty."""
+    hits = np.cumsum(relevant, axis=1)
+    ap = np.where(relevant, hits / np.arange(1, relevant.shape[1] + 1), 0.0).sum(axis=1)
+    last = relevant.shape[1] - relevant[:, ::-1].argmax(axis=1)
+    return relevant.argmax(axis=1) + 1, ap / hits[:, -1], hits[:, -1] / last
+
+
 def mean_ap(result: RankingResult) -> float:
     """Mean over queries of the average precision at each relevant position."""
-    total = 0.0
-    for row in result.relevant:
-        positions = np.flatnonzero(row) + 1
-        hits = np.arange(1, positions.size + 1)
-        total += float((hits / positions).mean())
-    return total / result.n_queries
+    return float(_query_scores(result.relevant)[1].mean())
 
 
 def minp(result: RankingResult) -> float:
     """Mean inverse negative penalty: relevant count over the rank of the last hit."""
-    total = 0.0
-    for row in result.relevant:
-        positions = np.flatnonzero(row) + 1
-        total += positions.size / float(positions[-1])
-    return total / result.n_queries
+    return float(_query_scores(result.relevant)[2].mean())
 
 
-def _cross_pairs(ids: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (i, j) masks for cross-modality positive and negative pairs, i < j."""
-    upper = np.triu(np.ones((ids.size, ids.size), dtype=bool), 1)
-    cross = tags[:, None] != tags[None, :]
-    same = ids[:, None] == ids[None, :]
-    return upper & cross & same, upper & cross & ~same
+def _similarity_stats(feats, ids, tags, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped cosine counts and sums over cross-tag pairs: row 0 same identity, row 1 not."""
+    x = as_matrix(feats)
+    ids = np.asarray(ids, dtype=np.int64)
+    tags = np.asarray(tags, dtype=np.str_)
+    if bins < 2:
+        raise ConfigError("bins must be >= 2")
+    if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
+        raise DimensionError("ids/tags must match the feature row count")
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    if (norms <= NORM_EPS).any():
+        raise NumericError("cosine similarity undefined for (near-)zero-norm rows")
+    xn = x / norms[:, None]
+    counts, sums = np.zeros((2, bins), dtype=np.int64), np.zeros(2)
+    for tag in np.unique(tags)[:-1]:
+        a, b = np.flatnonzero(tags == tag), tags > tag
+        for rows in np.split(a, range(_BLOCK, a.size, _BLOCK)):
+            sims = np.clip(xn[rows] @ xn[b].T, -1.0, 1.0)
+            same = ids[rows][:, None] == ids[b][None, :]
+            for row, vals in enumerate((sims[same], sims[~same])):
+                counts[row] += np.histogram(vals, bins=bins, range=(-1.0, 1.0))[0]
+                sums[row] += vals.sum()
+    return counts, sums
 
 
 def similarity_histogram(
@@ -130,43 +152,29 @@ def similarity_histogram(
     Returns ``(pos_counts, neg_counts, bin_edges)`` with fixed [-1, 1] support;
     counts sum to the respective pair counts.
     """
-    x = as_matrix(feats)
-    ids = np.asarray(ids, dtype=np.int64)
-    tags = np.asarray(tags, dtype=np.str_)
-    if bins < 2:
-        raise ConfigError("bins must be >= 2")
-    if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
-        raise DimensionError("ids/tags must match the feature row count")
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    if (norms <= 1e-12).any():
-        raise NumericError("cosine similarity undefined for (near-)zero-norm rows")
-    xn = x / norms[:, None]
-    sims = np.clip(xn @ xn.T, -1.0, 1.0)
-    pos_mask, neg_mask = _cross_pairs(ids, tags)
-    edges = np.linspace(-1.0, 1.0, bins + 1)
-    pos_hist, _ = np.histogram(sims[pos_mask], bins=edges)
-    neg_hist, _ = np.histogram(sims[neg_mask], bins=edges)
-    return pos_hist, neg_hist, edges
+    counts, _ = _similarity_stats(feats, ids, tags, bins)
+    return counts[0], counts[1], np.linspace(-1.0, 1.0, bins + 1)
 
 
 def modality_gap_ratio(feats, ids, tags) -> float:
-    """Mean cross-modality over mean within-modality same-identity distance."""
+    """Mean cross-modality over mean within-modality same-identity distance, per identity group."""
     x = as_matrix(feats)
     ids = np.asarray(ids, dtype=np.int64)
     tags = np.asarray(tags, dtype=np.str_)
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    upper = np.triu(np.ones((ids.size, ids.size), dtype=bool), 1)
-    same_id = ids[:, None] == ids[None, :]
-    cross = tags[:, None] != tags[None, :]
-    cross_pos = upper & same_id & cross
-    intra_pos = upper & same_id & ~cross
-    if not cross_pos.any() or not intra_pos.any():
+    if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
+        raise DimensionError("ids/tags must match the feature row count")
+    order = np.argsort(ids, kind="stable")
+    pairs = []
+    for rows in np.split(order, np.flatnonzero(np.diff(ids[order])) + 1):
+        i, j = np.triu_indices(rows.size, 1)
+        pairs.append((pairwise_distances(x[rows])[i, j], tags[rows[i]] != tags[rows[j]]))
+    dist, crossed = map(np.concatenate, zip(*pairs))
+    if crossed.all() or not crossed.any():
         raise DegenerateError("need both cross- and within-modality positive pairs")
-    denom = float(dist[intra_pos].mean())
+    denom = float(dist[~crossed].mean())
     if denom <= 0:
         raise DegenerateError("within-modality positives coincide; ratio undefined")
-    return float(dist[cross_pos].mean()) / denom
+    return float(dist[crossed].mean()) / denom
 
 
 def evaluate(
@@ -179,46 +187,38 @@ def evaluate(
     metric: str = "euclid",
     bins: int = 30,
 ) -> EvalReport:
-    """Rank the gallery per query and assemble the full metric report.
+    """Rank the gallery per query, ``_BLOCK`` query rows at a time, and report.
 
-    Histograms, similarity means, and the gap ratio are computed over the
-    union of query and gallery rows with their modality tags.
+    Histograms and similarity means cover every query-gallery pair, dropped
+    queries included; the gap ratio covers the union of query and gallery rows.
     """
-    result = rank(query_feats, gallery_feats, query_ids, gallery_ids, metric)
-    max_k = min(max(RANK_KS), result.n_gallery)
-    curve = cmc(result, max_k)
-    ranks = {k: float(curve[min(k, max_k) - 1]) for k in RANK_KS}
-
-    feats = np.concatenate([as_matrix(query_feats), as_matrix(gallery_feats)], axis=0)
-    ids = np.concatenate(
-        [np.asarray(query_ids, dtype=np.int64), np.asarray(gallery_ids, dtype=np.int64)]
-    )
-    tags = np.asarray(
-        [query_tag] * len(np.atleast_1d(query_ids))
-        + [gallery_tag] * len(np.atleast_1d(gallery_ids)),
-        dtype=np.str_,
-    )
-    pos_hist, neg_hist, edges = similarity_histogram(feats, ids, tags, bins)
-    norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))
-    xn = feats / norms[:, None]
-    sims = np.clip(xn @ xn.T, -1.0, 1.0)
-    pos_mask, neg_mask = _cross_pairs(ids, tags)
+    qf, gf = as_matrix(query_feats), as_matrix(gallery_feats)
+    qid = np.asarray(query_ids, dtype=np.int64)
+    gid = np.asarray(gallery_ids, dtype=np.int64)
+    if qid.shape != (qf.shape[0],) or gid.shape != (gf.shape[0],):
+        raise DimensionError("id arrays must match the feature row counts")
+    kept = np.flatnonzero(np.isin(qid, gid))
+    if kept.size == 0:
+        raise DegenerateError("no query has a relevant gallery row")
+    blocks = np.split(kept, range(_BLOCK, kept.size, _BLOCK))
+    scores = [_query_scores(rank(qf[r], gf, qid[r], gid, metric).relevant) for r in blocks]
+    first, ap, inp = map(np.concatenate, zip(*scores))
+    feats, ids = np.concatenate([qf, gf]), np.concatenate([qid, gid])
+    tags = np.repeat([query_tag, gallery_tag], [qf.shape[0], gf.shape[0]])
+    counts, sums = _similarity_stats(feats, ids, tags, bins)
     return EvalReport(
-        rank1=ranks[1],
-        rank5=ranks[5],
-        rank10=ranks[10],
-        rank20=ranks[20],
-        mean_ap=mean_ap(result),
-        minp=minp(result),
+        **{f"rank{k}": float((first <= k).mean()) for k in RANK_KS},
+        mean_ap=float(ap.mean()),
+        minp=float(inp.mean()),
         gap_ratio=modality_gap_ratio(feats, ids, tags),
-        pos_sim_mean=float(sims[pos_mask].mean()),
-        neg_sim_mean=float(sims[neg_mask].mean()),
-        pos_hist=pos_hist,
-        neg_hist=neg_hist,
-        bin_edges=edges,
-        dropped_queries=result.dropped,
-        n_queries=result.n_queries,
-        n_gallery=result.n_gallery,
+        pos_sim_mean=float(sums[0] / counts[0].sum()),
+        neg_sim_mean=float(sums[1] / counts[1].sum()),
+        pos_hist=counts[0],
+        neg_hist=counts[1],
+        bin_edges=np.linspace(-1.0, 1.0, bins + 1),
+        dropped_queries=qid.size - kept.size,
+        n_queries=first.size,
+        n_gallery=gf.shape[0],
     )
 
 

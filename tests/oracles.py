@@ -138,6 +138,24 @@ def rank_gallery(query, gallery):
     return [j for _, j in sorted(dists)]
 
 
+def rank_gallery_by_count(query, gallery):
+    """Gallery indices placed by counting who precedes them, with no sort at all.
+
+    Row j lands at position #{j' : d(j') < d(j), or d(j') == d(j) and j' < j}:
+    the tie rule written out as a definition rather than inherited from a
+    sort's stability.
+    """
+    dists = [euclid(query, g) for g in gallery]
+    order = [None] * len(gallery)
+    for j, d in enumerate(dists):
+        ahead = 0
+        for k, e in enumerate(dists):
+            if e < d or (e == d and k < j):
+                ahead += 1
+        order[ahead] = j
+    return order
+
+
 def first_hit_rank(order, gallery_ids, query_id):
     for pos, j in enumerate(order, start=1):
         if gallery_ids[j] == query_id:

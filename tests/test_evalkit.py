@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from crossmodal import evalkit
+from crossmodal.core import RngStream, cross_distances
 from crossmodal.errors import ConfigError, DegenerateError, DimensionError, NumericError
 from crossmodal.evalkit import (
     cmc,
@@ -14,6 +18,7 @@ from crossmodal.evalkit import (
     report_text,
     similarity_histogram,
 )
+from crossmodal.synthdata import BENCHMARK_GAP, BENCHMARK_LAYOUT, BENCHMARK_NOISE, generate
 
 # ---------------------------------------------------------------- frozen examples
 
@@ -69,6 +74,34 @@ def test_distance_tie_keeps_lower_gallery_index():
 # ---------------------------------------------------------------- scan oracles
 
 
+def _assert_matches_oracles(qf, gf, qid, gid):
+    """rank / cmc / mean_ap / minp against the brute-force scans, query by query."""
+    n_q, n_g = len(qf), len(gf)
+    result = rank(qf, gf, qid, gid)
+
+    kept_rows = [i for i in range(n_q) if qid[i] in gid.tolist()]
+    assert result.n_queries == len(kept_rows)
+    assert result.dropped == n_q - len(kept_rows)
+
+    ap_sum = inp_sum = 0.0
+    first_hits = []
+    gids = gid.tolist()
+    for out_row, i in enumerate(kept_rows):
+        order = oracles.rank_gallery(qf[i].tolist(), gf.tolist())
+        assert oracles.rank_gallery_by_count(qf[i].tolist(), gf.tolist()) == order
+        assert result.order[out_row].tolist() == order
+        ap_sum += oracles.average_precision(order, gids, qid[i])
+        inp_sum += oracles.inverse_negative_penalty(order, gids, qid[i])
+        first_hits.append(oracles.first_hit_rank(order, gids, qid[i]))
+    assert mean_ap(result) == pytest.approx(ap_sum / len(kept_rows), abs=1e-10)
+    assert minp(result) == pytest.approx(inp_sum / len(kept_rows), abs=1e-10)
+    curve = cmc(result, n_g)
+    for k in range(1, n_g + 1):
+        want = sum(1 for f in first_hits if f <= k) / len(first_hits)
+        assert curve[k - 1] == pytest.approx(want, abs=1e-10)
+    return result
+
+
 def test_metrics_match_scan_oracles(rng):
     for t in range(30):
         r = rng.child(t)
@@ -81,27 +114,25 @@ def test_metrics_match_scan_oracles(rng):
         gid = r.integers(0, 3, size=n_g)
         if not any(q in gid.tolist() for q in qid.tolist()):
             gid[0] = qid[0]
-        result = rank(qf, gf, qid, gid)
+        _assert_matches_oracles(qf, gf, qid, gid)
 
-        kept_rows = [i for i in range(n_q) if qid[i] in gid.tolist()]
-        assert result.n_queries == len(kept_rows)
-        assert result.dropped == n_q - len(kept_rows)
 
-        ap_sum = inp_sum = 0.0
-        first_hits = []
-        gids = gid.tolist()
-        for out_row, i in enumerate(kept_rows):
-            order = oracles.rank_gallery(qf[i].tolist(), gf.tolist())
-            assert result.order[out_row].tolist() == order
-            ap_sum += oracles.average_precision(order, gids, qid[i])
-            inp_sum += oracles.inverse_negative_penalty(order, gids, qid[i])
-            first_hits.append(oracles.first_hit_rank(order, gids, qid[i]))
-        assert mean_ap(result) == pytest.approx(ap_sum / len(kept_rows), abs=1e-10)
-        assert minp(result) == pytest.approx(inp_sum / len(kept_rows), abs=1e-10)
-        curve = cmc(result, n_g)
-        for k in range(1, n_g + 1):
-            want = sum(1 for f in first_hits if f <= k) / len(first_hits)
-            assert curve[k - 1] == pytest.approx(want, abs=1e-10)
+def test_tie_heavy_gallery_matches_oracles():
+    # five integer points, each repeated at scattered gallery positions under
+    # different identities; three queries sit exactly on gallery points and
+    # two are equidistant from two distinct points, so every query has ties
+    base = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 1, 1], [3, 0, 0]])
+    gf = base[[3, 0, 1, 0, 4, 2, 1, 3, 0, 2, 4, 1]]
+    gid = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2])
+    qf = np.array([[0.0, 0, 0], [1, 0, 0], [0.5, 0, 0], [1, 1, 1], [2, 0, 0]])
+    qid = np.array([2, 0, 1, 1, 0])
+    dist = cross_distances(qf, gf)
+    assert (dist == 0.0).sum() == 8  # exact zeros, not rounding noise
+    result = _assert_matches_oracles(qf, gf, qid, gid)
+    for row, order in enumerate(result.order):
+        step, index_step = np.diff(dist[row, order]), np.diff(order)
+        assert np.all((step > 0) | ((step == 0) & (index_step > 0)))  # ties: lower index first
+        assert (step == 0).any()
 
 
 def test_rank_validation_and_degenerate():
@@ -159,6 +190,15 @@ def test_gap_ratio_degenerate_cases():
         modality_gap_ratio(coincident, [0, 0, 0, 0], ["ir", "ir", "vis", "vis"])
 
 
+def test_gap_ratio_rejects_mismatched_rows():
+    feats = np.arange(12.0).reshape(6, 2)
+    tags = ["ir", "ir", "vis", "vis", "ir", "vis"]
+    with pytest.raises(DimensionError):
+        modality_gap_ratio(feats, [0, 0, 0, 0, 1], tags)  # one id short
+    with pytest.raises(DimensionError):
+        modality_gap_ratio(feats, [0, 0, 0, 0, 1, 1], tags[:5])
+
+
 # ---------------------------------------------------------------- full report
 
 
@@ -180,6 +220,76 @@ def test_evaluate_report_fields():
     assert 0.0 <= rep.minp <= rep.mean_ap <= 1.0
     assert rep.pos_hist.sum() == 6 * 3  # one positive block per query
     assert rep.bin_edges.size == 13
+
+
+def test_evaluate_edge_cases_raise():
+    rngs = np.random.default_rng(5)
+    q, g = rngs.normal(size=(4, 3)), rngs.normal(size=(6, 3))
+    qid, gid = np.array([0, 0, 1, 1]), np.array([0, 0, 0, 1, 1, 1])
+    zero = g.copy()
+    zero[2] = 0.0
+    with pytest.raises(NumericError):
+        evaluate(q, qid, zero, gid)
+    with pytest.raises(DegenerateError):
+        evaluate(q, qid, g, gid, query_tag="vis", gallery_tag="vis")
+    with pytest.raises(DegenerateError):
+        evaluate(q, [5, 5, 6, 6], g, gid)
+    with pytest.raises(DimensionError):
+        evaluate(q, np.zeros(5, dtype=int), g, gid)
+
+
+def _assert_block_size_invariant(monkeypatch, q, qid, g, gid):
+    """evaluate at 1- and 3-row query blocks against a single block."""
+    reports = {}
+    for block in (10**6, 1, 3):
+        monkeypatch.setattr(evalkit, "_BLOCK", block)
+        reports[block] = evaluate(q, qid, g, gid, bins=12)
+    whole = reports[10**6]
+    for block in (1, 3):
+        rep = reports[block]
+        for name in ("rank1", "rank5", "rank10", "rank20", "dropped_queries", "n_queries"):
+            assert getattr(rep, name) == getattr(whole, name)
+        for name in ("pos_hist", "neg_hist", "bin_edges"):
+            assert np.array_equal(getattr(rep, name), getattr(whole, name))
+        for name in ("mean_ap", "minp", "gap_ratio", "pos_sim_mean", "neg_sim_mean"):
+            assert getattr(rep, name) == pytest.approx(getattr(whole, name), abs=1e-12)
+    return whole
+
+
+def test_evaluate_blocks_split_identities(monkeypatch):
+    rngs = np.random.default_rng(7)
+    q, g = rngs.normal(size=(10, 4)), rngs.normal(size=(12, 4))
+    qid = np.array([0, 0, 0, 1, 1, 2, 2, 2, 3, 3])  # 3-row blocks cut identities 1, 2, 3
+    gid = np.repeat(np.arange(4), 3)
+    whole = _assert_block_size_invariant(monkeypatch, q, qid, g, gid)
+    assert whole.dropped_queries == 0 and whole.n_queries == 10
+
+
+def test_evaluate_block_of_dropped_queries(monkeypatch):
+    rngs = np.random.default_rng(8)
+    q, g = rngs.normal(size=(10, 4)), rngs.normal(size=(12, 4))
+    qid = np.array([0, 1, 2, 7, 8, 9, 1, 2, 0, 3])  # the second 3-row block has no match
+    gid = np.repeat(np.arange(4), 3)
+    whole = _assert_block_size_invariant(monkeypatch, q, qid, g, gid)
+    assert whole.dropped_queries == 3 and whole.n_queries == 7
+    # histograms still cover every query row, dropped ones included
+    assert whole.pos_hist.sum() + whole.neg_hist.sum() == 10 * 12
+
+
+def test_evaluate_memory_is_bounded():
+    # 2 x 1024 rows of 16 dims: one 64-row block's difference tensor is 8 MB;
+    # building the (n+m)^2 x d pairwise tensors instead peaks near 0.6 GB
+    ds = generate(64, 16, BENCHMARK_LAYOUT, BENCHMARK_GAP, BENCHMARK_NOISE, RngStream(3))
+    ir, vis = ds.modality_rows("ir"), ds.modality_rows("vis")
+    assert len(ir) == len(vis) == 1024
+    tracemalloc.start()
+    try:
+        rep = evaluate(ds.features[ir], ds.labels[ir], ds.features[vis], ds.labels[vis])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_queries == 1024
+    assert peak < 40 * 2**20
 
 
 def test_report_text_format():
