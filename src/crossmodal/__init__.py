@@ -31,7 +31,6 @@ from .errors import (
     CrossmodalError,
     DegenerateError,
     DimensionError,
-    IoError,
     LabelError,
     NumericError,
     ParseError,
@@ -51,7 +50,6 @@ from .losses import (
     hard_triplet_intra,
     identity_loss,
     msel,
-    pht,
     stage1_objective,
     stage2_objective,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "EvalReport",
     "FeatureLayout",
     "ForwardTrace",
-    "IoError",
     "LabelError",
     "LabeledBatch",
     "LossConfig",
@@ -132,7 +129,6 @@ __all__ = [
     "minp",
     "msel",
     "pairwise_distances",
-    "pht",
     "rank",
     "sample_batch",
     "save_checkpoint",

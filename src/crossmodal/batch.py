@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -103,26 +103,60 @@ class BatchSpec:
         return 2 * self.p * self.k
 
 
+def coerce_rows(features, labels, modalities):
+    """Coerce to 2-D float64 features with one int64 label and one known tag per row."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    modalities = np.asarray(modalities, dtype=np.str_)
+    if features.ndim != 2:
+        raise DimensionError(f"features must be 2-D, got shape {features.shape}")
+    n = features.shape[0]
+    if labels.shape != (n,) or modalities.shape != (n,):
+        raise DimensionError("features, labels, and modalities disagree on row count")
+    unknown = modalities[~np.logical_or.reduce([modalities == c for c in MODALITY_CODES])]
+    if unknown.size:
+        raise ConfigError(f"unknown modality tag {np.unique(unknown)[0]!r}")
+    return features, labels, modalities
+
+
+@dataclass(frozen=True)
+class BatchStructure:
+    """Sorted distinct identities and modalities, per-row codes into them, and cell size k.
+
+    ``labels`` and ``tags`` are the (now read-only) arrays it was derived from.
+    """
+
+    labels: np.ndarray
+    tags: np.ndarray
+    identities: np.ndarray
+    id_codes: np.ndarray
+    modalities: tuple[str, ...]
+    mod_codes: np.ndarray
+    k: int
+
+
 @dataclass
 class LabeledBatch:
-    """Feature rows with a per-row identity label and modality tag."""
+    """Feature rows with a per-row identity label and modality tag.
+
+    Validation derives a :class:`BatchStructure` once and keeps it.
+    ``dataclasses.replace(batch, features=...)`` carries it over, because the
+    labels and tags are the same arrays; a batch given other label or tag
+    arrays drops it and is validated again on first use.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     modalities: np.ndarray
+    _structure: BatchStructure | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.modalities = np.asarray(self.modalities, dtype=np.str_)
-        if self.features.ndim != 2:
-            raise DimensionError(f"features must be 2-D, got shape {self.features.shape}")
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.modalities.shape != (n,):
-            raise DimensionError("features, labels, and modalities disagree on row count")
-        for code in np.unique(self.modalities):
-            if code not in MODALITY_CODES:
-                raise ConfigError(f"unknown modality tag {code!r}")
+        self.features, self.labels, self.modalities = coerce_rows(
+            self.features, self.labels, self.modalities
+        )
+        s = self._structure
+        if s is not None and (s.labels is not self.labels or s.tags is not self.modalities):
+            self._structure = None
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -130,6 +164,13 @@ class LabeledBatch:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+    @property
+    def structure(self) -> BatchStructure:
+        """The batch's cell structure, validating the batch on first use."""
+        if self._structure is None:
+            self.validate()
+        return self._structure
 
     def identity_values(self) -> np.ndarray:
         return np.unique(self.labels)
@@ -139,23 +180,28 @@ class LabeledBatch:
 
     def cell_count(self) -> int:
         """Rows per (identity, modality) cell; raises ConfigError on uneven cells."""
-        counts = {
-            int(((self.labels == i) & (self.modalities == m)).sum())
-            for i in self.identity_values()
-            for m in self.modality_values()
-        }
-        if len(counts) != 1:
-            raise ConfigError(f"uneven (identity, modality) cells: sizes {sorted(counts)}")
-        return counts.pop()
+        return self.structure.k
 
     def validate(self) -> "LabeledBatch":
         """Check batch invariants: finite rows, exactly two modalities, even cells."""
         if not np.isfinite(self.features).all():
             raise NumericError("batch features contain NaN or Inf")
-        mods = self.modality_values()
+        if self._structure is not None:
+            return self
+        # One np.unique per column and one bincount over the cells.
+        ids, id_codes = np.unique(self.labels, return_inverse=True)
+        mods, mod_codes = np.unique(self.modalities, return_inverse=True)
+        mods = tuple(mods.tolist())
         if len(mods) != 2:
             raise ConfigError(f"batch must mix exactly two modalities, got {mods}")
-        self.cell_count()
+        sizes = sorted(set(np.bincount(2 * id_codes + mod_codes, minlength=2 * len(ids)).tolist()))
+        if len(sizes) != 1:
+            raise ConfigError(f"uneven (identity, modality) cells: sizes {sizes}")
+        self.labels.flags.writeable = False
+        self.modalities.flags.writeable = False
+        self._structure = BatchStructure(
+            self.labels, self.modalities, ids, id_codes, mods, mod_codes, sizes[0]
+        )
         return self
 
 
@@ -172,21 +218,20 @@ def sample_batch(
     if len(ids) < spec.p:
         raise SamplingError(f"dataset has {len(ids)} identities, batch needs {spec.p}")
     for mod in pair:
-        for ident in ids:
-            have = dataset.count_of(ident, mod)
-            if have < spec.k:
-                raise SamplingError(
-                    f"identity {ident} has {have} {mod!r} rows, batch needs {spec.k}"
-                )
+        if dataset.min_count(mod) < spec.k:
+            ident = next(i for i in ids if dataset.count_of(i, mod) < spec.k)
+            raise SamplingError(
+                f"identity {ident} has {dataset.count_of(ident, mod)} {mod!r} rows, "
+                f"batch needs {spec.k}"
+            )
     chosen = rng.choice(len(ids), size=spec.p, replace=False)
-    row_idx: list[int] = []
+    picks: list[np.ndarray] = []
     for ci in chosen:
         ident = ids[int(ci)]
         for mod in pair:
             rows = dataset.rows_of(ident, mod)
-            pick = rng.choice(len(rows), size=spec.k, replace=False)
-            row_idx.extend(int(r) for r in rows[pick])
-    idx = np.asarray(row_idx, dtype=np.int64)
+            picks.append(rows[rng.choice(len(rows), size=spec.k, replace=False)])
+    idx = np.concatenate(picks)
     return LabeledBatch(
         dataset.features[idx], dataset.labels[idx], dataset.modalities[idx]
     ).validate()

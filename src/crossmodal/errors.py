@@ -45,7 +45,3 @@ class ParseError(CrossmodalError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class IoError(CrossmodalError):
-    """A required path is missing, unreadable, or unwritable."""

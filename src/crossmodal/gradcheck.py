@@ -16,6 +16,7 @@ from . import losses, model
 from .batch import LabeledBatch, Stage
 from .core import RngStream, pairwise_distances
 from .errors import ConfigError
+from .trainer import loss_and_grads
 
 FD_STEP = 1e-6
 TIE_TOL = 1e-4
@@ -87,29 +88,26 @@ def _random_batch(rng: RngStream, p: int, k: int, dim: int, pair: tuple[str, str
 
 def _triplet_regular(feats, labels, margin, tol=TIE_TOL) -> bool:
     dist = pairwise_distances(feats, "euclid")
-    n = feats.shape[0]
-    for i in range(n):
-        pos = np.sort(dist[i, (labels == labels[i]) & (np.arange(n) != i)])
-        neg = np.sort(dist[i, labels != labels[i]])
-        if pos.size == 0 or neg.size == 0:
-            return False
-        if pos.min() < tol or neg.min() < tol:
-            return False
-        if pos.size >= 2 and pos[-1] - pos[-2] < tol:
-            return False
-        if neg.size >= 2 and neg[1] - neg[0] < tol:
-            return False
-        if abs(pos[-1] - neg[0] + margin) < tol:
-            return False
-    return True
+    same = labels[:, None] == labels[None, :]
+    other = ~np.eye(len(feats), dtype=bool)
+    pos = np.sort(np.where(same & other, dist, -np.inf), axis=1)  # hardest last
+    neg = np.sort(np.where(same, np.inf, dist), axis=1)  # hardest first
+    if not (np.isfinite(pos[:, -1]).all() and np.isfinite(neg[:, 0]).all()):
+        return False
+    return bool(
+        dist[other].min() >= tol
+        and (pos[:, -1] - pos[:, -2]).min() >= tol
+        and (neg[:, 1] - neg[:, 0]).min() >= tol
+        and np.abs(pos[:, -1] - neg[:, 0] + margin).min() >= tol
+    )
 
 
 def _intra_regular(batch: LabeledBatch, margin: float) -> bool:
-    for mod in batch.modality_values():
-        idx = batch.modalities == mod
-        if not _triplet_regular(batch.features[idx], batch.labels[idx], margin):
-            return False
-    return True
+    codes = batch.structure.mod_codes
+    return all(
+        _triplet_regular(batch.features[codes == c], batch.labels[codes == c], margin)
+        for c in range(2)
+    )
 
 
 def _msel_regular(batch: LabeledBatch, metric: str) -> bool:
@@ -123,18 +121,23 @@ def _msel_regular(batch: LabeledBatch, metric: str) -> bool:
 
 def _dcl_regular(batch: LabeledBatch, mode: str) -> bool:
     stats = losses.compute_centers(batch)
-    for i, ident in enumerate(stats.identities):
-        own = batch.features[batch.labels == ident] - stats.centers[i]
-        neg = batch.features[batch.labels != ident] - stats.centers[i]
-        own_dist = np.sqrt((own**2).sum(axis=1))
-        neg_dist = np.sort(np.sqrt((neg**2).sum(axis=1)))
-        if own_dist.min() < TIE_TOL or neg_dist.min() < TIE_TOL:
-            return False
-        if mode == "dyn" and np.abs(neg_dist - stats.neg_margins[i]).min() < TIE_TOL:
-            return False
-        if mode == "hard" and neg_dist.size >= 2 and neg_dist[1] - neg_dist[0] < TIE_TOL:
-            return False
-    return True
+    neg = np.where(stats.members, np.inf, stats.distances)
+    if stats.distances.min() < TIE_TOL:
+        return False
+    if mode == "dyn" and np.abs(neg - stats.neg_margins[:, None]).min() < TIE_TOL:
+        return False
+    nearest = np.sort(neg, axis=1)[:, :2]
+    return not (mode == "hard" and (nearest[:, 1] - nearest[:, 0]).min() < TIE_TOL)
+
+
+def _objective_regular(batch: LabeledBatch, stage: Stage, cfg: losses.LossConfig) -> bool:
+    if stage is Stage.STAGE1:
+        return _intra_regular(batch, cfg.margin)
+    return (
+        _triplet_regular(batch.features, batch.labels, cfg.margin)
+        and _msel_regular(batch, cfg.msel_metric)
+        and _dcl_regular(batch, cfg.dcl_mode)
+    )
 
 
 def _draw_until(rng: RngStream, make, regular, attempts: int = 200):
@@ -145,10 +148,12 @@ def _draw_until(rng: RngStream, make, regular, attempts: int = 200):
     raise ConfigError("could not find a general-position instance")
 
 
-def _check_batch_loss(rng, make_batch, regular, loss_fn, instances):
+def _check_batch_loss(rng, stage: Stage, regular, loss_fn, instances):
     worst = 0.0
     for t in range(instances):
-        batch = _draw_until(rng.child(t), make_batch, regular)
+        batch = _draw_until(
+            rng.child(t), lambda r: _random_batch(r, 3, 3, 4, stage.modality_pair), regular
+        )
         analytic = loss_fn(batch).grad
         fd = finite_difference(
             lambda f: loss_fn(replace(batch, features=f.copy())).value, batch.features
@@ -173,20 +178,14 @@ def _check_identity(rng: RngStream, instances: int) -> float:
 def _check_objective(rng: RngStream, stage: Stage, cfg: losses.LossConfig, instances: int) -> float:
     pair = stage.modality_pair
     objective = losses.stage1_objective if stage is Stage.STAGE1 else losses.stage2_objective
-
-    def regular(batch):
-        if stage is Stage.STAGE1:
-            return _intra_regular(batch, cfg.margin)
-        return (
-            _triplet_regular(batch.features, batch.labels, cfg.margin)
-            and _msel_regular(batch, cfg.msel_metric)
-            and _dcl_regular(batch, cfg.dcl_mode)
-        )
-
     worst = 0.0
     for t in range(instances):
         r = rng.child(t)
-        batch = _draw_until(r, lambda s: _random_batch(s, 3, 3, 4, pair), regular)
+        batch = _draw_until(
+            r,
+            lambda s: _random_batch(s, 3, 3, 4, pair),
+            lambda b: _objective_regular(b, stage, cfg),
+        )
         n_classes = 3
         logits = r.normal(size=(len(batch), n_classes))
         labels = batch.labels
@@ -203,7 +202,7 @@ def _check_objective(rng: RngStream, stage: Stage, cfg: losses.LossConfig, insta
     return worst
 
 
-def _flatten_trainable(params: model.ModelParams) -> np.ndarray:
+def _flatten_trainable(params) -> np.ndarray:
     return np.concatenate([getattr(params, name).reshape(-1) for name in model.TRAINABLE])
 
 
@@ -216,58 +215,37 @@ def _write_trainable(params: model.ModelParams, vec: np.ndarray) -> None:
 
 
 def _check_model(rng: RngStream, stage: Stage, cfg: losses.LossConfig, instances: int) -> float:
+    """Checks :func:`~crossmodal.trainer.loss_and_grads`, the step that training runs."""
     pair = stage.modality_pair
-    objective = losses.stage1_objective if stage is Stage.STAGE1 else losses.stage2_objective
     worst = 0.0
     for t in range(instances):
         r = rng.child(t)
         p, k, in_dim, hidden, embed = 3, 2, 5, 6, 4
-        raw = _random_batch(r.child(0), p, k, in_dim, pair)
+        raw = _random_batch(r.child(0), p, k, in_dim, pair).validate()
 
-        def run(par, check_regular=False):
-            emb, _, logits, trace = model.forward(par, raw.features, model.TRAIN)
-            emb_batch = replace(raw, features=emb)
-            if check_regular:
-                if par.activation == "relu" and np.abs(trace.z1).min() < TIE_TOL:
-                    return None
-                if stage is Stage.STAGE1:
-                    ok = _intra_regular(emb_batch, cfg.margin)
-                else:
-                    ok = (
-                        _triplet_regular(emb, emb_batch.labels, cfg.margin)
-                        and _msel_regular(emb_batch, cfg.msel_metric)
-                        and _dcl_regular(emb_batch, cfg.dcl_mode)
-                    )
-                if not ok:
-                    return None
-            out = objective(emb_batch, logits, raw.labels, cfg)
-            return out, trace
+        def regular(par: model.ModelParams) -> bool:
+            emb, _, _, trace = model.forward(par, raw.features, model.TRAIN)
+            if par.activation == "relu" and np.abs(trace.z1).min() < TIE_TOL:
+                return False
+            return _objective_regular(replace(raw, features=emb), stage, cfg)
 
-        params = None
-        for attempt in range(200):
-            candidate = model.init_params(in_dim, hidden, embed, p, r.child(1, attempt))
-            if run(candidate, check_regular=True) is not None:
-                params = candidate
-                break
+        candidates = (
+            model.init_params(in_dim, hidden, embed, p, r.child(1, attempt))
+            for attempt in range(200)
+        )
+        params = next((c for c in candidates if regular(c)), None)
         if params is None:
             raise ConfigError("could not find a general-position model instance")
 
-        out, trace = run(params)
-        grads = model.backward(
-            trace, params, d_embeddings=out.grad_embeddings, d_logits=out.grad_logits
-        )
-        analytic = np.concatenate(
-            [getattr(grads, name).reshape(-1) for name in model.TRAINABLE]
-        )
-
+        _, grads, _ = loss_and_grads(params, raw, stage, cfg, raw.labels)
         probe = params.copy()
 
         def value_at(vec: np.ndarray) -> float:
             _write_trainable(probe, vec)
-            return run(probe)[0].value
+            return loss_and_grads(probe, raw, stage, cfg, raw.labels)[0].value
 
         fd = finite_difference(value_at, _flatten_trainable(params))
-        worst = max(worst, max_rel_error(analytic, fd))
+        worst = max(worst, max_rel_error(_flatten_trainable(grads), fd))
     return worst
 
 
@@ -280,39 +258,35 @@ def check_component(name: str, instances: int = 20, seed: int = 0) -> float:
     if name == "l_id":
         return _check_identity(rng, instances)
     if name == "l_intra":
-        pair = Stage.STAGE1.modality_pair
         return _check_batch_loss(
             rng,
-            lambda r: _random_batch(r, 3, 3, 4, pair),
+            Stage.STAGE1,
             lambda b: _intra_regular(b, base.margin),
             lambda b: losses.hard_triplet_intra(b, base.margin),
             instances,
         )
     if name == "l_global":
-        pair = Stage.STAGE2.modality_pair
         return _check_batch_loss(
             rng,
-            lambda r: _random_batch(r, 3, 3, 4, pair),
+            Stage.STAGE2,
             lambda b: _triplet_regular(b.features, b.labels, base.margin),
             lambda b: losses.hard_triplet_global(b, base.margin),
             instances,
         )
     if name.startswith("msel_"):
         metric = name.split("_", 1)[1]
-        pair = Stage.STAGE2.modality_pair
         return _check_batch_loss(
             rng,
-            lambda r: _random_batch(r, 3, 3, 4, pair),
+            Stage.STAGE2,
             lambda b: _msel_regular(b, metric),
             lambda b: losses.msel(b, metric),
             instances,
         )
     if name.startswith("dcl_"):
         mode = name.split("_", 1)[1]
-        pair = Stage.STAGE2.modality_pair
         return _check_batch_loss(
             rng,
-            lambda r: _random_batch(r, 3, 3, 4, pair),
+            Stage.STAGE2,
             lambda b: _dcl_regular(b, mode),
             lambda b: losses.dcl(b, mode),
             instances,

@@ -10,6 +10,12 @@ loss in this module:
 * hardest-pair selection breaks ties toward the lowest row index;
 * the gradient of a euclidean distance between coincident points is taken
   as 0 in every direction.
+
+Every euclidean-distance gradient goes through one pair-weight kernel,
+``_pair_weight_grad`` (batch-hard triplet, euclid ``msel``, ``dcl`` via the
+rows stacked with their centers), and the conventions hold there: an inactive
+hinge places no weight, mining picks the lowest index before weights are
+placed, and the kernel drops every pair at distance 0.
 """
 
 from __future__ import annotations
@@ -88,6 +94,9 @@ class CenterStats:
     identities: np.ndarray
     centers: np.ndarray
     neg_margins: np.ndarray
+    #: P x n: whether batch row r belongs to identity c, and its distance to center c.
+    members: np.ndarray
+    distances: np.ndarray
 
 
 def identity_loss(logits, labels) -> LossOutput:
@@ -109,6 +118,15 @@ def identity_loss(logits, labels) -> LossOutput:
     return LossOutput(value, grad)
 
 
+def _pair_weight_grad(s: np.ndarray, dist: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Row gradient of sum_{i<j} s_ij * ||x_i - x_j|| for a symmetric weight matrix s.
+
+    Pairs at distance 0 contribute nothing (the coincident-point convention).
+    """
+    g = np.divide(s, dist, out=np.zeros_like(s), where=dist > 0)
+    return g.sum(axis=1)[:, None] * feats - g @ feats
+
+
 def _batch_hard(feats: np.ndarray, labels: np.ndarray, margin: float) -> LossOutput:
     """Summed hinge over anchors, each mined against its hardest positive/negative."""
     n = feats.shape[0]
@@ -125,22 +143,11 @@ def _batch_hard(feats: np.ndarray, labels: np.ndarray, margin: float) -> LossOut
     neg_idx = np.where(neg_mask, dist, np.inf).argmin(axis=1)
     rows = np.arange(n)
     hinge = dist[rows, pos_idx] - dist[rows, neg_idx] + margin
-    active = hinge > 0
-    value = float(hinge[active].sum())
-    grad = np.zeros_like(feats)
-    for i in np.flatnonzero(active):
-        p, q = int(pos_idx[i]), int(neg_idx[i])
-        d_p = dist[i, p]
-        if d_p > 0:
-            u = (feats[i] - feats[p]) / d_p
-            grad[i] += u
-            grad[p] -= u
-        d_q = dist[i, q]
-        if d_q > 0:
-            u = (feats[i] - feats[q]) / d_q
-            grad[i] -= u
-            grad[q] += u
-    return LossOutput(value, grad)
+    active = np.flatnonzero(hinge > 0)
+    w = np.zeros_like(dist)
+    w[active, pos_idx[active]] = 1.0
+    w[active, neg_idx[active]] = -1.0
+    return LossOutput(float(hinge[active].sum()), _pair_weight_grad(w + w.T, dist, feats))
 
 
 def hard_triplet_global(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
@@ -150,30 +157,15 @@ def hard_triplet_global(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
 
 def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
     """Batch-hard triplet loss mined separately inside each of the two modalities."""
-    mods = batch.modality_values()
-    if len(mods) != 2:
-        raise ConfigError(f"batch must mix exactly two modalities, got {mods}")
+    mod_codes = batch.structure.mod_codes
     value = 0.0
     grad = np.zeros_like(batch.features)
-    for mod in mods:
-        idx = np.flatnonzero(batch.modalities == mod)
+    for code in range(2):
+        idx = np.flatnonzero(mod_codes == code)
         part = _batch_hard(batch.features[idx], batch.labels[idx], margin)
         value += part.value
         grad[idx] += part.grad
     return LossOutput(value, grad)
-
-
-def pht(batch: LabeledBatch, stage: Stage, margin: float = 0.1) -> LossOutput:
-    """Stage-dispatched hard triplet: within-modality mining in stage 1, global in stage 2."""
-    mods = set(batch.modality_values())
-    expected = set(stage.modality_pair)
-    if mods != expected:
-        raise StageError(
-            f"{stage.name} expects modalities {sorted(expected)}, batch has {sorted(mods)}"
-        )
-    if stage is Stage.STAGE1:
-        return hard_triplet_intra(batch, margin)
-    return hard_triplet_global(batch, margin)
 
 
 def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
@@ -187,15 +179,15 @@ def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
     """
     if metric not in MSEL_METRICS:
         raise ConfigError(f"msel metric must be one of {MSEL_METRICS}")
-    batch.validate()
-    k = batch.cell_count()
+    s = batch.structure
+    k = s.k
     if k < 2:
         raise ConfigError("msel needs k >= 2 rows per (identity, modality) cell")
     feats = batch.features
     n = feats.shape[0]
     dist = pairwise_distances(feats, metric)
-    same_id = batch.labels[:, None] == batch.labels[None, :]
-    same_mod = batch.modalities[:, None] == batch.modalities[None, :]
+    same_id = s.id_codes[:, None] == s.id_codes[None, :]
+    same_mod = s.mod_codes[:, None] == s.mod_codes[None, :]
     eye = np.eye(n, dtype=bool)
     intra = same_id & same_mod & ~eye
     cross = same_id & ~same_mod
@@ -208,33 +200,30 @@ def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
     # the metric. Each unordered pair appears twice in the anchor sum, once per
     # role, so the per-pair weight is symmetrized before the chain rule.
     w = (2.0 * diff / n)[:, None] * (intra / (k - 1.0) - cross / float(k))
-    s = w + w.T
+    sym = w + w.T
     if metric == "euclid":
-        g = np.divide(s, dist, out=np.zeros_like(s), where=dist > 0)
-        grad = g.sum(axis=1)[:, None] * feats - g @ feats
+        grad = _pair_weight_grad(sym, dist, feats)
     else:
         norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))
         sim = 1.0 - dist
-        coef = (s * sim).sum(axis=1) / norms**2
-        grad = coef[:, None] * feats - (s / (norms[:, None] * norms[None, :])) @ feats
+        coef = (sym * sim).sum(axis=1) / norms**2
+        grad = coef[:, None] * feats - (sym / (norms[:, None] * norms[None, :])) @ feats
     return LossOutput(value, grad)
 
 
 def compute_centers(batch: LabeledBatch) -> CenterStats:
     """Identity centers (mean of all 2K rows) and mean other-identity distances."""
-    batch.validate()
-    ids = batch.identity_values()
-    if len(ids) < 2:
+    s = batch.structure
+    if len(s.identities) < 2:
         raise ConfigError("center statistics need at least two identities")
-    feats = batch.features
-    centers = np.empty((len(ids), feats.shape[1]))
-    neg_margins = np.empty(len(ids))
-    for i, ident in enumerate(ids):
-        own = batch.labels == ident
-        centers[i] = feats[own].mean(axis=0)
-        rest = feats[~own] - centers[i]
-        neg_margins[i] = float(np.sqrt((rest**2).sum(axis=1)).mean())
-    return CenterStats(ids, centers, neg_margins)
+    feats = as_matrix(batch.features)
+    own = s.id_codes[None, :] == np.arange(len(s.identities))[:, None]
+    count = own.sum(axis=1)
+    centers = (own @ feats) / count[:, None]
+    diff = feats[None, :, :] - centers[:, None, :]
+    dist = np.sqrt(np.einsum("cnd,cnd->cn", diff, diff))
+    neg_margins = (dist * ~own).sum(axis=1) / (len(feats) - count)
+    return CenterStats(s.identities, centers, neg_margins, own, dist)
 
 
 def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
@@ -252,44 +241,31 @@ def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
         raise ConfigError(f"dcl mode must be one of {DCL_MODES}")
     stats = compute_centers(batch)
     feats = batch.features
-    num = 0.0
-    den = 0.0
-    dnum = np.zeros_like(feats)
-    dden = np.zeros_like(feats)
-    for i, ident in enumerate(stats.identities):
-        own = np.flatnonzero(batch.labels == ident)
-        neg = np.flatnonzero(batch.labels != ident)
-        m = own.size
-        center = stats.centers[i]
-
-        own_diff = feats[own] - center
-        own_dist = np.sqrt((own_diff**2).sum(axis=1))
-        safe_own = np.where(own_dist > 0, own_dist, 1.0)
-        u = np.where(own_dist[:, None] > 0, own_diff / safe_own[:, None], 0.0)
-        num += float(own_dist.mean())
-        dnum[own] += u / m
-        dnum[own] -= u.sum(axis=0) / m**2
-
-        neg_diff = feats[neg] - center
-        neg_dist = np.sqrt((neg_diff**2).sum(axis=1))
-        safe_neg = np.where(neg_dist > 0, neg_dist, 1.0)
-        v = np.where(neg_dist[:, None] > 0, neg_diff / safe_neg[:, None], 0.0)
-        if mode == "all":
-            sel = np.arange(neg.size)
-        elif mode == "hard":
-            sel = np.array([int(neg_dist.argmin())])
-        else:
-            sel = np.flatnonzero(neg_dist < stats.neg_margins[i])
-            if sel.size == 0:
-                sel = np.array([int(neg_dist.argmin())])
-        den += float(neg_dist[sel].mean())
-        dden[neg[sel]] += v[sel] / sel.size
-        dden[own] -= v[sel].sum(axis=0) / (m * sel.size)
+    own, dist = stats.members, stats.distances
+    if mode == "all":
+        sel = ~own
+    else:
+        sel = ~own & (dist < stats.neg_margins[:, None]) if mode == "dyn" else np.zeros_like(own)
+        empty = np.flatnonzero(~sel.any(axis=1))
+        sel[empty, np.where(own, np.inf, dist)[empty].argmin(axis=1)] = True
+    own_w = own / own.sum(axis=1, keepdims=True)
+    sel_w = sel / sel.sum(axis=1, keepdims=True)
+    num = float((own_w * dist).sum())
+    den = float((sel_w * dist).sum())
     if den < DCL_EPS:
         raise DegenerateError("all selected negatives coincide with their centers")
-    value = num / den
-    grad = dnum / den - (num / den**2) * dden
-    return LossOutput(value, grad)
+    # d(num/den)/d(dist[c, r]) goes through the pair kernel over the rows
+    # stacked with the centers; the centers' gradient is then pushed back
+    # through own_w, the averaging matrix that produced them.
+    w = own_w / den - (num / den**2) * sel_w
+    n = len(feats)
+    pair_w = np.zeros((n + len(w),) * 2)
+    pair_d = np.zeros_like(pair_w)
+    pair_w[n:, :n], pair_w[:n, n:] = w, w.T
+    pair_d[n:, :n], pair_d[:n, n:] = dist, dist.T
+    g = _pair_weight_grad(pair_w, pair_d, np.vstack([feats, stats.centers]))
+    grad = g[:n] + own_w.T @ g[n:]
+    return LossOutput(num / den, grad)
 
 
 def _check_stage(batch: LabeledBatch, stage: Stage) -> None:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import MODALITY_CODES, FeatureLayout, Modality, grayscale_of
+from .batch import MODALITY_CODES, FeatureLayout, Modality, coerce_rows, grayscale_of
 from .core import RngStream
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import ConfigError, ParseError
 
 #: Parameters of the bundled desk-scale benchmark (16 train identities and a
 #: disjoint 16-identity test split with the same generator settings).
@@ -42,25 +42,25 @@ class SynthDataset:
     noise_sigma: float | None = None
     prototypes: np.ndarray | None = None
     _index: dict = field(init=False, repr=False, default_factory=dict)
+    _min_count: dict = field(init=False, repr=False, default_factory=dict)
+    _identities: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.modalities = np.asarray(self.modalities, dtype=np.str_)
-        if self.features.ndim != 2:
-            raise DimensionError(f"features must be 2-D, got shape {self.features.shape}")
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.modalities.shape != (n,):
-            raise DimensionError("features, labels, and modalities disagree on row count")
+        self.features, self.labels, self.modalities = coerce_rows(
+            self.features, self.labels, self.modalities
+        )
         if (self.labels < 0).any():
             raise ConfigError("identity labels must be non-negative")
-        for code in np.unique(self.modalities):
-            if code not in MODALITY_CODES:
-                raise ConfigError(f"unknown modality tag {code!r}")
+        self._identities = np.unique(self.labels)
+        self._identities.flags.writeable = False
         index: dict[tuple[int, str], list[int]] = {}
         for row, (lab, mod) in enumerate(zip(self.labels, self.modalities)):
             index.setdefault((int(lab), str(mod)), []).append(row)
         self._index = {k: np.asarray(v, dtype=np.int64) for k, v in index.items()}
+        self._min_count = {
+            mod: min((self.count_of(i, mod) for i in self.identities), default=0)
+            for mod in MODALITY_CODES
+        }
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -71,7 +71,7 @@ class SynthDataset:
 
     @property
     def identities(self) -> np.ndarray:
-        return np.unique(self.labels)
+        return self._identities
 
     def rows_of(self, identity: int, modality: str | Modality) -> np.ndarray:
         """Row indices of one (identity, modality) cell, in dataset order."""
@@ -80,6 +80,10 @@ class SynthDataset:
 
     def count_of(self, identity: int, modality: str | Modality) -> int:
         return int(self.rows_of(identity, modality).size)
+
+    def min_count(self, modality: str | Modality) -> int:
+        """Fewest rows any identity has in the modality, computed once at construction."""
+        return self._min_count[modality.value if isinstance(modality, Modality) else str(modality)]
 
     def modality_rows(self, modality: str | Modality) -> np.ndarray:
         """All row indices carrying the given tag."""

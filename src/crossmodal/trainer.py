@@ -20,9 +20,11 @@ from .batch import BatchSpec, LabeledBatch, Modality, Stage, sample_batch
 from .core import RngStream
 from .errors import ConfigError, CrossmodalError
 from .evalkit import EvalReport, evaluate
-from .losses import LossConfig, stage1_objective, stage2_objective
+from .losses import LossConfig, ObjectiveOutput, stage1_objective, stage2_objective
 from .model import (
     TRAIN,
+    ForwardTrace,
+    ModelGrads,
     ModelParams,
     backward,
     extract_test_features,
@@ -163,6 +165,27 @@ def steps_per_epoch(dataset: SynthDataset, cfg: TrainConfig) -> int:
     return max(1, math.ceil(n / (2 * cfg.p * cfg.k)))
 
 
+def loss_and_grads(
+    params: ModelParams,
+    batch: LabeledBatch,
+    stage: Stage,
+    cfg: LossConfig,
+    targets: np.ndarray,
+) -> tuple[ObjectiveOutput, ModelGrads, ForwardTrace]:
+    """One training step short of the update: forward, stage objective, backward.
+
+    ``batch`` holds raw input rows; their embeddings replace its features
+    (keeping its validated structure) before the stage objective runs.
+    ``targets`` are the rows' classifier indices. Returns the objective, the
+    parameter gradients and the forward trace for the batch-norm update.
+    """
+    emb, _, logits, trace = forward(params, batch.features, TRAIN)
+    objective = stage1_objective if stage is Stage.STAGE1 else stage2_objective
+    out = objective(replace(batch, features=emb), logits, targets, cfg)
+    grads = backward(trace, params, d_embeddings=out.grad_embeddings, d_logits=out.grad_logits)
+    return out, grads, trace
+
+
 def train(
     dataset: SynthDataset,
     cfg: TrainConfig,
@@ -211,19 +234,8 @@ def train(
         for b in range(n_steps):
             try:
                 batch = sample_batch(dataset, spec, stage, root.child(1, epoch, b))
-                emb, _, logits, trace = forward(params, batch.features, TRAIN)
-                emb_batch = replace(batch, features=emb)
-                y = np.searchsorted(classes, batch.labels)
-                if stage is Stage.STAGE1:
-                    out = stage1_objective(emb_batch, logits, y, cfg.loss)
-                else:
-                    out = stage2_objective(emb_batch, logits, y, cfg.loss)
-                grads = backward(
-                    trace,
-                    params,
-                    d_embeddings=out.grad_embeddings,
-                    d_logits=out.grad_logits,
-                )
+                targets = np.searchsorted(classes, batch.labels)
+                out, grads, trace = loss_and_grads(params, batch, stage, cfg.loss, targets)
                 if cfg.per_step_schedule:
                     lr = cosine_lr(epoch + b / n_steps, cfg.epochs, cfg.base_lr, min_lr)
                 else:

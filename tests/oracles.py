@@ -60,6 +60,34 @@ def batch_hard_triplet(feats, labels, margin):
     return total
 
 
+def batch_hard_triplet_grad(feats, labels, margin):
+    """Gradient of :func:`batch_hard_triplet`, accumulated anchor by anchor.
+
+    Each active anchor adds the unit vector to its hardest positive and
+    subtracts the one to its hardest negative, mirrored onto the partner; a
+    partner at distance 0 adds nothing.
+    """
+    n, dim = len(feats), len(feats[0])
+    grad = [[0.0] * dim for _ in range(n)]
+    for i in range(n):
+        pos = neg = None
+        for j in range(n):
+            d = euclid(feats[i], feats[j])
+            if j != i and labels[j] == labels[i] and (pos is None or d > pos[1]):
+                pos = (j, d)
+            if labels[j] != labels[i] and (neg is None or d < neg[1]):
+                neg = (j, d)
+        if not pos[1] - neg[1] + margin > 0:
+            continue
+        for (j, d), sign in ((pos, 1.0), (neg, -1.0)):
+            if d > 0:
+                for c in range(dim):
+                    u = sign * (feats[i][c] - feats[j][c]) / d
+                    grad[i][c] += u
+                    grad[j][c] -= u
+    return grad
+
+
 def intra_triplet(feats, labels, mods, margin):
     """Per-modality batch-hard sums."""
     total = 0.0
@@ -130,6 +158,52 @@ def dcl(feats, labels, mode="dyn"):
                 sel = [best]
         den += sum(sel) / len(sel)
     return num / den
+
+
+def dcl_grad(feats, labels, mode="dyn"):
+    """Gradient of :func:`dcl`, accumulated identity by identity.
+
+    Each identity's center is the mean of its rows, so every row-to-center
+    unit vector also flows back, averaged, onto the identity's own rows. A row
+    at distance 0 from a center adds nothing.
+    """
+    n, dim = len(feats), len(feats[0])
+    num = den = 0.0
+    dnum = [[0.0] * dim for _ in range(n)]
+    dden = [[0.0] * dim for _ in range(n)]
+    for ident, center in centers_of(feats, labels).items():
+        own = [i for i in range(n) if labels[i] == ident]
+        neg = [i for i in range(n) if labels[i] != ident]
+        unit = {}
+        for i in range(n):
+            d = euclid(feats[i], center)
+            unit[i] = (d, [(feats[i][c] - center[c]) / d if d > 0 else 0.0 for c in range(dim)])
+        m = len(own)
+        num += sum(unit[i][0] for i in own) / m
+        for i in own:
+            for j in own:
+                for c in range(dim):
+                    dnum[j][c] += unit[i][1][c] * ((1.0 if i == j else 0.0) - 1.0 / m) / m
+        margin = sum(unit[i][0] for i in neg) / len(neg)
+        nearest = neg[0]
+        for i in neg[1:]:
+            if unit[i][0] < unit[nearest][0]:
+                nearest = i
+        if mode == "all":
+            sel = neg
+        elif mode == "hard":
+            sel = [nearest]
+        else:
+            sel = [i for i in neg if unit[i][0] < margin] or [nearest]
+        den += sum(unit[i][0] for i in sel) / len(sel)
+        for i in sel:
+            for c in range(dim):
+                dden[i][c] += unit[i][1][c] / len(sel)
+                for j in own:
+                    dden[j][c] -= unit[i][1][c] / (m * len(sel))
+    return [
+        [dnum[i][c] / den - num / den**2 * dden[i][c] for c in range(dim)] for i in range(n)
+    ]
 
 
 def rank_gallery(query, gallery):

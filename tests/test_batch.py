@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import make_pk_batch
 
 from crossmodal.batch import (
     BatchSpec,
@@ -12,7 +15,8 @@ from crossmodal.batch import (
 )
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, DimensionError, NumericError, SamplingError
-from crossmodal.synthdata import make_benchmark
+from crossmodal.losses import compute_centers, hard_triplet_intra, msel
+from crossmodal.synthdata import SynthDataset, make_benchmark
 
 
 def test_feature_layout_slices():
@@ -111,3 +115,24 @@ def test_sample_batch_rejects_small_datasets():
         sample_batch(ds, BatchSpec(17, 2), Stage.STAGE1, RngStream(0))
     with pytest.raises(SamplingError):
         sample_batch(ds, BatchSpec(4, 9), Stage.STAGE2, RngStream(0))
+
+
+def test_structure_survives_feature_swap_but_not_label_change():
+    batch = make_pk_batch(RngStream(0), 2, 2, 3).validate()
+    swapped = replace(batch, features=batch.features + 1.0)
+    assert swapped.structure is batch.structure
+    with pytest.raises(ValueError):
+        batch.labels[0] = 1  # the arrays a structure was derived from are read-only
+    uneven = replace(batch, labels=[0, 0, 0, 1, 1, 1, 1, 1])
+    for use in (LabeledBatch.cell_count, msel, compute_centers, hard_triplet_intra):
+        with pytest.raises(ConfigError, match="uneven"):
+            use(uneven)
+
+
+def test_sample_batch_names_the_short_identity():
+    tags = ["vis"] * 3 + ["ir"] * 3
+    ds = SynthDataset(np.zeros((11, 2)), [0] * 6 + [1] * 5, tags + tags[:5])
+    assert (ds.min_count("vis"), ds.min_count(Modality.IR), ds.min_count("gray")) == (3, 2, 0)
+    with pytest.raises(SamplingError, match="identity 1 has 2 'ir' rows, batch needs 3"):
+        sample_batch(ds, BatchSpec(2, 3), Stage.STAGE2, RngStream(0))
+    assert len(sample_batch(ds, BatchSpec(2, 2), Stage.STAGE2, RngStream(0))) == 8

@@ -21,7 +21,7 @@ from crossmodal.trainer import train
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: configs/default.cfg, seed 0, on the bundled benchmark splits.
-DEFAULT_RUN_FINGERPRINT = "730c1bb4a6c18b170e29930368643b83c197afe7ffaef2e14b7d504a392332f1"
+DEFAULT_RUN_FINGERPRINT = "8479f38a114424ade1f97865ef64a8a6de71289beabacd4e5f780ab98fa2c5d6"
 
 
 def _fingerprint(params, report) -> str:

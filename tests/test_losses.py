@@ -3,8 +3,8 @@ import pytest
 
 import oracles
 from conftest import make_pk_batch
-from crossmodal.batch import LabeledBatch, Stage
-from crossmodal.core import RngStream
+from crossmodal.batch import LabeledBatch
+from crossmodal.core import RngStream, pairwise_distances
 from crossmodal.errors import (
     ConfigError,
     DegenerateError,
@@ -20,7 +20,6 @@ from crossmodal.losses import (
     hard_triplet_intra,
     identity_loss,
     msel,
-    pht,
     stage1_objective,
     stage2_objective,
 )
@@ -138,6 +137,80 @@ def test_identity_loss_matches_oracle(rng):
     )
     # gradient row sums vanish: softmax minus one-hot
     assert np.allclose(out.grad.sum(axis=1), 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- kernel vs loops at ties
+# gradcheck draws general-position batches only; these sit on the ties it
+# avoids. Coordinates are small integers so every distance, center and mean
+# is exact and both sides make the same discrete choices.
+
+
+def _tie_batch(rows, labels, mods):
+    return LabeledBatch(np.array(rows, dtype=float), labels, mods)
+
+
+_PAIR = ["vis", "vis", "ir", "ir"]
+
+TIE_BATCHES = {
+    # coincident rows inside an identity, and across identities
+    "duplicates": _tie_batch(
+        [[0, 0], [0, 0], [1, 0], [0, 0], [2, 0], [2, 0], [0, 0], [3, 1],
+         [1, 1], [1, 1], [1, 1], [0, 2]],
+        [0] * 4 + [1] * 4 + [2] * 4,
+        _PAIR * 3,
+    ),
+    # every anchor sees two equally hard positives and two equally hard negatives;
+    # every identity sees all negatives at one distance from its center
+    "equidistant": _tie_batch(
+        [[-1], [1], [-1], [1], [3], [-3], [3], [-3]], [0] * 4 + [1] * 4, _PAIR * 2
+    ),
+    # at margin 1 the hinges of the rows at 0 and at 6 are exactly 0
+    "zero_hinge": _tie_batch(
+        [[0], [2], [0], [2], [3], [6], [3], [6]], [0] * 4 + [1] * 4, _PAIR * 2
+    ),
+    # both centers sit at 0, on two rows of identity 0
+    "on_center": _tie_batch(
+        [[-2], [2], [0], [0], [5], [5], [-5], [-5]], [0] * 4 + [1] * 4, _PAIR * 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_BATCHES))
+def test_batch_hard_grad_matches_anchor_loop_at_ties(name):
+    batch = TIE_BATCHES[name]
+    feats, labels = batch.features.tolist(), batch.labels.tolist()
+    for margin in (0.1, 1.0):
+        expected = oracles.batch_hard_triplet_grad(feats, labels, margin)
+        got = hard_triplet_global(batch, margin).grad
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
+    intra = hard_triplet_intra(batch, 1.0).grad
+    for mod in set(batch.modalities.tolist()):
+        rows = np.flatnonzero(batch.modalities == mod)
+        expected = oracles.batch_hard_triplet_grad(
+            batch.features[rows].tolist(), batch.labels[rows].tolist(), 1.0
+        )
+        assert np.allclose(intra[rows], expected, rtol=0, atol=1e-12)
+
+
+def test_tie_batches_hit_the_conventions():
+    # rows at 2 and 3 are active (2 + 2 + 3 + 3); rows at 0 and 6 sit on the kink
+    assert hard_triplet_global(TIE_BATCHES["zero_hinge"], 1.0).value == 10.0
+    # row 0's two hardest positives (rows 1, 3) and negatives (rows 5, 7) tie
+    d = pairwise_distances(TIE_BATCHES["equidistant"].features)
+    assert d[0, 1] == d[0, 3] and d[0, 5] == d[0, 7]
+    stats = compute_centers(TIE_BATCHES["equidistant"])
+    assert np.array_equal(stats.distances[~stats.members], [3.0] * 4 + [1.0] * 4)
+    # rows 2 and 3 sit on both centers: own rows for identity 0, negatives for 1
+    on_center = compute_centers(TIE_BATCHES["on_center"])
+    assert np.array_equal(np.argwhere(on_center.distances == 0), [[0, 2], [0, 3], [1, 2], [1, 3]])
+
+
+@pytest.mark.parametrize("mode", ["hard", "all", "dyn"])
+@pytest.mark.parametrize("name", ["duplicates", "equidistant", "on_center"])
+def test_dcl_grad_matches_identity_loop_at_ties(name, mode):
+    batch = TIE_BATCHES[name]
+    expected = oracles.dcl_grad(batch.features.tolist(), batch.labels.tolist(), mode)
+    assert np.allclose(dcl(batch, mode).grad, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- invariances
@@ -261,17 +334,6 @@ def test_compute_centers_needs_two_identities():
 
 
 # ---------------------------------------------------------------- stage objectives
-
-
-def test_pht_dispatches_by_stage(rng):
-    gray = make_pk_batch(rng.child(0), 3, 2, 4, pair=("gray", "ir"))
-    vis = make_pk_batch(rng.child(1), 3, 2, 4)
-    assert pht(gray, Stage.STAGE1, 0.1).value == hard_triplet_intra(gray, 0.1).value
-    assert pht(vis, Stage.STAGE2, 0.1).value == hard_triplet_global(vis, 0.1).value
-    with pytest.raises(StageError):
-        pht(vis, Stage.STAGE1, 0.1)
-    with pytest.raises(StageError):
-        pht(gray, Stage.STAGE2, 0.1)
 
 
 def test_stage1_objective_composition(rng):
