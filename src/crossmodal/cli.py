@@ -126,6 +126,14 @@ def _epoch_csv_row(log: trainer.EpochLog) -> str:
 EPOCH_CSV_HEADER = "epoch,stage,lr,intra,global,msel,dcl,id,rank1,mean_ap,minp"
 
 
+def _write_reports(out_dir, direction: str, report) -> None:
+    """Write ``report_{direction}.txt`` and ``report_{direction}_hist.csv``."""
+    for suffix, render in ((".txt", report_text), ("_hist.csv", report_table)):
+        path = os.path.join(out_dir, f"report_{direction}{suffix}")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(render(report))
+
+
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     if not cfg.data_path:
@@ -179,11 +187,7 @@ def cmd_train(args) -> int:
         log_fh.close()
     save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), params)
     report = logs[-1].eval
-    direction = cfg.train.eval_direction
-    with open(os.path.join(out_dir, f"report_{direction}.txt"), "w", encoding="ascii") as fh:
-        fh.write(report_text(report))
-    with open(os.path.join(out_dir, f"report_{direction}_hist.csv"), "w", encoding="ascii") as fh:
-        fh.write(report_table(report))
+    _write_reports(out_dir, cfg.train.eval_direction, report)
     print(f"run directory: {out_dir}")
     print(
         f"final: rank1={report.rank1:.4f} mAP={report.mean_ap:.4f} "
@@ -196,18 +200,10 @@ def cmd_eval(args) -> int:
     params, _ = load_checkpoint(args.checkpoint)
     dataset = synthdata.load_features(args.data)
     report = trainer.evaluate_params(params, dataset, args.direction)
-    text = report_text(report)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(
-            os.path.join(args.out, f"report_{args.direction}.txt"), "w", encoding="ascii"
-        ) as fh:
-            fh.write(text)
-        with open(
-            os.path.join(args.out, f"report_{args.direction}_hist.csv"), "w", encoding="ascii"
-        ) as fh:
-            fh.write(report_table(report))
-    sys.stdout.write(text)
+        _write_reports(args.out, args.direction, report)
+    sys.stdout.write(report_text(report))
     return 0
 
 

@@ -127,10 +127,16 @@ def _pair_weight_grad(s: np.ndarray, dist: np.ndarray, feats: np.ndarray) -> np.
     return g.sum(axis=1)[:, None] * feats - g @ feats
 
 
-def _batch_hard(feats: np.ndarray, labels: np.ndarray, margin: float) -> LossOutput:
-    """Summed hinge over anchors, each mined against its hardest positive/negative."""
+def _batch_hard(
+    feats: np.ndarray, labels: np.ndarray, margin: float, dist: np.ndarray | None = None
+) -> LossOutput:
+    """Summed hinge over anchors, each mined against its hardest positive/negative.
+
+    ``dist`` is the euclid matrix of ``feats`` when the caller already built it.
+    """
     n = feats.shape[0]
-    dist = pairwise_distances(feats, "euclid")
+    if dist is None:
+        dist = pairwise_distances(feats, "euclid")
     same = labels[:, None] == labels[None, :]
     eye = np.eye(n, dtype=bool)
     pos_mask = same & ~eye
@@ -150,9 +156,15 @@ def _batch_hard(feats: np.ndarray, labels: np.ndarray, margin: float) -> LossOut
     return LossOutput(float(hinge[active].sum()), _pair_weight_grad(w + w.T, dist, feats))
 
 
-def hard_triplet_global(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
-    """Batch-hard triplet loss mined over all rows, ignoring modality tags."""
-    return _batch_hard(batch.features, batch.labels, margin)
+def hard_triplet_global(
+    batch: LabeledBatch, margin: float = 0.1, *, _dist: np.ndarray | None = None
+) -> LossOutput:
+    """Batch-hard triplet loss mined over all rows, ignoring modality tags.
+
+    ``_dist`` is internal: :func:`stage2_objective` passes the euclid matrix it
+    shares with :func:`msel`.
+    """
+    return _batch_hard(batch.features, batch.labels, margin, _dist)
 
 
 def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
@@ -168,7 +180,9 @@ def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
     return LossOutput(value, grad)
 
 
-def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
+def msel(
+    batch: LabeledBatch, metric: str = "euclid", *, _dist: np.ndarray | None = None
+) -> LossOutput:
     """Mean squared gap between within-modality and cross-modality positive distances.
 
     For each anchor, the mean distance to its same-identity same-modality rows
@@ -176,6 +190,9 @@ def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
     other-modality rows (K of them); the loss is the mean squared difference
     over all 2PK anchors. Driving it to zero makes positive pairs look the
     same whether or not they cross the modality boundary.
+
+    ``_dist`` is internal: :func:`stage2_objective` passes the ``metric``
+    matrix it shares with :func:`hard_triplet_global`.
     """
     if metric not in MSEL_METRICS:
         raise ConfigError(f"msel metric must be one of {MSEL_METRICS}")
@@ -185,7 +202,7 @@ def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
         raise ConfigError("msel needs k >= 2 rows per (identity, modality) cell")
     feats = batch.features
     n = feats.shape[0]
-    dist = pairwise_distances(feats, metric)
+    dist = pairwise_distances(feats, metric) if _dist is None else _dist
     same_id = s.id_codes[:, None] == s.id_codes[None, :]
     same_mod = s.mod_codes[:, None] == s.mod_codes[None, :]
     eye = np.eye(n, dtype=bool)
@@ -301,16 +318,18 @@ def stage2_objective(
 
     The identity term is off by default here and can be re-enabled through
     ``cfg.include_id_stage2``; with both lambdas at zero the result equals
-    the global hard-triplet loss exactly.
+    the global hard-triplet loss exactly. The euclid distance matrix is built
+    once and read by the triplet and, for the euclid metric, by ``msel``.
     """
     cfg.validate()
     _check_stage(batch, Stage.STAGE2)
-    tri = hard_triplet_global(batch, cfg.margin)
+    dist = pairwise_distances(batch.features, "euclid")
+    tri = hard_triplet_global(batch, cfg.margin, _dist=dist)
     value = tri.value
     grad = tri.grad.copy()
     terms = {"global": tri.value}
     if cfg.lambda1 > 0:
-        part = msel(batch, cfg.msel_metric)
+        part = msel(batch, cfg.msel_metric, _dist=dist if cfg.msel_metric == "euclid" else None)
         value += cfg.lambda1 * part.value
         grad += cfg.lambda1 * part.grad
         terms["msel"] = part.value

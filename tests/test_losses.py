@@ -364,6 +364,24 @@ def test_stage2_objective_composition(rng):
     assert np.array_equal(out.grad_logits, np.zeros_like(logits))
 
 
+@pytest.mark.parametrize("metric", ["euclid", "cosine"])
+def test_stage2_objective_shares_one_matrix_exactly(rng, metric):
+    # 72 rows: past the blocked-kernel threshold, so the shared matrix is blocked.
+    batch = make_pk_batch(rng, 6, 6, 5)
+    logits = rng.normal(size=(len(batch), 6))
+    cfg = LossConfig(lambda1=0.3, lambda2=0.7, msel_metric=metric)
+    out = stage2_objective(batch, logits, batch.labels, cfg)
+    tri = hard_triplet_global(batch, cfg.margin)
+    me = msel(batch, metric)
+    dc = dcl(batch, cfg.dcl_mode)
+    assert out.terms["global"] == tri.value
+    assert out.terms["msel"] == me.value
+    grad = tri.grad.copy()
+    grad += cfg.lambda1 * me.grad
+    grad += cfg.lambda2 * dc.grad
+    assert np.array_equal(out.grad_embeddings, grad)
+
+
 def test_stage2_with_zero_lambdas_equals_global_exactly(rng):
     batch = make_pk_batch(rng, 3, 3, 4)
     logits = rng.normal(size=(len(batch), 3))
