@@ -11,11 +11,9 @@ NORM_EPS = 1e-12
 
 METRICS = ("euclid", "cosine")
 
-#: Euclid ``pairwise_distances`` on at least ``_BLOCK_MIN_ROWS`` rows is built
-#: in ``_BLOCK``-row blocks over the upper triangle; smaller batches are faster
-#: as one difference tensor.
+#: Euclid ``pairwise_distances`` is built in ``_BLOCK``-row blocks over the
+#: upper triangle.
 _BLOCK = 32
-_BLOCK_MIN_ROWS = 64
 
 
 def as_vector(values) -> np.ndarray:
@@ -69,23 +67,19 @@ def pairwise_distances(batch, metric: str = "euclid") -> np.ndarray:
     are computed once per unordered pair and mirrored.
 
     Euclid entries are ``sqrt(einsum(diff, diff))`` over the length-d
-    difference of the two rows. Below ``_BLOCK_MIN_ROWS`` rows that is one
-    n x n x d difference tensor. From there on, row block ``[a, a + _BLOCK)``
-    is differenced against rows ``[a, n)`` only, in increasing ``a``, and the
-    columns ``[0, a)`` of the block are mirrored from the blocks above it.
-    Each entry still reduces the same difference vector (or its exact
-    negation, which squares to the same terms), so the matrix is bitwise
-    equal to the one-shot form while the largest temporary shrinks from
-    n*n*d to _BLOCK*n*d floats.
+    difference of the two rows. Row block ``[a, a + _BLOCK)`` is differenced
+    against rows ``[a, n)`` only, in increasing ``a``, and the columns
+    ``[0, a)`` of the block are mirrored from the blocks above it; a batch of
+    at most ``_BLOCK`` rows is one block. Each entry still reduces the same
+    difference vector (or its exact negation, which squares to the same
+    terms), so the matrix is bitwise equal to the one-shot n x n x d form
+    while the largest temporary shrinks from n*n*d to _BLOCK*n*d floats.
     """
     x = as_matrix(batch)
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if metric == "euclid":
         n = x.shape[0]
-        if n < _BLOCK_MIN_ROWS:
-            diff = x[:, None, :] - x[None, :, :]
-            return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         out = np.empty((n, n))
         for a in range(0, n, _BLOCK):
             b = min(a + _BLOCK, n)

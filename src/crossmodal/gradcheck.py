@@ -86,9 +86,11 @@ def _random_batch(rng: RngStream, p: int, k: int, dim: int, pair: tuple[str, str
     return LabeledBatch(feats, labels, mods)
 
 
-def _triplet_regular(dist, labels, margin, tol=TIE_TOL) -> bool:
+def _triplet_regular(feats, labels, margin, tol=TIE_TOL, dist=None) -> bool:
+    if dist is None:
+        dist = pairwise_distances(feats, "euclid")
     same = labels[:, None] == labels[None, :]
-    other = ~np.eye(len(dist), dtype=bool)
+    other = ~np.eye(len(feats), dtype=bool)
     pos = np.sort(np.where(same & other, dist, -np.inf), axis=1)  # hardest last
     neg = np.sort(np.where(same, np.inf, dist), axis=1)  # hardest first
     if not (np.isfinite(pos[:, -1]).all() and np.isfinite(neg[:, 0]).all()):
@@ -104,11 +106,7 @@ def _triplet_regular(dist, labels, margin, tol=TIE_TOL) -> bool:
 def _intra_regular(batch: LabeledBatch, margin: float) -> bool:
     codes = batch.structure.mod_codes
     return all(
-        _triplet_regular(
-            pairwise_distances(batch.features[codes == c], "euclid"),
-            batch.labels[codes == c],
-            margin,
-        )
+        _triplet_regular(batch.features[codes == c], batch.labels[codes == c], margin)
         for c in range(2)
     )
 
@@ -139,7 +137,7 @@ def _objective_regular(batch: LabeledBatch, stage: Stage, cfg: losses.LossConfig
         return _intra_regular(batch, cfg.margin)
     dist = pairwise_distances(batch.features, "euclid")
     return (
-        _triplet_regular(dist, batch.labels, cfg.margin)
+        _triplet_regular(batch.features, batch.labels, cfg.margin, dist=dist)
         and _msel_regular(batch, cfg.msel_metric, dist)
         and _dcl_regular(batch, cfg.dcl_mode)
     )
@@ -274,9 +272,7 @@ def check_component(name: str, instances: int = 20, seed: int = 0) -> float:
         return _check_batch_loss(
             rng,
             Stage.STAGE2,
-            lambda b: _triplet_regular(
-                pairwise_distances(b.features, "euclid"), b.labels, base.margin
-            ),
+            lambda b: _triplet_regular(b.features, b.labels, base.margin),
             lambda b: losses.hard_triplet_global(b, base.margin),
             instances,
         )

@@ -51,17 +51,18 @@ def test_pairwise_exactly_symmetric(rng):
         assert np.all(np.abs(np.diag(d)) < 1e-15)
 
 
-@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 97, 300])
-def test_pairwise_euclid_bitwise_equals_one_shot_form(rng, n):
-    x = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+@pytest.mark.parametrize("dim", [5, 16])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 97, 300, 512])
+def test_pairwise_euclid_bitwise_equals_one_shot_form(rng, n, dim):
+    x = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
     # Duplicated rows put exact zeros off the diagonal, some of them across blocks.
     x[n // 2 :: 7] = x[0]
-    d = pairwise_distances(x, "euclid")
-    assert np.array_equal(d, oracles.pairwise_euclid_single(x))
-    assert np.array_equal(d, d.T)
-    assert np.array_equal(np.diag(d), np.zeros(n))
+    dist = pairwise_distances(x, "euclid")
+    assert np.array_equal(dist, oracles.pairwise_euclid_single(x))
+    assert np.array_equal(dist, dist.T)
+    assert np.array_equal(np.diag(dist), np.zeros(n))
     if n > 1:
-        assert (d[~np.eye(n, dtype=bool)] == 0).any()
+        assert (dist[~np.eye(n, dtype=bool)] == 0).any()
 
 
 def test_pairwise_rejects_bad_metric(rng):
