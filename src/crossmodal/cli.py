@@ -126,12 +126,30 @@ def _epoch_csv_row(log: trainer.EpochLog) -> str:
 EPOCH_CSV_HEADER = "epoch,stage,lr,intra,global,msel,dcl,id,rank1,mean_ap,minp"
 
 
+def _write_atomic(path, content) -> None:
+    """Write ``path`` whole or not at all: fill ``path + ".tmp"``, then ``os.replace``.
+
+    ``content`` is ASCII text, or a callable that writes the file named by its
+    argument. The rename stays in one directory, so a crash mid-write leaves
+    the previous file (or none) in place, never a truncated one.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        if callable(content):
+            content(tmp)
+        else:
+            with open(tmp, "w", encoding="ascii") as fh:
+                fh.write(content)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_reports(out_dir, direction: str, report) -> None:
     """Write ``report_{direction}.txt`` and ``report_{direction}_hist.csv``."""
     for suffix, render in ((".txt", report_text), ("_hist.csv", report_table)):
-        path = os.path.join(out_dir, f"report_{direction}{suffix}")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(render(report))
+        _write_atomic(os.path.join(out_dir, f"report_{direction}{suffix}"), render(report))
 
 
 def cmd_train(args) -> int:
@@ -166,28 +184,38 @@ def cmd_train(args) -> int:
             ),
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "config.resolved.cfg"), "w", encoding="ascii") as fh:
-        fh.write(config.resolved_text(cfg))
+
+    def record(status):
+        manifest["status"] = status
+        text = json.dumps(manifest, indent=2) + "\n"
+        _write_atomic(os.path.join(out_dir, "manifest.json"), text)
+
+    record("running")
+    _write_atomic(os.path.join(out_dir, "config.resolved.cfg"), config.resolved_text(cfg))
 
     log_path = os.path.join(out_dir, "epochs.csv")
     log_fh = open(log_path, "w", encoding="ascii")
     log_fh.write(EPOCH_CSV_HEADER + "\n")
 
+    def save(name, params):
+        _write_atomic(os.path.join(out_dir, name), lambda path: save_checkpoint(path, params))
+
     def on_epoch(epoch, params, log):
         log_fh.write(_epoch_csv_row(log) + "\n")
         if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
-            save_checkpoint(os.path.join(out_dir, f"checkpoint_epoch{epoch}.npz"), params)
+            save(f"checkpoint_epoch{epoch}.npz", params)
 
     try:
         params, logs = trainer.train(dataset, cfg.train, eval_dataset, on_epoch=on_epoch)
+        save("checkpoint.npz", params)
+        report = logs[-1].eval
+        _write_reports(out_dir, cfg.train.eval_direction, report)
+    except (CrossmodalError, OSError) as exc:
+        record(f"failed: {exc}")
+        raise
     finally:
         log_fh.close()
-    save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), params)
-    report = logs[-1].eval
-    _write_reports(out_dir, cfg.train.eval_direction, report)
+    record("complete")
     print(f"run directory: {out_dir}")
     print(
         f"final: rank1={report.rank1:.4f} mAP={report.mean_ap:.4f} "

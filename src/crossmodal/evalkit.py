@@ -1,6 +1,8 @@
 """Retrieval evaluation: ranking, CMC / mAP / mINP, and similarity diagnostics.
 
-Equal distances (duplicated rows, exact zeros) rank by ascending gallery index.
+Equal distances (duplicated rows, exact zeros) rank by ascending gallery index:
+``rank`` sorts every query row with the default sort and stable-sorts again
+only the rows whose sorted distances hold an exact tie.
 ``evaluate`` memory is O(_BLOCK * m * d) plus the largest identity's n_i^2 * d.
 """
 
@@ -67,8 +69,12 @@ def rank(
 ) -> RankingResult:
     """Sort the gallery per query by ascending distance.
 
-    Distance ties keep ascending gallery index (stable sort). Queries whose
-    identity never occurs in the gallery are dropped and counted.
+    Equal distances rank by ascending gallery index. Each row is sorted with
+    the default (unstable) sort; a row whose sorted distances hold two equal
+    neighbours (``==``, so 0.0 and -0.0 tie) has an exact tie and is sorted
+    again with a stable sort. A row without one has a single ascending order,
+    which any sort returns. Queries whose identity never occurs in the gallery
+    are dropped and counted.
     """
     qf = as_matrix(query_feats)
     gf = as_matrix(gallery_feats)
@@ -77,7 +83,10 @@ def rank(
     if qid.shape != (qf.shape[0],) or gid.shape != (gf.shape[0],):
         raise DimensionError("id arrays must match the feature row counts")
     dist = cross_distances(qf, gf, metric)
-    order = np.argsort(dist, axis=1, kind="stable")
+    order = np.argsort(dist, axis=1)
+    sorted_dist = np.take_along_axis(dist, order, axis=1)
+    tied = (sorted_dist[:, 1:] == sorted_dist[:, :-1]).any(axis=1)
+    order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
     relevant = gid[order] == qid[:, None]
     keep = relevant.any(axis=1)
     dropped = int((~keep).sum())

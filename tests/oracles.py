@@ -225,14 +225,14 @@ def rank_gallery(query, gallery):
     return [j for _, j in sorted(dists)]
 
 
-def rank_gallery_by_count(query, gallery):
+def rank_gallery_by_count(query, gallery, distance=euclid):
     """Gallery indices placed by counting who precedes them, with no sort at all.
 
     Row j lands at position #{j' : d(j') < d(j), or d(j') == d(j) and j' < j}:
     the tie rule written out as a definition rather than inherited from a
     sort's stability.
     """
-    dists = [euclid(query, g) for g in gallery]
+    dists = [distance(query, g) for g in gallery]
     order = [None] * len(gallery)
     for j, d in enumerate(dists):
         ahead = 0

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crossmodal import cli
 from crossmodal.cli import main
 from crossmodal.model import load_checkpoint
 from crossmodal.synthdata import load_features
@@ -181,6 +182,76 @@ def test_checkpoint_every_writes_snapshots(small_data, tmp_path, capsys):
     assert (run_dir / "checkpoint_epoch1.npz").exists()
     assert (run_dir / "checkpoint_epoch3.npz").exists()
     assert not (run_dir / "checkpoint_epoch0.npz").exists()
+
+
+def test_run_directory_holds_no_temporary_files(small_data, tmp_path, capsys):
+    cfg = write_small_config(tmp_path, small_data)
+    run_dir = tmp_path / "run"
+    rc = main(
+        ["train", "--config", str(cfg), "--out", str(run_dir), "--checkpoint-every", "2"]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "checkpoint.npz",
+        "checkpoint_epoch1.npz",
+        "checkpoint_epoch3.npz",
+        "config.resolved.cfg",
+        "epochs.csv",
+        "manifest.json",
+        "report_t2v.txt",
+        "report_t2v_hist.csv",
+    ]
+    assert json.loads((run_dir / "manifest.json").read_text())["status"] == "complete"
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "report.txt"
+    cli._write_atomic(str(path), "old\n")
+
+    def crash(tmp):
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        cli._write_atomic(str(path), crash)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+@pytest.mark.parametrize(
+    "override, exit_code, prefix",
+    [
+        ("optim.base_lr=1e300", 2, "epoch 0, batch "),  # parameters overflow mid-epoch
+        ("batch.p=9", 1, "dataset has 4 identities"),  # the trainer's own config check
+    ],
+)
+def test_failed_run_records_status(small_data, tmp_path, capsys, override, exit_code, prefix):
+    cfg = write_small_config(tmp_path, small_data)
+    run_dir = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train", "--config", str(cfg), "--set", override, "--out", str(run_dir)])
+    assert rc == exit_code
+    message = capsys.readouterr().err.strip().removeprefix("error: ")
+    assert message.startswith(prefix)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == f"failed: {message}"
+    assert not (run_dir / "checkpoint.npz").exists()
+
+
+def test_failed_checkpoint_write_records_status(small_data, tmp_path, capsys, monkeypatch):
+    def disk_full(path, params):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_checkpoint", disk_full)
+    cfg = write_small_config(tmp_path, small_data)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "failed: disk full"
+    assert not (run_dir / "report_t2v.txt").exists()
 
 
 def test_eval_reproduces_training_report(small_data, tmp_path, capsys):

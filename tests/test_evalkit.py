@@ -135,6 +135,39 @@ def test_tie_heavy_gallery_matches_oracles():
         assert (step == 0).any()
 
 
+@pytest.mark.parametrize("metric", ["euclid", "cosine"])
+def test_rank_restable_sorts_only_tied_rows(rng, metric):
+    # Exact gallery duplicates would tie under every query, so the tied rows
+    # come from three unit gallery points instead: a query whose first two
+    # coordinates are 0 is at an exactly equal distance from all three (its
+    # dot product with each is an exact 0 and its squared differences are
+    # small integers). Two such queries sit exactly on gallery points. The
+    # random queries between them have no tie, so one block holds both kinds.
+    units = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+    on_plane = np.array([[0.0, 0, 2, 0], [0, 0, 0, 3], [0, 0, 1, 1], [0, 0, -1, 2]])
+    gf = np.concatenate([rng.normal(size=(20, 4)), units, on_plane[:2]])
+    gf = gf[rng.permutation(len(gf))]
+    gid = np.arange(len(gf)) % 5
+    qf = np.concatenate([rng.normal(size=(24, 4)), on_plane])
+    perm = rng.permutation(len(qf))
+    qf, tied_query = qf[perm], perm >= 24
+    qid = rng.integers(0, 6, size=len(qf))  # identity 5 is never in the gallery
+    dist = cross_distances(qf, gf, metric)
+    stable = np.argsort(dist, axis=1, kind="stable")
+    sorted_dist = np.take_along_axis(dist, stable, axis=1)
+    has_tie = (np.diff(sorted_dist, axis=1) == 0).any(axis=1)
+    assert has_tie.tolist() == tied_query.tolist()
+
+    result = rank(qf, gf, qid, gid, metric)
+    kept = np.isin(qid, gid)
+    assert has_tie[kept].any() and not has_tie[kept].all()
+    assert np.array_equal(result.order, stable[kept])
+    distance = oracles.euclid if metric == "euclid" else oracles.cosine_dist
+    for out_row, i in enumerate(np.flatnonzero(kept)):
+        want = oracles.rank_gallery_by_count(qf[i].tolist(), gf.tolist(), distance)
+        assert result.order[out_row].tolist() == want
+
+
 def test_rank_validation_and_degenerate():
     with pytest.raises(DimensionError):
         rank(np.zeros((2, 3)), np.zeros((2, 3)), [0], [0, 1])
