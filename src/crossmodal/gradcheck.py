@@ -4,6 +4,10 @@ Each component check draws random "general position" instances: batches are
 resampled until every hinge argument, hardest-pair margin, selection
 threshold, and rectifier pre-activation sits at least ``TIE_TOL`` away from
 its non-smooth point, so a 1e-6 perturbation cannot flip any discrete choice.
+The mining decisions are not re-derived here: regularity reads the
+:class:`~crossmodal.losses.Mining` record each loss returns, through its
+``gap``. Only two tests are local: the rectifier pre-activations of the model
+check, and the norm floor that keeps cosine ``msel`` well conditioned.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from . import losses, model
 from .batch import LabeledBatch, Stage
-from .core import RngStream, pairwise_distances
+from .core import RngStream
 from .errors import ConfigError
 from .trainer import loss_and_grads
 
@@ -86,61 +90,20 @@ def _random_batch(rng: RngStream, p: int, k: int, dim: int, pair: tuple[str, str
     return LabeledBatch(feats, labels, mods)
 
 
-def _triplet_regular(feats, labels, margin, tol=TIE_TOL, dist=None) -> bool:
-    if dist is None:
-        dist = pairwise_distances(feats, "euclid")
-    same = labels[:, None] == labels[None, :]
-    other = ~np.eye(len(feats), dtype=bool)
-    pos = np.sort(np.where(same & other, dist, -np.inf), axis=1)  # hardest last
-    neg = np.sort(np.where(same, np.inf, dist), axis=1)  # hardest first
-    if not (np.isfinite(pos[:, -1]).all() and np.isfinite(neg[:, 0]).all()):
-        return False
-    return bool(
-        dist[other].min() >= tol
-        and (pos[:, -1] - pos[:, -2]).min() >= tol
-        and (neg[:, 1] - neg[:, 0]).min() >= tol
-        and np.abs(pos[:, -1] - neg[:, 0] + margin).min() >= tol
-    )
+def _gap(out) -> float:
+    """Distance from ``out``'s inputs to its nearest kink; no record, no decision."""
+    return np.inf if out.mining is None else out.mining.gap()
 
 
-def _intra_regular(batch: LabeledBatch, margin: float) -> bool:
-    codes = batch.structure.mod_codes
-    return all(
-        _triplet_regular(batch.features[codes == c], batch.labels[codes == c], margin)
-        for c in range(2)
-    )
+def _general(out, feats: np.ndarray, stage: Stage, cfg: losses.LossConfig) -> bool:
+    """A stage objective's output is ``TIE_TOL`` from every kink and conditioned."""
+    cosine = stage is Stage.STAGE2 and cfg.msel_metric == "cosine"
+    return _gap(out) >= TIE_TOL and (not cosine or _norm_floored(feats))
 
 
-def _msel_regular(batch: LabeledBatch, metric: str, dist: np.ndarray | None = None) -> bool:
-    if metric == "euclid":
-        if dist is None:
-            dist = pairwise_distances(batch.features, "euclid")
-        off = dist[~np.eye(len(batch), dtype=bool)]
-        return bool(off.min() > TIE_TOL)
-    norms = np.sqrt((batch.features**2).sum(axis=1))
-    return bool(norms.min() > 1e-2)
-
-
-def _dcl_regular(batch: LabeledBatch, mode: str) -> bool:
-    stats = losses.compute_centers(batch)
-    neg = np.where(stats.members, np.inf, stats.distances)
-    if stats.distances.min() < TIE_TOL:
-        return False
-    if mode == "dyn" and np.abs(neg - stats.neg_margins[:, None]).min() < TIE_TOL:
-        return False
-    nearest = np.sort(neg, axis=1)[:, :2]
-    return not (mode == "hard" and (nearest[:, 1] - nearest[:, 0]).min() < TIE_TOL)
-
-
-def _objective_regular(batch: LabeledBatch, stage: Stage, cfg: losses.LossConfig) -> bool:
-    if stage is Stage.STAGE1:
-        return _intra_regular(batch, cfg.margin)
-    dist = pairwise_distances(batch.features, "euclid")
-    return (
-        _triplet_regular(batch.features, batch.labels, cfg.margin, dist=dist)
-        and _msel_regular(batch, cfg.msel_metric, dist)
-        and _dcl_regular(batch, cfg.dcl_mode)
-    )
+def _norm_floored(feats: np.ndarray) -> bool:
+    """Cosine ``msel`` conditioning guard, not a mining decision: no row near 0."""
+    return bool(np.sqrt((feats**2).sum(axis=1)).min() > 1e-2)
 
 
 def _draw_until(rng: RngStream, make, regular, attempts: int = 200):
@@ -151,7 +114,8 @@ def _draw_until(rng: RngStream, make, regular, attempts: int = 200):
     raise ConfigError("could not find a general-position instance")
 
 
-def _check_batch_loss(rng, stage: Stage, regular, loss_fn, instances):
+def _check_batch_loss(rng, stage: Stage, loss_fn, instances, regular=None):
+    regular = regular or (lambda b: _gap(loss_fn(b)) >= TIE_TOL)
     worst = 0.0
     for t in range(instances):
         batch = _draw_until(
@@ -184,13 +148,13 @@ def _check_objective(rng: RngStream, stage: Stage, cfg: losses.LossConfig, insta
     worst = 0.0
     for t in range(instances):
         r = rng.child(t)
+        # the batch comes from child streams of r, so these are r's first draws either way
+        logits = r.normal(size=(18, 3))
         batch = _draw_until(
             r,
             lambda s: _random_batch(s, 3, 3, 4, pair),
-            lambda b: _objective_regular(b, stage, cfg),
+            lambda b: _general(objective(b, logits, b.labels, cfg), b.features, stage, cfg),
         )
-        n_classes = 3
-        logits = r.normal(size=(len(batch), n_classes))
         labels = batch.labels
         out = objective(batch, logits, labels, cfg)
         fd_emb = finite_difference(
@@ -225,22 +189,14 @@ def _check_model(rng: RngStream, stage: Stage, cfg: losses.LossConfig, instances
         r = rng.child(t)
         p, k, in_dim, hidden, embed = 3, 2, 5, 6, 4
         raw = _random_batch(r.child(0), p, k, in_dim, pair).validate()
-
-        def regular(par: model.ModelParams) -> bool:
-            emb, _, _, trace = model.forward(par, raw.features, model.TRAIN)
-            if par.activation == "relu" and np.abs(trace.z1).min() < TIE_TOL:
-                return False
-            return _objective_regular(replace(raw, features=emb), stage, cfg)
-
-        candidates = (
-            model.init_params(in_dim, hidden, embed, p, r.child(1, attempt))
-            for attempt in range(200)
-        )
-        params = next((c for c in candidates if regular(c)), None)
-        if params is None:
+        for attempt in range(200):
+            params = model.init_params(in_dim, hidden, embed, p, r.child(1, attempt))
+            out, grads, trace = loss_and_grads(params, raw, stage, cfg, raw.labels)
+            kinked = params.activation == "relu" and np.abs(trace.z1).min() < TIE_TOL
+            if not kinked and _general(out, trace.embeddings, stage, cfg):
+                break
+        else:
             raise ConfigError("could not find a general-position model instance")
-
-        _, grads, _ = loss_and_grads(params, raw, stage, cfg, raw.labels)
         probe = params.copy()
 
         def value_at(vec: np.ndarray) -> float:
@@ -260,40 +216,23 @@ def check_component(name: str, instances: int = 20, seed: int = 0) -> float:
     base = losses.LossConfig()
     if name == "l_id":
         return _check_identity(rng, instances)
-    if name == "l_intra":
-        return _check_batch_loss(
-            rng,
-            Stage.STAGE1,
-            lambda b: _intra_regular(b, base.margin),
-            lambda b: losses.hard_triplet_intra(b, base.margin),
-            instances,
-        )
-    if name == "l_global":
-        return _check_batch_loss(
-            rng,
-            Stage.STAGE2,
-            lambda b: _triplet_regular(b.features, b.labels, base.margin),
-            lambda b: losses.hard_triplet_global(b, base.margin),
-            instances,
-        )
+    if name in ("l_intra", "l_global"):
+        triplet = losses.hard_triplet_intra if name == "l_intra" else losses.hard_triplet_global
+        stage = Stage.STAGE1 if name == "l_intra" else Stage.STAGE2
+        return _check_batch_loss(rng, stage, lambda b: triplet(b, base.margin), instances)
     if name.startswith("msel_"):
         metric = name.split("_", 1)[1]
+        regular = (
+            (lambda b: _gap(losses.msel(b, metric)) > TIE_TOL)  # msel's test is strict
+            if metric == "euclid"
+            else (lambda b: _norm_floored(b.features))
+        )
         return _check_batch_loss(
-            rng,
-            Stage.STAGE2,
-            lambda b: _msel_regular(b, metric),
-            lambda b: losses.msel(b, metric),
-            instances,
+            rng, Stage.STAGE2, lambda b: losses.msel(b, metric), instances, regular
         )
     if name.startswith("dcl_"):
         mode = name.split("_", 1)[1]
-        return _check_batch_loss(
-            rng,
-            Stage.STAGE2,
-            lambda b: _dcl_regular(b, mode),
-            lambda b: losses.dcl(b, mode),
-            instances,
-        )
+        return _check_batch_loss(rng, Stage.STAGE2, lambda b: losses.dcl(b, mode), instances)
     if name == "l1":
         return _check_objective(rng, Stage.STAGE1, base, instances)
     if name == "l2":

@@ -16,6 +16,14 @@ Every euclidean-distance gradient goes through one pair-weight kernel,
 rows stacked with their centers), and the conventions hold there: an inactive
 hinge places no weight, mining picks the lowest index before weights are
 placed, and the kernel drops every pair at distance 0.
+
+Each loss built on euclidean distances returns a :class:`Mining` record of its
+decisions, made of references to arrays it built anyway; a stage objective
+merges its terms' records. :meth:`Mining.gap` is the smallest distance from
+the inputs to a kink: a coincident pair, a zero hinge, a hardest pair tied
+with its runner-up, or a ``dcl`` dyn candidate on its threshold (the dyn
+empty-set fallback is not tracked). Training never calls it; the gradient
+checker does, to reject instances near a tie.
 """
 
 from __future__ import annotations
@@ -43,11 +51,49 @@ DCL_EPS = 1e-12
 
 
 @dataclass
+class Mining:
+    """A loss's discrete decisions, as references to arrays it built; read by :meth:`gap`.
+
+    ``dist``: distances; ``off``: its entries that pair distinct points (``None``:
+    all); ``hinge``: hinge arguments; ``pos`` / ``neg``: the masks each row's
+    largest / smallest entry was mined from; ``pool``: entries compared with
+    their row's ``threshold``; ``parts``: merged records. A loss that returns
+    no record (``None``) made no mining decision.
+    """
+
+    dist: np.ndarray | None = None
+    off: np.ndarray | None = None
+    hinge: np.ndarray | None = None
+    pos: np.ndarray | None = None
+    neg: np.ndarray | None = None
+    pool: np.ndarray | None = None
+    threshold: np.ndarray | None = None
+    parts: tuple["Mining", ...] = ()
+
+    def gap(self) -> float:
+        """Smallest distance from the inputs to a kink of the loss (inf if none)."""
+        gaps = [part.gap() for part in self.parts if part is not None]
+        if self.dist is not None:
+            gaps.append((self.dist if self.off is None else self.dist[self.off]).min())
+        if self.hinge is not None:
+            gaps.append(np.abs(self.hinge).min())
+        for mask, sign in ((self.pos, -1.0), (self.neg, 1.0)):  # hardest vs runner-up
+            if mask is not None:
+                two = np.sort(np.where(mask, sign * self.dist, np.inf), axis=1)[:, :2]
+                gaps.append((two[:, 1] - two[:, 0]).min())
+        if self.threshold is not None:
+            slack = np.where(self.pool, self.dist, np.inf) - self.threshold[:, None]
+            gaps.append(np.abs(slack).min())
+        return float(np.min(gaps, initial=np.inf))
+
+
+@dataclass
 class LossOutput:
     """Scalar loss value and its gradient with respect to the direct input rows."""
 
     value: float
     grad: np.ndarray
+    mining: Mining | None = None
 
 
 @dataclass
@@ -55,13 +101,15 @@ class ObjectiveOutput:
     """A stage objective: total value plus gradients per consumed tensor.
 
     ``grad_embeddings`` matches the batch embedding matrix, ``grad_logits`` the
-    classifier logits. ``terms`` holds each component's value for logging.
+    classifier logits. ``terms`` holds each component's value for logging,
+    ``mining`` the merged :class:`Mining` records of the terms.
     """
 
     value: float
     grad_embeddings: np.ndarray
     grad_logits: np.ndarray
     terms: dict[str, float] = field(default_factory=dict)
+    mining: Mining | None = None
 
 
 @dataclass
@@ -138,8 +186,8 @@ def _batch_hard(
     if dist is None:
         dist = pairwise_distances(feats, "euclid")
     same = labels[:, None] == labels[None, :]
-    eye = np.eye(n, dtype=bool)
-    pos_mask = same & ~eye
+    off = ~np.eye(n, dtype=bool)
+    pos_mask = same & off
     neg_mask = ~same
     if not pos_mask.any(axis=1).all():
         raise SamplingError("every anchor needs at least one other row of its identity")
@@ -153,7 +201,8 @@ def _batch_hard(
     w = np.zeros_like(dist)
     w[active, pos_idx[active]] = 1.0
     w[active, neg_idx[active]] = -1.0
-    return LossOutput(float(hinge[active].sum()), _pair_weight_grad(w + w.T, dist, feats))
+    mining = Mining(dist=dist, off=off, hinge=hinge, pos=pos_mask, neg=neg_mask)
+    return LossOutput(float(hinge[active].sum()), _pair_weight_grad(w + w.T, dist, feats), mining)
 
 
 def hard_triplet_global(
@@ -172,12 +221,14 @@ def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
     mod_codes = batch.structure.mod_codes
     value = 0.0
     grad = np.zeros_like(batch.features)
+    parts = []
     for code in range(2):
         idx = np.flatnonzero(mod_codes == code)
         part = _batch_hard(batch.features[idx], batch.labels[idx], margin)
         value += part.value
         grad[idx] += part.grad
-    return LossOutput(value, grad)
+        parts.append(part.mining)
+    return LossOutput(value, grad, Mining(parts=tuple(parts)))
 
 
 def msel(
@@ -205,8 +256,8 @@ def msel(
     dist = pairwise_distances(feats, metric) if _dist is None else _dist
     same_id = s.id_codes[:, None] == s.id_codes[None, :]
     same_mod = s.mod_codes[:, None] == s.mod_codes[None, :]
-    eye = np.eye(n, dtype=bool)
-    intra = same_id & same_mod & ~eye
+    off = ~np.eye(n, dtype=bool)
+    intra = same_id & same_mod & off
     cross = same_id & ~same_mod
     d_intra = (dist * intra).sum(axis=1) / (k - 1)
     d_cross = (dist * cross).sum(axis=1) / k
@@ -219,12 +270,11 @@ def msel(
     w = (2.0 * diff / n)[:, None] * (intra / (k - 1.0) - cross / float(k))
     sym = w + w.T
     if metric == "euclid":
-        grad = _pair_weight_grad(sym, dist, feats)
-    else:
-        norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))
-        sim = 1.0 - dist
-        coef = (sym * sim).sum(axis=1) / norms**2
-        grad = coef[:, None] * feats - (sym / (norms[:, None] * norms[None, :])) @ feats
+        return LossOutput(value, _pair_weight_grad(sym, dist, feats), Mining(dist=dist, off=off))
+    norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))
+    sim = 1.0 - dist
+    coef = (sym * sim).sum(axis=1) / norms**2
+    grad = coef[:, None] * feats - (sym / (norms[:, None] * norms[None, :])) @ feats
     return LossOutput(value, grad)
 
 
@@ -259,12 +309,17 @@ def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
     stats = compute_centers(batch)
     feats = batch.features
     own, dist = stats.members, stats.distances
+    other = ~own
     if mode == "all":
-        sel = ~own
+        sel, mining = other, Mining(dist=dist)
+    elif mode == "dyn":
+        sel = other & (dist < stats.neg_margins[:, None])
+        mining = Mining(dist=dist, pool=other, threshold=stats.neg_margins)
     else:
-        sel = ~own & (dist < stats.neg_margins[:, None]) if mode == "dyn" else np.zeros_like(own)
+        sel, mining = np.zeros_like(own), Mining(dist=dist, neg=other)
+    if mode != "all":
         empty = np.flatnonzero(~sel.any(axis=1))
-        sel[empty, np.where(own, np.inf, dist)[empty].argmin(axis=1)] = True
+        sel[empty, np.where(other, dist, np.inf)[empty].argmin(axis=1)] = True
     own_w = own / own.sum(axis=1, keepdims=True)
     sel_w = sel / sel.sum(axis=1, keepdims=True)
     num = float((own_w * dist).sum())
@@ -282,7 +337,7 @@ def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
     pair_d[n:, :n], pair_d[:n, n:] = dist, dist.T
     g = _pair_weight_grad(pair_w, pair_d, np.vstack([feats, stats.centers]))
     grad = g[:n] + own_w.T @ g[n:]
-    return LossOutput(num / den, grad)
+    return LossOutput(num / den, grad, mining)
 
 
 def _check_stage(batch: LabeledBatch, stage: Stage) -> None:
@@ -308,6 +363,7 @@ def stage1_objective(
         grad_embeddings=tri.grad,
         grad_logits=ce.grad,
         terms={"intra": tri.value, "id": ce.value},
+        mining=tri.mining,
     )
 
 
@@ -328,16 +384,19 @@ def stage2_objective(
     value = tri.value
     grad = tri.grad.copy()
     terms = {"global": tri.value}
+    mined = [tri.mining]
     if cfg.lambda1 > 0:
         part = msel(batch, cfg.msel_metric, _dist=dist if cfg.msel_metric == "euclid" else None)
         value += cfg.lambda1 * part.value
         grad += cfg.lambda1 * part.grad
         terms["msel"] = part.value
+        mined.append(part.mining)
     if cfg.lambda2 > 0:
         part = dcl(batch, cfg.dcl_mode)
         value += cfg.lambda2 * part.value
         grad += cfg.lambda2 * part.grad
         terms["dcl"] = part.value
+        mined.append(part.mining)
     logits_arr = as_matrix(logits)
     if cfg.include_id_stage2:
         ce = identity_loss(logits_arr, labels)
@@ -346,6 +405,4 @@ def stage2_objective(
         terms["id"] = ce.value
     else:
         grad_logits = np.zeros_like(logits_arr)
-    return ObjectiveOutput(
-        value=value, grad_embeddings=grad, grad_logits=grad_logits, terms=terms
-    )
+    return ObjectiveOutput(value, grad, grad_logits, terms, Mining(parts=tuple(mined)))

@@ -10,6 +10,7 @@ by an explicit :func:`update_bn_stats` call.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -282,7 +283,21 @@ def save_checkpoint(path, params: ModelParams, optim_state=None) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into ``(ModelParams, OptimState | None)``."""
+    """Read a checkpoint back into ``(ModelParams, OptimState | None)``.
+
+    A file that is not a readable ``.npz`` archive (truncated, corrupted, or
+    something else entirely) or that lacks a field raises ``StateError``
+    naming the path and, when one is missing, the field.
+    """
+    try:
+        return _read_checkpoint(path)
+    except KeyError as exc:  # numpy's message: "<field> is not a file in the archive"
+        raise StateError(f"checkpoint {path}: {exc.args[0]}") from exc
+    except (zipfile.BadZipFile, ValueError) as exc:
+        raise StateError(f"checkpoint {path} is not a readable .npz archive: {exc}") from exc
+
+
+def _read_checkpoint(path):
     from .optim import OptimState
 
     with np.load(path) as data:

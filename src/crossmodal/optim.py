@@ -51,8 +51,10 @@ def init_optim_state(
 def step(state: OptimState, params: ModelParams, grads: ModelGrads, lr: float | None = None) -> None:
     """One bias-corrected moment update with weight decay applied directly to params.
 
-    Rejects the whole step (state and params untouched) if any gradient entry
-    is non-finite.
+    Gradients are checked before the update: a non-finite entry rejects the
+    whole step and leaves state and params untouched. Parameters are checked
+    after it, so an update that overflows fails on its own step, with a
+    ``NumericError`` naming the tensor and the step count.
     """
     if lr is None:
         lr = state.base_lr
@@ -76,6 +78,9 @@ def step(state: OptimState, params: ModelParams, grads: ModelGrads, lr: float | 
         p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
         if state.weight_decay != 0.0:
             p -= lr * state.weight_decay * p
+    for name in TRAINABLE:
+        if not np.isfinite(getattr(params, name)).all():
+            raise NumericError(f"non-finite parameter {name} after step {state.step_count}")
 
 
 def cosine_lr(epoch: float, total_epochs: int, base_lr: float, min_lr: float) -> float:

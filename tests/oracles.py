@@ -101,6 +101,42 @@ def batch_hard_triplet_grad(feats, labels, margin):
     return grad
 
 
+def _runner_up_margin(values):
+    """Distance from the smallest value to the next one (inf with fewer than two)."""
+    best = second = math.inf
+    for v in values:
+        if v < best:
+            best, second = v, best
+        elif v < second:
+            second = v
+    return second - best
+
+
+def batch_hard_gap(feats, labels, margin):
+    """Distance from the inputs to the nearest kink of :func:`batch_hard_triplet`.
+
+    Per anchor: its nearest other row (coincident points), its hinge, and the
+    margins of its hardest positive and hardest negative over their runners-up.
+    """
+    n = len(feats)
+    gap = math.inf
+    for i in range(n):
+        pos, neg, others = [], [], []
+        for j in range(n):
+            if j == i:
+                continue
+            d = euclid(feats[i], feats[j])
+            others.append(d)
+            if labels[j] == labels[i]:
+                pos.append(-d)  # the hardest positive is the largest distance
+            else:
+                neg.append(d)
+        hinge = -min(pos) - min(neg) + margin
+        for g in (min(others), abs(hinge), _runner_up_margin(pos), _runner_up_margin(neg)):
+            gap = min(gap, g)
+    return gap
+
+
 def intra_triplet(feats, labels, mods, margin):
     """Per-modality batch-hard sums."""
     total = 0.0
@@ -171,6 +207,31 @@ def dcl(feats, labels, mode="dyn"):
                 sel = [best]
         den += sum(sel) / len(sel)
     return num / den
+
+
+def dcl_gap(feats, labels, mode="dyn"):
+    """Distance from the inputs to the nearest kink of :func:`dcl`.
+
+    Per identity: every row's distance to its center (a row on a center), and
+    for ``dyn`` each negative's distance from the mean negative distance, or
+    for ``hard`` the nearest negative's margin over the next. The ``dyn``
+    fallback to the nearest negative is not counted.
+    """
+    gap = math.inf
+    for ident, center in centers_of(feats, labels).items():
+        neg = []
+        for i in range(len(feats)):
+            d = euclid(feats[i], center)
+            gap = min(gap, d)
+            if labels[i] != ident:
+                neg.append(d)
+        if mode == "dyn":
+            margin = sum(neg) / len(neg)
+            for d in neg:
+                gap = min(gap, abs(d - margin))
+        elif mode == "hard":
+            gap = min(gap, _runner_up_margin(neg))
+    return gap
 
 
 def dcl_grad(feats, labels, mode="dyn"):

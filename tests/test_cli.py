@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import write_corrupt_checkpoints
 
 from crossmodal import cli
 from crossmodal.cli import main
@@ -300,6 +301,15 @@ def test_eval_missing_checkpoint_exits_2(small_data, capsys):
     rc = main(["eval", "--checkpoint", "/nonexistent.npz", "--data", str(small_data)])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["truncated", "not_a_zip", "missing_field"])
+def test_eval_corrupt_checkpoint_exits_2(small_data, tmp_path, capsys, kind):
+    path, fragment = write_corrupt_checkpoints(tmp_path)[kind]
+    rc = main(["eval", "--checkpoint", str(path), "--data", str(small_data)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
 
 
 def test_ablate_with_variants_file(small_data, tmp_path, capsys):

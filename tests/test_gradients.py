@@ -11,6 +11,7 @@ from crossmodal.gradcheck import (
     run_suite,
 )
 from crossmodal.losses import LossOutput
+from test_losses import TIE_BATCHES
 
 
 def test_finite_difference_on_quadratic():
@@ -65,3 +66,12 @@ def test_suite_catches_a_planted_gradient_bug(monkeypatch):
     results = run_suite(instances=2, seed=0, components=["msel_euclid"])
     assert not results[0].passed
     assert results[0].max_rel_error > 1.0
+
+
+@pytest.mark.parametrize("component", ["l_global", "dcl_hard"])
+def test_draw_loop_rejects_a_tied_instance(monkeypatch, component):
+    # every candidate is the batch whose hardest pairs and nearest negatives tie
+    tied = TIE_BATCHES["equidistant"]
+    monkeypatch.setattr(gradcheck, "_random_batch", lambda rng, p, k, dim, pair: tied)
+    with pytest.raises(ConfigError, match="^could not find a general-position instance$"):
+        check_component(component, instances=1)

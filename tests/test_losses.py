@@ -213,6 +213,67 @@ def test_dcl_grad_matches_identity_loop_at_ties(name, mode):
     assert np.allclose(dcl(batch, mode).grad, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, loss_fn",
+    [
+        ("duplicates", lambda b: hard_triplet_global(b, 0.1)),  # coincident rows
+        ("duplicates", lambda b: hard_triplet_intra(b, 0.1)),
+        ("equidistant", lambda b: hard_triplet_global(b, 0.1)),  # tied hardest pairs
+        ("equidistant", lambda b: dcl(b, "hard")),  # tied nearest negatives
+        ("equidistant", lambda b: dcl(b, "dyn")),  # negatives on the threshold
+        ("zero_hinge", lambda b: hard_triplet_global(b, 1.0)),
+        ("on_center", lambda b: dcl(b, "all")),  # rows on a center
+        ("on_center", lambda b: dcl(b, "hard")),
+        ("on_center", lambda b: dcl(b, "dyn")),
+    ],
+)
+def test_mining_gap_is_zero_on_a_tie(name, loss_fn):
+    assert loss_fn(TIE_BATCHES[name]).mining.gap() == 0.0
+
+
+def _intra_gap_oracle(batch, margin):
+    gaps = []
+    for mod in set(batch.modalities.tolist()):
+        rows = np.flatnonzero(batch.modalities == mod)
+        gaps.append(
+            oracles.batch_hard_gap(
+                batch.features[rows].tolist(), batch.labels[rows].tolist(), margin
+            )
+        )
+    return min(gaps)
+
+
+def test_mining_gap_matches_loop_oracle(rng):
+    batches = list(TIE_BATCHES.values())
+    for t in range(20):
+        r = rng.child(t)
+        p, k, dim = 2 + int(r.integers(0, 2)), 2 + int(r.integers(0, 2)), 2 + int(r.integers(0, 3))
+        batches.append(make_pk_batch(r, p, k, dim))
+    for batch in batches:
+        feats, labels = batch.features.tolist(), batch.labels.tolist()
+        for margin in (0.1, 1.0):
+            got = hard_triplet_global(batch, margin).mining.gap()
+            assert got == pytest.approx(oracles.batch_hard_gap(feats, labels, margin), abs=1e-12)
+            got = hard_triplet_intra(batch, margin).mining.gap()
+            assert got == pytest.approx(_intra_gap_oracle(batch, margin), abs=1e-12)
+        for mode in ("hard", "all", "dyn"):
+            got = dcl(batch, mode).mining.gap()
+            assert got == pytest.approx(oracles.dcl_gap(feats, labels, mode), abs=1e-12)
+
+
+def test_stage2_objective_merges_its_terms_mining(rng):
+    batch = make_pk_batch(rng, 3, 2, 4)
+    cfg = LossConfig()
+    out = stage2_objective(batch, np.zeros((len(batch), 3)), batch.labels, cfg)
+    parts = (
+        hard_triplet_global(batch, cfg.margin),
+        msel(batch, cfg.msel_metric),
+        dcl(batch, cfg.dcl_mode),
+    )
+    assert out.mining.gap() == min(part.mining.gap() for part in parts)
+    assert msel(batch, "cosine").mining is None  # no mining decision to report
+
+
 # ---------------------------------------------------------------- invariances
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import write_corrupt_checkpoints
 
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, DimensionError, StateError
@@ -187,6 +188,14 @@ def test_checkpoint_roundtrip_with_optimizer(rng, tmp_path):
     step(state, p, backward(trace, p, d_logits=np.ones((6, 3))))
     for name in TRAINABLE:
         assert np.array_equal(getattr(loaded, name), getattr(p, name)), name
+
+
+@pytest.mark.parametrize("kind", ["truncated", "not_a_zip", "missing_field"])
+def test_corrupt_checkpoint_raises_state_error(tmp_path, kind):
+    path, fragment = write_corrupt_checkpoints(tmp_path)[kind]
+    with pytest.raises(StateError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and fragment in str(info.value)
 
 
 def test_checkpoint_rejects_future_version(rng, tmp_path):

@@ -100,6 +100,15 @@ def test_nonfinite_gradient_rejects_whole_step():
         assert np.array_equal(state.m[name], before_m[name]), name
 
 
+def test_overflowing_step_names_parameter_and_step():
+    params, grads = make_setup()
+    state = init_optim_state(params, base_lr=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="^non-finite parameter w1 after step 1$"):
+            step(state, params, grads)
+    assert state.step_count == 1
+
+
 def test_cosine_lr_endpoints_and_midpoint():
     assert cosine_lr(0, 10, 1.0, 0.1) == pytest.approx(1.0)
     assert cosine_lr(10, 10, 1.0, 0.1) == pytest.approx(0.1)

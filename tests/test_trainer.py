@@ -3,7 +3,7 @@ import pytest
 
 from crossmodal.batch import FeatureLayout, Stage
 from crossmodal.core import RngStream
-from crossmodal.errors import ConfigError, SamplingError
+from crossmodal.errors import ConfigError, NumericError, SamplingError
 from crossmodal.evalkit import report_text
 from crossmodal.losses import LossConfig
 from crossmodal.model import TRAINABLE
@@ -148,6 +148,12 @@ def test_train_error_carries_epoch_context(tiny_data):
     # k = 3 works for vis (3 rows) but the check runs per stage/modality
     ok, _ = train(tiny_data, tiny_cfg(p=3, k=3, epochs=2, stage1_epochs=1))
     assert ok is not None
+
+
+def test_train_overflow_fails_on_the_batch_that_overflowed(tiny_data):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="^epoch 0, batch 0: non-finite parameter w1 "):
+            train(tiny_data, tiny_cfg(base_lr=1e300))
 
 
 def test_train_dataset_check_message(tiny_data):
