@@ -59,7 +59,12 @@ class ComponentResult:
 
 
 def finite_difference(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central differences of a scalar function over every entry of ``x``."""
+    """Central differences of a scalar function over every entry of ``x``.
+
+    A float64 ``x`` is perturbed in place, one entry at a time, and each entry
+    is restored exactly: ``fn`` may read ``x`` through any alias (the model
+    check perturbs ``params.flat``), and ``x`` is bitwise unchanged on return.
+    """
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
@@ -169,18 +174,6 @@ def _check_objective(rng: RngStream, stage: Stage, cfg: losses.LossConfig, insta
     return worst
 
 
-def _flatten_trainable(params) -> np.ndarray:
-    return np.concatenate([getattr(params, name).reshape(-1) for name in model.TRAINABLE])
-
-
-def _write_trainable(params: model.ModelParams, vec: np.ndarray) -> None:
-    offset = 0
-    for name in model.TRAINABLE:
-        arr = getattr(params, name)
-        arr[...] = vec[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-
-
 def _check_model(rng: RngStream, stage: Stage, cfg: losses.LossConfig, instances: int) -> float:
     """Checks :func:`~crossmodal.trainer.loss_and_grads`, the step that training runs."""
     pair = stage.modality_pair
@@ -197,14 +190,10 @@ def _check_model(rng: RngStream, stage: Stage, cfg: losses.LossConfig, instances
                 break
         else:
             raise ConfigError("could not find a general-position model instance")
-        probe = params.copy()
-
-        def value_at(vec: np.ndarray) -> float:
-            _write_trainable(probe, vec)
-            return loss_and_grads(probe, raw, stage, cfg, raw.labels)[0].value
-
-        fd = finite_difference(value_at, _flatten_trainable(params))
-        worst = max(worst, max_rel_error(_flatten_trainable(grads), fd))
+        fd = finite_difference(
+            lambda _: loss_and_grads(params, raw, stage, cfg, raw.labels)[0].value, params.flat
+        )
+        worst = max(worst, max_rel_error(grads.flat, fd))
     return worst
 
 

@@ -6,12 +6,16 @@ embeddings. Metric losses consume the raw embeddings; the identity loss
 consumes the logits; retrieval at test time uses the post-norm embeddings.
 Forward and backward are pure: batch-norm running statistics are only changed
 by an explicit :func:`update_bn_stats` call.
+
+The ``TRAINABLE`` tensors of :class:`ModelParams` and :class:`ModelGrads` are
+views, in ``TRAINABLE`` order, of one contiguous float64 vector ``flat``; the
+batch-norm running statistics stay outside it.
 """
 
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,8 +27,20 @@ TRAIN = "train"
 EVAL = "eval"
 ACTIVATIONS = ("relu", "identity")
 TRAINABLE = ("w1", "b1", "w2", "b2", "bn_gamma", "bn_beta", "wc", "bc")
+_PARAM_NAMES = (*TRAINABLE, "bn_running_mean", "bn_running_var")
 
 _CHECKPOINT_VERSION = 1
+_OPT_HYPER = ("base_lr", "beta1", "beta2", "eps", "weight_decay")  # the order of ``opt_hyper``
+
+
+def _pack(obj) -> None:
+    """Copy ``obj``'s trainable tensors into ``obj.flat`` and rebind each to its view."""
+    tensors = [np.asarray(getattr(obj, name)) for name in TRAINABLE]
+    obj.flat = np.concatenate([t.ravel() for t in tensors], dtype=np.float64)
+    start = 0
+    for name, t in zip(TRAINABLE, tensors):
+        setattr(obj, name, obj.flat[start : start + t.size].reshape(t.shape))
+        start += t.size
 
 
 @dataclass
@@ -46,6 +62,7 @@ class ModelParams:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}")
+        _pack(self)
 
     @property
     def in_dim(self) -> int:
@@ -64,16 +81,17 @@ class ModelParams:
         return self.wc.shape[1]
 
     def copy(self) -> "ModelParams":
-        kwargs = {
-            f.name: (getattr(self, f.name).copy() if f.name != "activation" else self.activation)
-            for f in fields(self)
-        }
-        return ModelParams(**kwargs)
+        # the trainable tensors are copied into the new instance's own ``flat``
+        return replace(
+            self,
+            bn_running_mean=self.bn_running_mean.copy(),
+            bn_running_var=self.bn_running_var.copy(),
+        )
 
 
 @dataclass
 class ModelGrads:
-    """Gradients for every trainable tensor (running stats are not trainable)."""
+    """Gradients (or Adam moments) for every trainable tensor, also indexable by name."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -83,6 +101,12 @@ class ModelGrads:
     bn_beta: np.ndarray
     wc: np.ndarray
     bc: np.ndarray
+
+    def __post_init__(self):
+        _pack(self)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return getattr(self, name)
 
 
 @dataclass
@@ -261,23 +285,14 @@ def save_checkpoint(path, params: ModelParams, optim_state=None) -> None:
         "format_version": np.array(_CHECKPOINT_VERSION),
         "activation": np.array(params.activation),
     }
-    for name in (*TRAINABLE, "bn_running_mean", "bn_running_var"):
+    for name in _PARAM_NAMES:
         arrays[f"param_{name}"] = getattr(params, name)
     if optim_state is not None:
         arrays["opt_step_count"] = np.array(optim_state.step_count)
-        arrays["opt_hyper"] = np.array(
-            [
-                optim_state.base_lr,
-                optim_state.beta1,
-                optim_state.beta2,
-                optim_state.eps,
-                optim_state.weight_decay,
-            ]
-        )
-        for name, arr in optim_state.m.items():
-            arrays[f"opt_m_{name}"] = arr
-        for name, arr in optim_state.v.items():
-            arrays[f"opt_v_{name}"] = arr
+        arrays["opt_hyper"] = np.array([getattr(optim_state, key) for key in _OPT_HYPER])
+        for moment in ("m", "v"):
+            for name in TRAINABLE:
+                arrays[f"opt_{moment}_{name}"] = getattr(optim_state, moment)[name]
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -285,9 +300,10 @@ def save_checkpoint(path, params: ModelParams, optim_state=None) -> None:
 def load_checkpoint(path):
     """Read a checkpoint back into ``(ModelParams, OptimState | None)``.
 
-    A file that is not a readable ``.npz`` archive (truncated, corrupted, or
-    something else entirely) or that lacks a field raises ``StateError``
-    naming the path and, when one is missing, the field.
+    A file that is not a readable ``.npz`` archive (truncated, corrupted, a
+    bare ``.npy`` array, or something else entirely), that lacks a field, or
+    whose tensors have the wrong shape or non-finite values raises
+    ``StateError`` naming the path and, when one is at fault, the field.
     """
     try:
         return _read_checkpoint(path)
@@ -300,26 +316,65 @@ def load_checkpoint(path):
 def _read_checkpoint(path):
     from .optim import OptimState
 
-    with np.load(path) as data:
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise StateError(f"checkpoint {path} is not a readable .npz archive: it holds a bare array")
+    with data:
         version = int(data["format_version"])
         if version != _CHECKPOINT_VERSION:
             raise StateError(f"unsupported checkpoint version {version}")
-        kwargs = {
-            name: data[f"param_{name}"]
-            for name in (*TRAINABLE, "bn_running_mean", "bn_running_var")
+        has_optim = "opt_step_count" in data
+        shapes = _field_shapes(path, *(data[f"param_{name}"] for name in ("w1", "w2", "wc")))
+        arrays = {
+            key: _check_tensor(path, key, data[key], shape)
+            for key, shape in shapes.items()
+            if has_optim or key.startswith("param_")
         }
-        params = ModelParams(activation=str(data["activation"]), **kwargs)
+        params = ModelParams(
+            activation=str(data["activation"]),
+            **{name: arrays[f"param_{name}"] for name in _PARAM_NAMES},
+        )
         optim_state = None
-        if "opt_step_count" in data:
-            hyper = data["opt_hyper"]
+        if has_optim:
             optim_state = OptimState(
-                base_lr=float(hyper[0]),
-                beta1=float(hyper[1]),
-                beta2=float(hyper[2]),
-                eps=float(hyper[3]),
-                weight_decay=float(hyper[4]),
+                **dict(zip(_OPT_HYPER, arrays["opt_hyper"].tolist())),
                 step_count=int(data["opt_step_count"]),
-                m={name: data[f"opt_m_{name}"] for name in TRAINABLE},
-                v={name: data[f"opt_v_{name}"] for name in TRAINABLE},
+                m=ModelGrads(**{name: arrays[f"opt_m_{name}"] for name in TRAINABLE}),
+                v=ModelGrads(**{name: arrays[f"opt_v_{name}"] for name in TRAINABLE}),
             )
     return params, optim_state
+
+
+def _field_shapes(path, w1, w2, wc) -> dict[str, tuple[int, ...]]:
+    """Every tensor field's shape as implied by the three weight matrices."""
+    for name, arr in (("w1", w1), ("w2", w2), ("wc", wc)):
+        if arr.ndim != 2:
+            raise StateError(f"checkpoint {path}: param_{name} has shape {arr.shape}, not 2-D")
+    (in_dim, hidden), embed, classes = w1.shape, w2.shape[1], wc.shape[1]
+    shapes = {
+        "w1": (in_dim, hidden),
+        "b1": (hidden,),
+        "w2": (hidden, embed),
+        "b2": (embed,),
+        "bn_gamma": (embed,),
+        "bn_beta": (embed,),
+        "wc": (embed, classes),
+        "bc": (classes,),
+        "bn_running_mean": (embed,),
+        "bn_running_var": (embed,),
+    }
+    return {
+        **{f"param_{name}": shape for name, shape in shapes.items()},
+        "opt_hyper": (len(_OPT_HYPER),),
+        **{f"opt_{kind}_{name}": shapes[name] for kind in "mv" for name in TRAINABLE},
+    }
+
+
+def _check_tensor(path, field: str, arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if arr.shape != shape:
+        raise StateError(f"checkpoint {path}: {field} has shape {arr.shape}, expected {shape}")
+    if arr.dtype.kind not in "biuf":
+        raise StateError(f"checkpoint {path}: {field} has dtype {arr.dtype}, not a real number")
+    if not np.isfinite(arr).all():
+        raise StateError(f"checkpoint {path}: {field} has non-finite values")
+    return arr

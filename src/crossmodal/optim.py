@@ -1,8 +1,12 @@
-"""Decoupled-weight-decay Adam and the cosine learning-rate schedule."""
+"""Decoupled-weight-decay Adam and the cosine learning-rate schedule.
+
+:func:`step` updates ``params.flat`` and the moment vectors ``state.m.flat`` and
+``state.v.flat`` in one elementwise pass, with no loop over the tensors.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +24,8 @@ class OptimState:
     eps: float = 1e-8
     weight_decay: float = 1e-4
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: ModelGrads | None = None
+    v: ModelGrads | None = None
 
 
 def init_optim_state(
@@ -43,8 +47,8 @@ def init_optim_state(
         beta2=beta2,
         eps=eps,
         weight_decay=weight_decay,
-        m={name: np.zeros_like(getattr(params, name)) for name in TRAINABLE},
-        v={name: np.zeros_like(getattr(params, name)) for name in TRAINABLE},
+        m=ModelGrads(**{name: np.zeros_like(getattr(params, name)) for name in TRAINABLE}),
+        v=ModelGrads(**{name: np.zeros_like(getattr(params, name)) for name in TRAINABLE}),
     )
 
 
@@ -60,27 +64,26 @@ def step(state: OptimState, params: ModelParams, grads: ModelGrads, lr: float | 
         lr = state.base_lr
     if lr < 0:
         raise ConfigError("learning rate must be >= 0")
-    for name in TRAINABLE:
-        if not np.isfinite(getattr(grads, name)).all():
-            raise NumericError(f"non-finite gradient for {name}; step rejected")
+    if not np.isfinite(grads.flat).all():
+        raise NumericError(f"non-finite gradient for {_first_nonfinite(grads)}; step rejected")
     state.step_count += 1
     c1 = 1.0 - state.beta1**state.step_count
     c2 = 1.0 - state.beta2**state.step_count
-    for name in TRAINABLE:
-        g = getattr(grads, name)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p = getattr(params, name)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        if state.weight_decay != 0.0:
-            p -= lr * state.weight_decay * p
-    for name in TRAINABLE:
-        if not np.isfinite(getattr(params, name)).all():
-            raise NumericError(f"non-finite parameter {name} after step {state.step_count}")
+    g, m, v, p = grads.flat, state.m.flat, state.v.flat, params.flat
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    if state.weight_decay != 0.0:
+        p -= lr * state.weight_decay * p
+    if not np.isfinite(p).all():
+        name = _first_nonfinite(params)
+        raise NumericError(f"non-finite parameter {name} after step {state.step_count}")
+
+
+def _first_nonfinite(tensors) -> str:
+    return next(name for name in TRAINABLE if not np.isfinite(getattr(tensors, name)).all())
 
 
 def cosine_lr(epoch: float, total_epochs: int, base_lr: float, min_lr: float) -> float:

@@ -4,6 +4,7 @@ import pytest
 from crossmodal.batch import LabeledBatch
 from crossmodal.core import RngStream
 from crossmodal.model import init_params, save_checkpoint
+from crossmodal.optim import init_optim_state
 
 
 def make_pk_batch(rng: RngStream, p: int, k: int, dim: int, pair=("vis", "ir")):
@@ -14,21 +15,51 @@ def make_pk_batch(rng: RngStream, p: int, k: int, dim: int, pair=("vis", "ir")):
     return LabeledBatch(feats, labels, mods)
 
 
+CORRUPT_CHECKPOINT_KINDS = (
+    "truncated",
+    "not_a_zip",
+    "bare_npy",
+    "missing_field",
+    "nan_w1",
+    "wrong_shape_b2",
+    "text_bc",
+    "nan_opt_m_w1",
+    "wrong_shape_opt_v_bc",
+)
+
+
 def write_corrupt_checkpoints(tmp_path):
-    """Unreadable checkpoints by kind, each with a fragment its error must name."""
+    """Unreadable or tampered checkpoints by kind, each with a fragment its error must name."""
     good = tmp_path / "good.npz"
-    save_checkpoint(good, init_params(4, 5, 3, 2, RngStream(0)))
+    params = init_params(4, 5, 3, 2, RngStream(0))
+    save_checkpoint(good, params, init_optim_state(params))
     raw = good.read_bytes()
     (tmp_path / "truncated.npz").write_bytes(raw[: len(raw) // 2])
     (tmp_path / "not_a_zip.npz").write_text("not a checkpoint\n")
-    fields = dict(np.load(good))
-    del fields["param_w2"]
-    np.savez(tmp_path / "no_w2.npz", **fields)
-    return {
+    with open(tmp_path / "bare.npz", "wb") as fh:
+        np.save(fh, params.w1)
+    kinds = {
         "truncated": (tmp_path / "truncated.npz", "not a readable .npz archive"),
         "not_a_zip": (tmp_path / "not_a_zip.npz", "not a readable .npz archive"),
-        "missing_field": (tmp_path / "no_w2.npz", "param_w2"),
+        "bare_npy": (tmp_path / "bare.npz", "not a readable .npz archive"),
     }
+    tampered = {
+        "missing_field": ("param_w2", None, "param_w2"),
+        "nan_w1": ("param_w1", np.full((4, 5), np.nan), "param_w1 has non-finite values"),
+        "wrong_shape_b2": ("param_b2", np.zeros(7), "param_b2 has shape (7,)"),
+        "text_bc": ("param_bc", np.array(["a", "b"]), "param_bc has dtype <U1"),
+        "nan_opt_m_w1": ("opt_m_w1", np.full((4, 5), np.nan), "opt_m_w1 has non-finite values"),
+        "wrong_shape_opt_v_bc": ("opt_v_bc", np.zeros((2, 1)), "opt_v_bc has shape (2, 1)"),
+    }
+    for kind, (field, value, fragment) in tampered.items():
+        fields = dict(np.load(good))
+        if value is None:
+            del fields[field]
+        else:
+            fields[field] = value
+        np.savez(tmp_path / f"{kind}.npz", **fields)
+        kinds[kind] = (tmp_path / f"{kind}.npz", fragment)
+    return kinds
 
 
 @pytest.fixture

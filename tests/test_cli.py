@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import write_corrupt_checkpoints
+from conftest import CORRUPT_CHECKPOINT_KINDS, write_corrupt_checkpoints
 
 from crossmodal import cli
 from crossmodal.cli import main
@@ -303,7 +303,7 @@ def test_eval_missing_checkpoint_exits_2(small_data, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("kind", ["truncated", "not_a_zip", "missing_field"])
+@pytest.mark.parametrize("kind", CORRUPT_CHECKPOINT_KINDS)
 def test_eval_corrupt_checkpoint_exits_2(small_data, tmp_path, capsys, kind):
     path, fragment = write_corrupt_checkpoints(tmp_path)[kind]
     rc = main(["eval", "--checkpoint", str(path), "--data", str(small_data)])

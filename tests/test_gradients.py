@@ -26,6 +26,26 @@ def test_finite_difference_restores_input():
     assert np.array_equal(x, [1.0, 2.0, 3.0])
 
 
+def test_finite_difference_perturbs_in_place_and_restores_bitwise():
+    # entries chosen so that (x + h) - h != x in floating point
+    x = np.array([[0.1, 1 / 3], [-2.5e-7, 7.0]])
+    before = x.copy()
+    alias = x.reshape(-1)
+    seen = []
+
+    def fn(_):
+        seen.append(alias.copy())
+        return float(alias.sum())
+
+    finite_difference(fn, x, h=1e-6)
+    assert x.tobytes() == before.tobytes()
+    assert len(seen) == 2 * x.size
+    for call, values in enumerate(seen):
+        i, sign = call // 2, (1.0, -1.0)[call % 2]
+        assert np.flatnonzero(values != before.ravel()).tolist() == [i]
+        assert values[i] == before.ravel()[i] + sign * 1e-6
+
+
 def test_max_rel_error_uses_floor_for_tiny_coordinates():
     a = np.array([0.0, 1.0])
     n = np.array([1e-9, 1.0])

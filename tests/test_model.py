@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import write_corrupt_checkpoints
+from conftest import CORRUPT_CHECKPOINT_KINDS, write_corrupt_checkpoints
 
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, DimensionError, StateError
@@ -155,6 +155,32 @@ def test_params_copy_is_deep(rng):
     assert q.activation == p.activation
 
 
+def _assert_packed(tensors):
+    for name in TRAINABLE:
+        assert np.shares_memory(getattr(tensors, name), tensors.flat), name
+    want = np.concatenate([getattr(tensors, name).ravel() for name in TRAINABLE])
+    assert tensors.flat.dtype == np.float64 and np.array_equal(tensors.flat, want)
+
+
+def test_trainable_tensors_are_views_of_one_flat_vector(rng, tmp_path):
+    p = make_params(rng)
+    _, _, _, trace = forward(p, rng.normal(size=(6, 5)), TRAIN)
+    grads = backward(trace, p, d_logits=rng.normal(size=(6, 3)))
+    state = init_optim_state(p)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, p, state)
+    loaded, opt = load_checkpoint(path)
+    for tensors in (p, grads, state.m, state.v, loaded, opt.m, opt.v):
+        _assert_packed(tensors)
+    assert not np.shares_memory(p.bn_running_mean, p.flat)
+    assert not np.shares_memory(p.bn_running_var, p.flat)
+    q = p.copy()
+    _assert_packed(q)
+    assert np.array_equal(q.flat, p.flat) and not np.shares_memory(q.flat, p.flat)
+    assert not np.shares_memory(q.bn_running_mean, p.bn_running_mean)
+    assert not np.shares_memory(q.bn_running_var, p.bn_running_var)
+
+
 def test_checkpoint_roundtrip_params_only(rng, tmp_path):
     p = make_params(rng)
     path = tmp_path / "model.npz"
@@ -190,7 +216,7 @@ def test_checkpoint_roundtrip_with_optimizer(rng, tmp_path):
         assert np.array_equal(getattr(loaded, name), getattr(p, name)), name
 
 
-@pytest.mark.parametrize("kind", ["truncated", "not_a_zip", "missing_field"])
+@pytest.mark.parametrize("kind", CORRUPT_CHECKPOINT_KINDS)
 def test_corrupt_checkpoint_raises_state_error(tmp_path, kind):
     path, fragment = write_corrupt_checkpoints(tmp_path)[kind]
     with pytest.raises(StateError) as info:
