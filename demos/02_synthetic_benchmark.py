@@ -7,6 +7,9 @@ and grayscale rows are literal views of the visible rows with the color
 block overwritten by its mean.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from crossmodal.batch import FeatureLayout, grayscale_of
@@ -37,8 +40,10 @@ assert np.array_equal(first_gray, grayscale_of(first_vis, layout))
 print("\ngray view of the first visible row:", np.round(first_gray, 3))
 
 # the CSV round trip is lossless (%.17g), so shipped files equal fresh draws
-save_features(ds, "/tmp/demo_feats.csv")
-back = load_features("/tmp/demo_feats.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_feats.csv")
+    save_features(ds, path)
+    back = load_features(path)
 assert np.array_equal(back.features, ds.features)
 print("save -> load round trip: bitwise equal")
 

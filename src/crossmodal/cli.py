@@ -86,7 +86,7 @@ def cmd_generate(args) -> int:
     dataset = synthdata.generate(
         args.ids, args.per_modality, layout, args.gap, args.noise, RngStream(args.seed)
     )
-    synthdata.save_features(dataset, args.out)
+    _write_atomic(args.out, lambda path: synthdata.save_features(dataset, path))
     print(
         f"wrote {len(dataset)} rows ({args.ids} identities x {args.per_modality} "
         f"per modality x 3 modalities, dim {dataset.dim}) to {args.out}"
@@ -102,28 +102,18 @@ def _load_run_config(args) -> config.RunConfig:
     return cfg
 
 
+#: ``epochs.csv`` columns after ``epoch,stage,lr``: the stage's mean loss terms
+#: (blank when the stage has none), then metrics of evaluated epochs (else blank).
+_LOSS_TERMS = ("intra", "global", "msel", "dcl", "id")
+_EVAL_METRICS = ("rank1", "mean_ap", "minp")
+EPOCH_CSV_HEADER = ",".join(("epoch", "stage", "lr") + _LOSS_TERMS + _EVAL_METRICS)
+
+
 def _epoch_csv_row(log: trainer.EpochLog) -> str:
-    def term(key):
-        return f"{log.terms[key]:.10g}" if key in log.terms else ""
-
-    cells = [
-        str(log.epoch),
-        str(log.stage),
-        f"{log.lr:.10g}",
-        term("intra"),
-        term("global"),
-        term("msel"),
-        term("dcl"),
-        term("id"),
-    ]
-    if log.eval is not None:
-        cells += [f"{log.eval.rank1:.10g}", f"{log.eval.mean_ap:.10g}", f"{log.eval.minp:.10g}"]
-    else:
-        cells += ["", "", ""]
-    return ",".join(cells)
-
-
-EPOCH_CSV_HEADER = "epoch,stage,lr,intra,global,msel,dcl,id,rank1,mean_ap,minp"
+    scores = {} if log.eval is None else {key: getattr(log.eval, key) for key in _EVAL_METRICS}
+    values = {**log.terms, **scores}
+    cells = [f"{values[key]:.10g}" if key in values else "" for key in _LOSS_TERMS + _EVAL_METRICS]
+    return ",".join([str(log.epoch), str(log.stage), f"{log.lr:.10g}", *cells])
 
 
 def _write_atomic(path, content) -> None:
@@ -153,6 +143,8 @@ def _write_reports(out_dir, direction: str, report) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.checkpoint_every < 0:
+        raise ConfigError("--checkpoint-every must be >= 0")
     cfg = _load_run_config(args)
     if not cfg.data_path:
         raise ConfigError("config must set data.path")
@@ -264,8 +256,7 @@ def cmd_ablate(args) -> int:
     table = trainer.ablation_table(rows)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "ablation.csv"), "w", encoding="ascii") as fh:
-            fh.write(table)
+        _write_atomic(os.path.join(args.out, "ablation.csv"), table)
     sys.stdout.write(table)
     return 0
 

@@ -137,9 +137,6 @@ class RngStream:
         """Deterministic substream at the given path suffix."""
         return RngStream(self.seed, self.path + path)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
         return self._gen.normal(loc, scale, size)
 

@@ -8,7 +8,7 @@ only the rows whose sorted distances hold an exact tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,6 +62,10 @@ class EvalReport:
     dropped_queries: int
     n_queries: int
     n_gallery: int
+
+
+#: ``report_text`` format per scalar field annotation (strings under ``annotations``).
+_SCALAR_FORMATS = {"float": ".6f", "int": ""}
 
 
 def rank(
@@ -232,20 +236,11 @@ def evaluate(
 
 
 def report_text(report: EvalReport) -> str:
-    """Key-value serialization of the scalar metrics."""
+    """``name=value`` per scalar field in declaration order; arrays are left out."""
     lines = [
-        f"rank1={report.rank1:.6f}",
-        f"rank5={report.rank5:.6f}",
-        f"rank10={report.rank10:.6f}",
-        f"rank20={report.rank20:.6f}",
-        f"mean_ap={report.mean_ap:.6f}",
-        f"minp={report.minp:.6f}",
-        f"gap_ratio={report.gap_ratio:.6f}",
-        f"pos_sim_mean={report.pos_sim_mean:.6f}",
-        f"neg_sim_mean={report.neg_sim_mean:.6f}",
-        f"dropped_queries={report.dropped_queries}",
-        f"n_queries={report.n_queries}",
-        f"n_gallery={report.n_gallery}",
+        f"{f.name}={getattr(report, f.name):{_SCALAR_FORMATS[f.type]}}"
+        for f in fields(EvalReport)
+        if f.type in _SCALAR_FORMATS
     ]
     return "\n".join(lines) + "\n"
 

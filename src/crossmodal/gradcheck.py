@@ -201,6 +201,8 @@ def check_component(name: str, instances: int = 20, seed: int = 0) -> float:
     """Max relative error between analytic and finite-difference gradients."""
     if name not in COMPONENTS:
         raise ConfigError(f"unknown component {name!r}, expected one of {COMPONENTS}")
+    if instances < 1:
+        raise ConfigError(f"instances must be >= 1, got {instances}")
     rng = RngStream(seed).child(COMPONENTS.index(name))
     base = losses.LossConfig()
     if name == "l_id":

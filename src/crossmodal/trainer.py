@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +38,14 @@ from .synthdata import SynthDataset
 
 SCHEDULES = ("gray_first", "rgb_first")
 DIRECTIONS = ("t2v", "v2t")
+#: Ablation column prefix -> the final-evaluation ``EvalReport`` field it summarizes.
+_ABLATION_METRICS = {
+    "rank1": "rank1",
+    "mean_ap": "mean_ap",
+    "minp": "minp",
+    "gap_ratio": "gap_ratio",
+    "pos_sim": "pos_sim_mean",
+}
 
 
 @dataclass
@@ -214,9 +223,10 @@ def train(
         rng=root.child(0),
         activation=cfg.activation,
     )
-    opt = init_optim_state(
-        params, cfg.base_lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
+    fresh_optimizer = partial(
+        init_optim_state, params, cfg.base_lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
     )
+    opt = fresh_optimizer()
     n_steps = steps_per_epoch(dataset, cfg)
     min_lr = cfg.resolved_min_lr()
     eval_ds = eval_dataset if eval_dataset is not None else dataset
@@ -225,9 +235,7 @@ def train(
     for epoch in range(cfg.epochs):
         stage = stage_for_epoch(cfg, epoch)
         if cfg.reset_optimizer_at_switch and prev_stage is not None and stage != prev_stage:
-            opt = init_optim_state(
-                params, cfg.base_lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
-            )
+            opt = fresh_optimizer()
         prev_stage = stage
         lr_epoch = cosine_lr(epoch, cfg.epochs, cfg.base_lr, min_lr)
         sums: dict[str, float] = defaultdict(float)
@@ -274,8 +282,9 @@ def ablate(
     """Train every config variant over the seed list; summarize final metrics.
 
     ``variants`` maps a name to dotted config-key overrides (see
-    :mod:`crossmodal.config`); an empty list runs the base config alone. One
-    failing variant is recorded as an error row and the rest still run.
+    :mod:`crossmodal.config`); an empty list runs the base config alone. A row
+    holds ``<key>_mean``, ``_std`` and ``_values`` per ``_ABLATION_METRICS`` key.
+    One failing variant is recorded as an error row and the rest still run.
     """
     from .config import apply_train_overrides
 
@@ -287,16 +296,11 @@ def ablate(
     for name, delta in variants:
         try:
             cfg = apply_train_overrides(base_cfg, delta)
-            metrics: dict[str, list[float]] = defaultdict(list)
+            metrics: dict[str, list[float]] = {key: [] for key in _ABLATION_METRICS}
             for seed in seeds:
-                run_cfg = replace(cfg, seed=int(seed))
-                _, logs = train(dataset, run_cfg, eval_dataset)
-                report = logs[-1].eval
-                metrics["rank1"].append(report.rank1)
-                metrics["mean_ap"].append(report.mean_ap)
-                metrics["minp"].append(report.minp)
-                metrics["gap_ratio"].append(report.gap_ratio)
-                metrics["pos_sim"].append(report.pos_sim_mean)
+                _, logs = train(dataset, replace(cfg, seed=int(seed)), eval_dataset)
+                for key, attr in _ABLATION_METRICS.items():
+                    metrics[key].append(getattr(logs[-1].eval, attr))
         except CrossmodalError as exc:
             rows.append({"variant": name, "error": str(exc)})
             continue
@@ -312,28 +316,12 @@ def ablate(
 
 def ablation_table(rows: list[dict]) -> str:
     """Delimiter-separated summary of :func:`ablate` rows."""
-    cols = [
-        "variant",
-        "seeds",
-        "rank1_mean",
-        "rank1_std",
-        "mean_ap_mean",
-        "mean_ap_std",
-        "minp_mean",
-        "minp_std",
-        "gap_ratio_mean",
-        "gap_ratio_std",
-        "pos_sim_mean",
-        "pos_sim_std",
-    ]
-    lines = [",".join(cols)]
+    stats = [f"{key}_{s}" for key in _ABLATION_METRICS for s in ("mean", "std")]
+    lines = [",".join(["variant", "seeds", *stats])]
     for row in rows:
         if "error" in row:
             lines.append(f"{row['variant']},error: {row['error']}")
             continue
-        cells = [str(row["variant"]), str(row["seeds"])]
-        for key in ("rank1", "mean_ap", "minp", "gap_ratio", "pos_sim"):
-            cells.append(f"{row[f'{key}_mean']:.6f}")
-            cells.append(f"{row[f'{key}_std']:.6f}")
+        cells = [str(row["variant"]), str(row["seeds"])] + [f"{row[c]:.6f}" for c in stats]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

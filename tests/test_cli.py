@@ -1,10 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import CORRUPT_CHECKPOINT_KINDS, write_corrupt_checkpoints
 
-from crossmodal import cli
+from crossmodal import cli, synthdata
 from crossmodal.cli import main
 from crossmodal.model import load_checkpoint
 from crossmodal.synthdata import load_features
@@ -68,6 +70,22 @@ def test_generate_writes_loadable_deterministic_file(small_data, tmp_path, capsy
         ]
     )
     assert twin.read_bytes() == small_data.read_bytes()
+
+
+def test_generate_failed_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "feats.csv"
+    out.write_text("old\n")
+
+    def crash(dataset, path):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(synthdata, "save_features", crash)
+    assert main(["generate", "--ids", "4", "--per-modality", "3", "--out", str(out)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["feats.csv"]
 
 
 def test_usage_errors_exit_1(capsys):
@@ -183,6 +201,19 @@ def test_checkpoint_every_writes_snapshots(small_data, tmp_path, capsys):
     assert (run_dir / "checkpoint_epoch1.npz").exists()
     assert (run_dir / "checkpoint_epoch3.npz").exists()
     assert not (run_dir / "checkpoint_epoch0.npz").exists()
+
+
+def test_negative_checkpoint_every_exits_1_before_creating_the_run(
+    small_data, tmp_path, capsys
+):
+    cfg = write_small_config(tmp_path, small_data)
+    run_dir = tmp_path / "run"
+    rc = main(
+        ["train", "--config", str(cfg), "--out", str(run_dir), "--checkpoint-every", "-2"]
+    )
+    assert rc == 1
+    assert "--checkpoint-every must be >= 0" in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 def test_run_directory_holds_no_temporary_files(small_data, tmp_path, capsys):
@@ -340,6 +371,23 @@ def test_ablate_with_variants_file(small_data, tmp_path, capsys):
     assert (out_dir / "ablation.csv").read_text() == stdout
 
 
+def test_ablate_failed_write_keeps_previous_table(small_data, tmp_path, capsys, monkeypatch):
+    cfg = write_small_config(tmp_path, small_data)
+    out_dir = tmp_path / "ab"
+    out_dir.mkdir()
+    (out_dir / "ablation.csv").write_text("old\n")
+
+    def disk_full(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", disk_full)
+    rc = main(["ablate", "--config", str(cfg), "--data", str(small_data), "--out", str(out_dir)])
+    assert rc == 2
+    assert "disk full" in capsys.readouterr().err
+    assert (out_dir / "ablation.csv").read_text() == "old\n"
+    assert [p.name for p in out_dir.iterdir()] == ["ablation.csv"]
+
+
 def test_ablate_bad_variants_line_exits_1(small_data, tmp_path, capsys):
     cfg = write_small_config(tmp_path, small_data)
     variants = tmp_path / "variants.txt"
@@ -369,3 +417,37 @@ def test_gradcheck_single_component(capsys):
 def test_gradcheck_rejects_unknown_component(capsys):
     assert main(["gradcheck", "--component", "everything"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_gradcheck_without_instances_exits_1(capsys, seeds):
+    assert main(["gradcheck", "--component", "l_global", "--seeds", seeds]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "instances must be >= 1" in captured.err
+
+
+# ---------------------------------------------------------------- README
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_epochs_csv_columns_match_the_writer():
+    documented = re.search(r"^- `epochs\.csv` — `([^`]+)`", README, re.M).group(1)
+    assert documented == cli.EPOCH_CSV_HEADER
+
+
+def test_readme_run_directory_lists_the_manifest_artifacts(small_data, tmp_path, capsys):
+    cfg = write_small_config(tmp_path, small_data)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    section = README.split("### Run directories", 1)[1].split("\n\n")[2]
+    bullets = [line for line in section.splitlines() if line.startswith("- ")]
+    documented = [
+        name.format(direction=manifest["config"]["train.eval_direction"])
+        for line in bullets
+        for name in re.findall(r"`([^`]+)`", line.split(" — ", 1)[0])
+    ]
+    assert documented == ["manifest.json", *manifest["artifacts"].values()]

@@ -75,6 +75,15 @@ def test_unknown_component_rejected():
         check_component("l_everything")
 
 
+@pytest.mark.parametrize("instances", [0, -3])
+def test_no_instances_rejected(instances):
+    # an empty sweep has no error to report and must not read as a pass
+    with pytest.raises(ConfigError, match="instances must be >= 1"):
+        check_component("l_global", instances=instances)
+    with pytest.raises(ConfigError, match="instances must be >= 1"):
+        run_suite(instances=instances)
+
+
 def test_suite_catches_a_planted_gradient_bug(monkeypatch):
     real = losses.msel
 
