@@ -1,9 +1,14 @@
 """Retrieval evaluation: ranking, CMC / mAP / mINP, and similarity diagnostics.
 
-Equal distances (duplicated rows, exact zeros) rank by ascending gallery index:
-``rank`` sorts every query row with the default sort and stable-sorts again
-only the rows whose sorted distances hold an exact tie.
-``evaluate`` memory is O(_BLOCK * m * d) plus the largest identity's n_i^2 * d.
+Equal distances (duplicated rows, exact zeros) rank by ascending gallery index.
+Euclid ``rank`` orders each query row by the matmul form of the squared
+distances and keeps that order only where a rounding-error bound proves it is
+the strict order of the difference-form distances. Every other row, and every
+cosine row, is sorted on ``cross_distances`` with the default sort, and
+stable-sorted again if it holds an exact tie.
+``evaluate`` memory is O(_BLOCK * m) on certified blocks; fallback rows keep
+the O(rows * m * d) difference form. The gap ratio adds the largest identity's
+n_i^2 * d.
 """
 
 from __future__ import annotations
@@ -16,8 +21,15 @@ from .core import NORM_EPS, as_matrix, cross_distances, pairwise_distances
 from .errors import ConfigError, DegenerateError, DimensionError, NumericError
 
 RANK_KS = (1, 5, 10, 20)
-#: Rows per ranking and similarity block: the live difference tensor is _BLOCK x m x d.
+#: Rows per ranking and similarity block: the live matmul-form and similarity
+#: blocks are _BLOCK x m.
 _BLOCK = 64
+#: Unit roundoff of float64.
+_U = 2.0**-53
+#: Squared scale ``(|q| + max |g|)^2`` a certified row must lie in: far enough
+#: above the subnormal range that underflow is negligible against the bound,
+#: and far enough below the overflow threshold that no intermediate overflows.
+_SCALE_RANGE = (2.0**-960, 2.0**1020)
 
 
 @dataclass
@@ -68,17 +80,93 @@ class EvalReport:
 _SCALAR_FORMATS = {"float": ".6f", "int": ""}
 
 
+def _exact_order(qf: np.ndarray, gf: np.ndarray, metric: str) -> np.ndarray:
+    """Order on ``cross_distances``: default sort, stable re-sort of rows with an exact tie."""
+    dist = cross_distances(qf, gf, metric)
+    order = np.argsort(dist, axis=1)
+    sorted_dist = np.take_along_axis(dist, order, axis=1)
+    tied = (sorted_dist[:, 1:] == sorted_dist[:, :-1]).any(axis=1)
+    order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+    return order
+
+
+def _certified_order(qf: np.ndarray, gf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matmul-form euclid order per query row, and whether each row's order is proved."""
+    d = qf.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2 = np.einsum("ij,ij->i", gf, gf)
+        scale = (np.sqrt(np.einsum("ij,ij->i", qf, qf)) + np.sqrt(g2.max())) ** 2
+        m = qf @ (-2.0 * gf).T
+        m += g2
+        order = np.argsort(m, axis=1)
+        m.sort(axis=1)
+        certified = np.diff(m, axis=1).min(axis=1, initial=np.inf) > (8 * d + 24) * _U * scale
+    lo, hi = _SCALE_RANGE
+    return order, certified & (scale >= lo) & (scale <= hi)
+
+
 def rank(
     query_feats, gallery_feats, query_ids, gallery_ids, metric: str = "euclid"
 ) -> RankingResult:
     """Sort the gallery per query by ascending distance.
 
-    Equal distances rank by ascending gallery index. Each row is sorted with
-    the default (unstable) sort; a row whose sorted distances hold two equal
-    neighbours (``==``, so 0.0 and -0.0 tie) has an exact tie and is sorted
-    again with a stable sort. A row without one has a single ascending order,
-    which any sort returns. Queries whose identity never occurs in the gallery
-    are dropped and counted.
+    Equal distances rank by ascending gallery index. Queries whose identity
+    never occurs in the gallery are dropped and counted.
+
+    The order is the one the difference-form distances
+    ``D_j = fl(sqrt(s_j))``, ``s_j = fl(sum_k fl(fl(q_k - g_jk)^2))`` give:
+    sorted with the default (unstable) sort, and sorted again with a stable
+    sort where two sorted neighbours are equal (``==``, so 0.0 and -0.0 tie).
+    A row without such a tie has a single ascending order, which any sort
+    returns.
+
+    Euclid rows are first ordered by the matmul form
+    ``m_j = fl(fl(q . (-2 g_j)) + fl(|g_j|^2))``, one BLAS call per query
+    block; ``|q|^2`` is left out because it shifts the whole row. A row keeps
+    that order when every adjacent gap of its sorted ``m`` exceeds
+    ``tau = c(d) * R^2``, with ``R = |q| + max_j |g_j|`` and
+    ``c(d) = (8d + 24) u``, ``u = 2^-53``, and ``R^2`` lies in
+    ``_SCALE_RANGE``. Every other row goes through the difference form above,
+    so exact ties, duplicated rows, exact zeros and ulp-close pairs keep its
+    values and its tie rule.
+
+    Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., section 3.1; ``gamma_k = k u / (1 - k u)``). Let
+    ``S_j = |q - g_j|^2`` and ``T_j = S_j - |q|^2``, so
+    ``T_b - T_a = S_b - S_a``, ``S_j <= R^2`` and
+    ``2 |q| |g_j| + |g_j|^2 <= R^2``. Scaling by -2 is exact, and a length-d
+    dot product in any summation order, fused multiply-adds included, is off
+    by at most ``gamma_d`` times the dot product of the absolute values; so
+    are ``q . (-2 g_j)`` and ``|g_j|^2``. With one more rounding for the add,
+
+    (1) ``|m_j - T_j| <= gamma_{d+1} (2 |q| |g_j| + |g_j|^2) <= gamma_{d+1} R^2``.
+
+    ``s_j`` sums d nonnegative terms, each rounded at most d + 1 times (the
+    difference, the square, the additions):
+
+    (2) ``|s_j - S_j| <= gamma_{d+2} S_j <= gamma_{d+2} R^2``.
+
+    The root is correctly rounded, so ``fl(sqrt(s_a)) < fl(sqrt(s_b))`` when
+    ``sqrt(s_b) (1 - u) > sqrt(s_a) (1 + u)``, which holds when
+
+    (3) ``s_b - s_a > u (sqrt(s_a) + sqrt(s_b))^2``, and
+    ``(sqrt(s_a) + sqrt(s_b))^2 <= 4 (1 + gamma_{d+2}) R^2``.
+
+    Rounding is monotone, so a computed gap ``fl(m_b - m_a)`` above the
+    computed ``tau`` means ``m_b - m_a > tau``; by (1)
+    ``S_b - S_a > tau - 2 gamma_{d+1} R^2``, by (2)
+    ``s_b - s_a > tau - (2 gamma_{d+1} + 2 gamma_{d+2}) R^2``, and by (3)
+    ``D_a < D_b`` once
+    ``tau >= (2 gamma_{d+1} + 2 gamma_{d+2} + 4 u (1 + gamma_{d+2})) R^2``.
+    For ``(d + 2) u <= 0.01`` that factor is below ``1.011 (4d + 10) u``.
+    ``c(d)`` is twice ``(4d + 12) u``. The margin of more than
+    ``(3.9d + 13) u R^2`` covers computing ``tau`` itself (relative error
+    below ``(2d + 8) u``) and underflow: each of the at most ``8d`` products
+    behind one comparison and its ``tau`` loses at most ``2^-1075``, together
+    under ``d 2^-111 R^2`` once ``R^2 >= 2^-960``. With ``R^2 <= 2^1020``
+    no intermediate (``m``, its gaps, ``s_j``, ``tau``) overflows. A
+    certified row is thus strictly increasing in ``D`` along its ``m``
+    order, so it holds no tie and the difference form sorts it the same way.
     """
     qf = as_matrix(query_feats)
     gf = as_matrix(gallery_feats)
@@ -86,11 +174,14 @@ def rank(
     gid = np.asarray(gallery_ids, dtype=np.int64)
     if qid.shape != (qf.shape[0],) or gid.shape != (gf.shape[0],):
         raise DimensionError("id arrays must match the feature row counts")
-    dist = cross_distances(qf, gf, metric)
-    order = np.argsort(dist, axis=1)
-    sorted_dist = np.take_along_axis(dist, order, axis=1)
-    tied = (sorted_dist[:, 1:] == sorted_dist[:, :-1]).any(axis=1)
-    order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+    if qf.shape[1] != gf.shape[1]:
+        raise DimensionError(f"dimension mismatch: {qf.shape[1]} vs {gf.shape[1]}")
+    if metric == "euclid":
+        order, certified = _certified_order(qf, gf)
+        if not certified.all():
+            order[~certified] = _exact_order(qf[~certified], gf, metric)
+    else:
+        order = _exact_order(qf, gf, metric)
     relevant = gid[order] == qid[:, None]
     keep = relevant.any(axis=1)
     dropped = int((~keep).sum())

@@ -237,6 +237,8 @@ def run_suite(
     instances: int = 20, seed: int = 0, tol: float = DEFAULT_TOL, components=None
 ) -> list[ComponentResult]:
     """Check every (or the given) component; results carry pass/fail at ``tol``."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and > 0, got {tol}")
     results = []
     for name in components or COMPONENTS:
         err = check_component(name, instances=instances, seed=seed)

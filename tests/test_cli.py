@@ -427,6 +427,14 @@ def test_gradcheck_without_instances_exits_1(capsys, seeds):
     assert "instances must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+def test_gradcheck_bad_tol_exits_1(capsys, tol):
+    assert main(["gradcheck", "--component", "l_id", "--seeds", "1", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL" not in captured.out and "PASS" not in captured.out
+    assert "tol must be finite and > 0" in captured.err
+
+
 # ---------------------------------------------------------------- README
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -168,9 +169,103 @@ def test_rank_restable_sorts_only_tied_rows(rng, metric):
         assert result.order[out_row].tolist() == want
 
 
+_ONE_ULP = np.nextafter(1.0, 2.0)
+_BASE = np.random.default_rng(11).normal(size=(5, 3))
+#: name -> (queries, gallery) on which an unproved matmul-form order goes wrong.
+_ADVERSARIAL_GALLERIES = {
+    "ulp_apart": (  # gallery rows 1-2 ulp apart; one query sits on one of them
+        np.array([[0.0, 5, 7], [2, 5, 7], [_ONE_ULP, 5, 7], [1.5, 5, 7], [1, 6, 7]]),
+        np.array(
+            [
+                [np.nextafter(_ONE_ULP, 2.0), 5, 7],
+                [1.0, 5, 7],
+                [_ONE_ULP, 5, 7],
+                [3, 5, 7],
+                [1, 6, 7],
+                [_ONE_ULP, 5, 7],
+            ]
+        ),
+    ),
+    "root_merges": (  # squared distances 1 + 2^-52 and 1 have the same root 1.0: a tie
+        np.zeros((1, 3)),
+        np.array([[1.0, 2.0**-26, 0], [1, 0, 0], [0, 2, 0]]),
+    ),
+    "lattice_ties": (  # squared distances 20, 20, 16, 2: rows 0 and 1 tie
+        np.array([[2.0, 5]]),
+        np.array([[0.0, 1], [6, 3], [2, 1], [1, 6]]),
+    ),
+    "duplicates_and_zeros": (  # duplicated rows; two queries equal to a duplicated row
+        np.concatenate([_BASE[[0, 3]], np.random.default_rng(12).normal(size=(4, 3))]),
+        _BASE[[3, 0, 1, 0, 4, 2, 1, 3, 0]],
+    ),
+    "signed_zeros": (
+        np.array([[-0.0, 1, 2], [0.0, 1, 2], [-0.0, -0.0, -0.0], [0.0, -0.0, 2]]),
+        np.array([[0.0, 1, 2], [-0.0, 1, 2], [0.0, -0.0, 2], [-0.0, 0.0, 2], [1, 1, 2]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e150])  # 1e-160: subnormal squares
+@pytest.mark.parametrize("name", list(_ADVERSARIAL_GALLERIES))
+def test_rank_adversarial_galleries_match_counting_oracle(name, scale):
+    qf, gf = _ADVERSARIAL_GALLERIES[name]
+    qid, gid = np.zeros(len(qf), dtype=int), np.arange(len(gf)) % 2
+    _assert_matches_oracles(qf * scale, gf * scale, qid, gid)
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Query rows ``rank`` hands to the difference form, one array per call."""
+    calls = []
+    real = evalkit.cross_distances
+
+    def recorded(a, b, metric="euclid"):
+        calls.append(np.array(a))
+        return real(a, b, metric)
+
+    monkeypatch.setattr(evalkit, "cross_distances", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 16, 64])
+@pytest.mark.parametrize("scale", [1e-100, 1e-3, 1.0, 1e4, 1e100])
+def test_rank_certifies_generic_galleries(fallback_rows, dim, scale):
+    r = np.random.default_rng(dim)
+    qf, gf = r.normal(size=(40, dim)) * scale, r.normal(size=(300, dim)) * scale
+    result = rank(qf, gf, np.zeros(40, dtype=int), np.arange(300) % 3)
+    assert fallback_rows == []
+    assert np.array_equal(result.order, np.argsort(cross_distances(qf, gf), axis=1, kind="stable"))
+
+
+def test_rank_falls_back_only_on_the_tied_row(rng, fallback_rows):
+    # the query at (0, 0, 2, 0) is at distance sqrt(5) from each unit point
+    units = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+    gf = np.concatenate([rng.normal(size=(30, 4)), units])
+    qf = rng.normal(size=(12, 4))
+    qf[5] = [0.0, 0, 2, 0]
+    result = rank(qf, gf, np.zeros(12, dtype=int), np.zeros(33, dtype=int))
+    assert len(fallback_rows) == 1 and np.array_equal(fallback_rows[0], qf[5:6])
+    assert np.array_equal(result.order, np.argsort(cross_distances(qf, gf), axis=1, kind="stable"))
+    row = result.order[5].tolist()
+    assert row[row.index(30) : row.index(30) + 3] == [30, 31, 32]  # the tie, by index
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e160])  # squared scale above 2^1020; overflowing
+def test_rank_falls_back_above_the_certified_scale(fallback_rows, scale):
+    r = np.random.default_rng(1)
+    qf, gf = r.normal(size=(3, 4)) * scale, r.normal(size=(50, 4)) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the matmul form's own overflow stays silent
+        result = rank(qf, gf, np.zeros(3, dtype=int), np.zeros(50, dtype=int))
+    assert sum(map(len, fallback_rows)) == 3
+    assert np.array_equal(result.order, np.argsort(cross_distances(qf, gf), axis=1, kind="stable"))
+
+
 def test_rank_validation_and_degenerate():
     with pytest.raises(DimensionError):
         rank(np.zeros((2, 3)), np.zeros((2, 3)), [0], [0, 1])
+    with pytest.raises(DimensionError, match="dimension mismatch"):
+        rank(np.ones((1, 2)), np.ones((2, 3)), [0], [0, 1])
     with pytest.raises(DegenerateError):
         rank(np.zeros((1, 2)), np.ones((2, 2)), [0], [1, 2])
     with pytest.raises(ConfigError):

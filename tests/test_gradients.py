@@ -84,6 +84,13 @@ def test_no_instances_rejected(instances):
         run_suite(instances=instances)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_bad_tolerance_rejected(tol):
+    # no error can pass a tolerance that is not a positive number
+    with pytest.raises(ConfigError, match="tol must be finite and > 0"):
+        run_suite(instances=1, tol=tol, components=["l_id"])
+
+
 def test_suite_catches_a_planted_gradient_bug(monkeypatch):
     real = losses.msel
 
