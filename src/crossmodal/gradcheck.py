@@ -8,6 +8,10 @@ The mining decisions are not re-derived here: regularity reads the
 :class:`~crossmodal.losses.Mining` record each loss returns, through its
 ``gap``. Only two tests are local: the rectifier pre-activations of the model
 check, and the norm floor that keeps cosine ``msel`` well conditioned.
+
+One table maps each component to a drawer of ``(analytic, value_fn, x)``
+triples; one loop, :func:`_worst`, takes their finite differences and keeps
+the largest relative error.
 """
 
 from __future__ import annotations
@@ -34,20 +38,9 @@ DEFAULT_TOL = 1e-5
 #: the arithmetic.
 REL_FLOOR = 1e-2
 
-COMPONENTS = (
-    "l_id",
-    "l_intra",
-    "l_global",
-    "msel_euclid",
-    "msel_cosine",
-    "dcl_hard",
-    "dcl_all",
-    "dcl_dyn",
-    "l1",
-    "l2",
-    "model_stage1",
-    "model_stage2",
-)
+#: The loss settings every check uses; its ``msel`` metric is euclid, so the
+#: stage objectives need no norm floor.
+_BASE = losses.LossConfig()
 
 
 @dataclass
@@ -100,12 +93,6 @@ def _gap(out) -> float:
     return np.inf if out.mining is None else out.mining.gap()
 
 
-def _general(out, feats: np.ndarray, stage: Stage, cfg: losses.LossConfig) -> bool:
-    """A stage objective's output is ``TIE_TOL`` from every kink and conditioned."""
-    cosine = stage is Stage.STAGE2 and cfg.msel_metric == "cosine"
-    return _gap(out) >= TIE_TOL and (not cosine or _norm_floored(feats))
-
-
 def _norm_floored(feats: np.ndarray) -> bool:
     """Cosine ``msel`` conditioning guard, not a mining decision: no row near 0."""
     return bool(np.sqrt((feats**2).sum(axis=1)).min() > 1e-2)
@@ -119,82 +106,97 @@ def _draw_until(rng: RngStream, make, regular, attempts: int = 200):
     raise ConfigError("could not find a general-position instance")
 
 
-def _check_batch_loss(rng, stage: Stage, loss_fn, instances, regular=None):
+def _worst(rng: RngStream, instances: int, draw) -> float:
+    """Max error over ``instances`` draws; each draw yields ``(analytic, value_fn, x)``."""
+    worst = 0.0
+    for t in range(instances):
+        for analytic, value_fn, x in draw(rng.child(t)):
+            worst = max(worst, max_rel_error(analytic, finite_difference(value_fn, x)))
+    return worst
+
+
+def _batch_loss(stage: Stage, loss_fn, regular=None):
+    """Gradient of a batch loss w.r.t. the features of an 18-row batch."""
     regular = regular or (lambda b: _gap(loss_fn(b)) >= TIE_TOL)
-    worst = 0.0
-    for t in range(instances):
-        batch = _draw_until(
-            rng.child(t), lambda r: _random_batch(r, 3, 3, 4, stage.modality_pair), regular
-        )
-        analytic = loss_fn(batch).grad
-        fd = finite_difference(
-            lambda f: loss_fn(replace(batch, features=f.copy())).value, batch.features
-        )
-        worst = max(worst, max_rel_error(analytic, fd))
-    return worst
+
+    def draw(r: RngStream):
+        batch = _draw_until(r, lambda s: _random_batch(s, 3, 3, 4, stage.modality_pair), regular)
+        value = lambda f: loss_fn(replace(batch, features=f.copy())).value
+        return [(loss_fn(batch).grad, value, batch.features)]
+
+    return draw
 
 
-def _check_identity(rng: RngStream, instances: int) -> float:
-    worst = 0.0
-    for t in range(instances):
-        r = rng.child(t)
-        n, c = 8, 5
-        logits = r.normal(size=(n, c))
-        labels = r.integers(0, c, size=n)
-        analytic = losses.identity_loss(logits, labels).grad
-        fd = finite_difference(lambda z: losses.identity_loss(z, labels).value, logits)
-        worst = max(worst, max_rel_error(analytic, fd))
-    return worst
+def _identity(r: RngStream):
+    logits = r.normal(size=(8, 5))
+    labels = r.integers(0, 5, size=8)
+    value = lambda z: losses.identity_loss(z, labels).value
+    return [(losses.identity_loss(logits, labels).grad, value, logits)]
 
 
-def _check_objective(rng: RngStream, stage: Stage, cfg: losses.LossConfig, instances: int) -> float:
-    pair = stage.modality_pair
-    objective = losses.stage1_objective if stage is Stage.STAGE1 else losses.stage2_objective
-    worst = 0.0
-    for t in range(instances):
-        r = rng.child(t)
+def _objective(stage: Stage):
+    """A stage objective's gradients w.r.t. the embeddings and the logits."""
+
+    def draw(r: RngStream):
+        objective = losses.stage1_objective if stage is Stage.STAGE1 else losses.stage2_objective
         # the batch comes from child streams of r, so these are r's first draws either way
         logits = r.normal(size=(18, 3))
-        batch = _draw_until(
-            r,
-            lambda s: _random_batch(s, 3, 3, 4, pair),
-            lambda b: _general(objective(b, logits, b.labels, cfg), b.features, stage, cfg),
-        )
+        regular = lambda b: _gap(objective(b, logits, b.labels, _BASE)) >= TIE_TOL
+        batch = _draw_until(r, lambda s: _random_batch(s, 3, 3, 4, stage.modality_pair), regular)
         labels = batch.labels
-        out = objective(batch, logits, labels, cfg)
-        fd_emb = finite_difference(
-            lambda f: objective(replace(batch, features=f.copy()), logits, labels, cfg).value,
-            batch.features,
-        )
-        fd_logits = finite_difference(
-            lambda z: objective(batch, z, labels, cfg).value, logits
-        )
-        worst = max(worst, max_rel_error(out.grad_embeddings, fd_emb))
-        worst = max(worst, max_rel_error(out.grad_logits, fd_logits))
-    return worst
+        out = objective(batch, logits, labels, _BASE)
+        by_emb = lambda f: objective(replace(batch, features=f.copy()), logits, labels, _BASE).value
+        by_logits = lambda z: objective(batch, z, labels, _BASE).value
+        return [(out.grad_embeddings, by_emb, batch.features), (out.grad_logits, by_logits, logits)]
+
+    return draw
 
 
-def _check_model(rng: RngStream, stage: Stage, cfg: losses.LossConfig, instances: int) -> float:
+def _model(stage: Stage):
     """Checks :func:`~crossmodal.trainer.loss_and_grads`, the step that training runs."""
-    pair = stage.modality_pair
-    worst = 0.0
-    for t in range(instances):
-        r = rng.child(t)
+
+    def draw(r: RngStream):
         p, k, in_dim, hidden, embed = 3, 2, 5, 6, 4
-        raw = _random_batch(r.child(0), p, k, in_dim, pair).validate()
-        for attempt in range(200):
-            params = model.init_params(in_dim, hidden, embed, p, r.child(1, attempt))
-            out, grads, trace = loss_and_grads(params, raw, stage, cfg, raw.labels)
-            kinked = params.activation == "relu" and np.abs(trace.z1).min() < TIE_TOL
-            if not kinked and _general(out, trace.embeddings, stage, cfg):
-                break
-        else:
-            raise ConfigError("could not find a general-position model instance")
-        fd = finite_difference(
-            lambda _: loss_and_grads(params, raw, stage, cfg, raw.labels)[0].value, params.flat
-        )
-        worst = max(worst, max_rel_error(grads.flat, fd))
-    return worst
+        raw = _random_batch(r.child(0), p, k, in_dim, stage.modality_pair).validate()
+
+        def make(s: RngStream):
+            params = model.init_params(in_dim, hidden, embed, p, s)
+            return (params, *loss_and_grads(params, raw, stage, _BASE, raw.labels))
+
+        def regular(candidate) -> bool:  # init_params' encoder is a relu one
+            _, out, _, trace = candidate
+            return np.abs(trace.z1).min() >= TIE_TOL and _gap(out) >= TIE_TOL
+
+        params, _, grads, _ = _draw_until(r.child(1), make, regular)
+        value = lambda _: loss_and_grads(params, raw, stage, _BASE, raw.labels)[0].value
+        return [(grads.flat, value, params.flat)]
+
+    return draw
+
+
+#: Component name -> drawer, in report order. Loss functions and
+#: ``_random_batch`` are looked up on each call, so a patched module is checked.
+_DRAWERS = {
+    "l_id": _identity,
+    "l_intra": _batch_loss(Stage.STAGE1, lambda b: losses.hard_triplet_intra(b, _BASE.margin)),
+    "l_global": _batch_loss(Stage.STAGE2, lambda b: losses.hard_triplet_global(b, _BASE.margin)),
+    "msel_euclid": _batch_loss(
+        Stage.STAGE2,
+        lambda b: losses.msel(b, "euclid"),
+        lambda b: _gap(losses.msel(b, "euclid")) > TIE_TOL,  # msel's test is strict
+    ),
+    "msel_cosine": _batch_loss(
+        Stage.STAGE2, lambda b: losses.msel(b, "cosine"), lambda b: _norm_floored(b.features)
+    ),
+    "dcl_hard": _batch_loss(Stage.STAGE2, lambda b: losses.dcl(b, "hard")),
+    "dcl_all": _batch_loss(Stage.STAGE2, lambda b: losses.dcl(b, "all")),
+    "dcl_dyn": _batch_loss(Stage.STAGE2, lambda b: losses.dcl(b, "dyn")),
+    "l1": _objective(Stage.STAGE1),
+    "l2": _objective(Stage.STAGE2),
+    "model_stage1": _model(Stage.STAGE1),
+    "model_stage2": _model(Stage.STAGE2),
+}
+COMPONENTS = tuple(_DRAWERS)
 
 
 def check_component(name: str, instances: int = 20, seed: int = 0) -> float:
@@ -203,44 +205,17 @@ def check_component(name: str, instances: int = 20, seed: int = 0) -> float:
         raise ConfigError(f"unknown component {name!r}, expected one of {COMPONENTS}")
     if instances < 1:
         raise ConfigError(f"instances must be >= 1, got {instances}")
-    rng = RngStream(seed).child(COMPONENTS.index(name))
-    base = losses.LossConfig()
-    if name == "l_id":
-        return _check_identity(rng, instances)
-    if name in ("l_intra", "l_global"):
-        triplet = losses.hard_triplet_intra if name == "l_intra" else losses.hard_triplet_global
-        stage = Stage.STAGE1 if name == "l_intra" else Stage.STAGE2
-        return _check_batch_loss(rng, stage, lambda b: triplet(b, base.margin), instances)
-    if name.startswith("msel_"):
-        metric = name.split("_", 1)[1]
-        regular = (
-            (lambda b: _gap(losses.msel(b, metric)) > TIE_TOL)  # msel's test is strict
-            if metric == "euclid"
-            else (lambda b: _norm_floored(b.features))
-        )
-        return _check_batch_loss(
-            rng, Stage.STAGE2, lambda b: losses.msel(b, metric), instances, regular
-        )
-    if name.startswith("dcl_"):
-        mode = name.split("_", 1)[1]
-        return _check_batch_loss(rng, Stage.STAGE2, lambda b: losses.dcl(b, mode), instances)
-    if name == "l1":
-        return _check_objective(rng, Stage.STAGE1, base, instances)
-    if name == "l2":
-        return _check_objective(rng, Stage.STAGE2, base, instances)
-    if name == "model_stage1":
-        return _check_model(rng, Stage.STAGE1, base, instances)
-    return _check_model(rng, Stage.STAGE2, base, instances)
+    return _worst(RngStream(seed).child(COMPONENTS.index(name)), instances, _DRAWERS[name])
 
 
 def run_suite(
     instances: int = 20, seed: int = 0, tol: float = DEFAULT_TOL, components=None
 ) -> list[ComponentResult]:
-    """Check every (or the given) component; results carry pass/fail at ``tol``."""
+    """Check ``components`` in order (all when None); a result passes at error <= ``tol``."""
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
     results = []
-    for name in components or COMPONENTS:
+    for name in COMPONENTS if components is None else components:
         err = check_component(name, instances=instances, seed=seed)
         results.append(ComponentResult(name, err, instances, err <= tol))
     return results

@@ -341,11 +341,10 @@ def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
 
 
 def _check_stage(batch: LabeledBatch, stage: Stage) -> None:
-    mods = set(batch.modality_values())
-    expected = set(stage.modality_pair)
-    if mods != expected:
+    mods = batch.structure.modalities
+    if set(mods) != set(stage.modality_pair):
         raise StageError(
-            f"{stage.name} objective expects modalities {sorted(expected)}, "
+            f"{stage.name} objective expects modalities {sorted(stage.modality_pair)}, "
             f"batch has {sorted(mods)}"
         )
 

@@ -33,6 +33,21 @@ _CHECKPOINT_VERSION = 1
 _OPT_HYPER = ("base_lr", "beta1", "beta2", "eps", "weight_decay")  # the order of ``opt_hyper``
 
 
+def check_encoder(activation: str, **sizes: int) -> None:
+    """A known activation, and every given layer size >= 1."""
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"activation must be one of {ACTIVATIONS}")
+    for name, val in sizes.items():
+        if int(val) < 1:
+            raise ConfigError(f"{name} must be >= 1")
+
+
+def check_momentum(momentum: float) -> None:
+    """Batch-norm running-statistics momentum lies in (0, 1]."""
+    if not 0.0 < momentum <= 1.0:
+        raise ConfigError("momentum must lie in (0, 1]")
+
+
 def _pack(obj) -> None:
     """Copy ``obj``'s trainable tensors into ``obj.flat`` and rebind each to its view."""
     tensors = [np.asarray(getattr(obj, name)) for name in TRAINABLE]
@@ -60,8 +75,7 @@ class ModelParams:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
+        check_encoder(self.activation)
         _pack(self)
 
     @property
@@ -135,14 +149,9 @@ def init_params(
     activation: str = "relu",
 ) -> ModelParams:
     """Gaussian(0, 2/fan_in) weights, zero biases, unit-gain batch norm."""
-    for name, val in (
-        ("in_dim", in_dim),
-        ("hidden_dim", hidden_dim),
-        ("embed_dim", embed_dim),
-        ("n_classes", n_classes),
-    ):
-        if int(val) < 1:
-            raise ConfigError(f"{name} must be >= 1")
+    check_encoder(
+        activation, in_dim=in_dim, hidden_dim=hidden_dim, embed_dim=embed_dim, n_classes=n_classes
+    )
     return ModelParams(
         w1=rng.normal(scale=np.sqrt(2.0 / in_dim), size=(in_dim, hidden_dim)),
         b1=np.zeros(hidden_dim),
@@ -260,8 +269,7 @@ def update_bn_stats(params: ModelParams, trace: ForwardTrace, momentum: float = 
     """
     if trace.mode != TRAIN:
         raise StateError("running statistics only update from train-mode traces")
-    if not 0.0 < momentum <= 1.0:
-        raise ConfigError("momentum must lie in (0, 1]")
+    check_momentum(momentum)
     n = trace.x.shape[0]
     unbiased = trace.var * n / (n - 1) if n > 1 else trace.var
     params.bn_running_mean *= 1.0 - momentum

@@ -28,6 +28,22 @@ class OptimState:
     v: ModelGrads | None = None
 
 
+def check_adam(
+    base_lr: float, beta1: float, beta2: float, eps: float, weight_decay: float
+) -> None:
+    """Adam's bounds: finite base_lr, weight_decay >= 0, eps > 0, betas in [0, 1); NaN fails."""
+    if not (0 <= base_lr < np.inf and eps > 0 and 0 <= weight_decay < np.inf):
+        raise ConfigError("base_lr/weight_decay must be finite and >= 0, and eps > 0")
+    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+        raise ConfigError("betas must lie in [0, 1)")
+
+
+def check_lr_range(base_lr: float, min_lr: float) -> None:
+    """A cosine schedule needs 0 <= min_lr <= base_lr; NaN fails."""
+    if not 0 <= min_lr <= base_lr:
+        raise ConfigError("need 0 <= min_lr <= base_lr")
+
+
 def init_optim_state(
     params: ModelParams,
     base_lr: float = 3e-4,
@@ -37,10 +53,7 @@ def init_optim_state(
     weight_decay: float = 1e-4,
 ) -> OptimState:
     """Zeroed moments shaped like every trainable tensor."""
-    if base_lr < 0 or eps <= 0 or weight_decay < 0:
-        raise ConfigError("base_lr/weight_decay must be >= 0 and eps > 0")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ConfigError("betas must lie in [0, 1)")
+    check_adam(base_lr, beta1, beta2, eps, weight_decay)
     return OptimState(
         base_lr=base_lr,
         beta1=beta1,
@@ -92,6 +105,5 @@ def cosine_lr(epoch: float, total_epochs: int, base_lr: float, min_lr: float) ->
         raise ConfigError("total_epochs must be >= 1")
     if not 0 <= epoch <= total_epochs:
         raise ConfigError(f"epoch {epoch} outside [0, {total_epochs}]")
-    if base_lr < 0 or min_lr < 0 or min_lr > base_lr:
-        raise ConfigError("need 0 <= min_lr <= base_lr")
+    check_lr_range(base_lr, min_lr)
     return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * epoch / total_epochs))

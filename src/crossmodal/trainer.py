@@ -28,12 +28,14 @@ from .model import (
     ModelGrads,
     ModelParams,
     backward,
+    check_encoder,
+    check_momentum,
     extract_test_features,
     forward,
     init_params,
     update_bn_stats,
 )
-from .optim import cosine_lr, init_optim_state, step
+from .optim import check_adam, check_lr_range, cosine_lr, init_optim_state, step
 from .synthdata import SynthDataset
 
 SCHEDULES = ("gray_first", "rgb_first")
@@ -88,8 +90,11 @@ class TrainConfig:
             raise ConfigError(f"eval_direction must be one of {DIRECTIONS}")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0")
-        if self.base_lr < 0 or self.resolved_min_lr() > self.base_lr:
-            raise ConfigError("need 0 <= min_lr <= base_lr")
+        check_lr_range(self.base_lr, self.resolved_min_lr())
+        check_adam(self.base_lr, self.beta1, self.beta2, self.adam_eps, self.weight_decay)
+        check_encoder(self.activation, hidden_dim=self.hidden_dim, embed_dim=self.embed_dim)
+        check_momentum(self.bn_momentum)
+        RngStream(self.seed)  # the stream's own seed check
         BatchSpec(self.p, self.k)
         self.loss.validate()
         return self

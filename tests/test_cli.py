@@ -216,6 +216,36 @@ def test_negative_checkpoint_every_exits_1_before_creating_the_run(
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "model.bn_momentum=0",
+        "model.activation=tanh",
+        "model.hidden_dim=0",
+        "model.embed_dim=0",
+        "optim.base_lr=nan",
+        "optim.base_lr=inf",
+        "optim.beta1=1.5",
+        "optim.beta2=1",
+        "optim.eps=0",
+        "optim.eps=nan",
+        "optim.weight_decay=-1",
+        "optim.weight_decay=inf",
+        "optim.min_lr=-1",
+        "train.seed=-1",
+    ],
+)
+def test_invalid_model_or_optimizer_value_exits_1_before_creating_the_run(
+    small_data, tmp_path, capsys, override
+):
+    cfg = write_small_config(tmp_path, small_data)
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--set", override, "--out", str(run_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not run_dir.exists()
+
+
 def test_run_directory_holds_no_temporary_files(small_data, tmp_path, capsys):
     cfg = write_small_config(tmp_path, small_data)
     run_dir = tmp_path / "run"

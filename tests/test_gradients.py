@@ -63,6 +63,33 @@ def test_run_suite_covers_requested_components():
         assert r.max_rel_error <= gradcheck.DEFAULT_TOL
 
 
+def test_empty_component_list_checks_nothing():
+    assert run_suite(instances=1, components=[]) == []
+
+
+def test_component_order_and_draws_are_pinned():
+    # any change to the RNG paths, instance sizes or draw order moves these values
+    expected = {
+        "l_id": 2.762117702528183e-08,
+        "l_intra": 2.2157127514470996e-08,
+        "l_global": 7.983863608439076e-08,
+        "msel_euclid": 3.909481158942407e-09,
+        "msel_cosine": 4.285983026819373e-09,
+        "dcl_hard": 2.0257268779078075e-08,
+        "dcl_all": 2.132046067471194e-08,
+        "dcl_dyn": 1.7000832278382292e-08,
+        "l1": 1.6623508025843947e-07,
+        "l2": 6.257275554765447e-08,
+        "model_stage1": 1.8797697773353939e-07,
+        "model_stage2": 3.5527160102688526e-07,
+    }
+    assert COMPONENTS == tuple(expected)
+    results = run_suite(instances=1, seed=0)
+    assert {r.name: repr(r.max_rel_error) for r in results} == {
+        name: repr(err) for name, err in expected.items()
+    }
+
+
 def test_every_component_is_checkable():
     # one instance each: the full 20-instance sweep runs in the acceptance suite
     for name in COMPONENTS:
