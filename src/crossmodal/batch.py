@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -119,11 +120,43 @@ def coerce_rows(features, labels, modalities):
     return features, labels, modalities
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class PairMasks:
+    """Pairs over a row set: distinct rows (``off``), same identity (``pos``), other (``neg``).
+
+    ``every_pos`` / ``every_neg``: whether each row has at least one such partner.
+    """
+
+    off: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    every_pos: bool
+    every_neg: bool
+
+    @classmethod
+    def of(cls, id_codes: np.ndarray) -> "PairMasks":
+        """Masks over rows with these identity codes (non-negative integers)."""
+        same = id_codes[:, None] == id_codes[None, :]
+        off = ~np.eye(len(id_codes), dtype=bool)
+        pos, neg = same & off, ~same
+        _read_only(off, pos, neg)
+        counts = np.bincount(id_codes)
+        every_pos = bool(counts[id_codes].min() >= 2)
+        return cls(off, pos, neg, every_pos, np.count_nonzero(counts) >= 2)
+
+
 @dataclass(frozen=True)
 class BatchStructure:
     """Sorted distinct identities and modalities, per-row codes into them, and cell size k.
 
     ``labels`` and ``tags`` are the (now read-only) arrays it was derived from.
+    The pair masks and identity blocks below are derived from it once, on
+    first use, and are read-only.
     """
 
     labels: np.ndarray
@@ -133,6 +166,64 @@ class BatchStructure:
     modalities: tuple[str, ...]
     mod_codes: np.ndarray
     k: int
+
+    @cached_property
+    def pairs(self) -> PairMasks:
+        """Pair masks over all rows."""
+        return PairMasks.of(self.id_codes)
+
+    @cached_property
+    def modality_pairs(self) -> tuple[tuple[np.ndarray, PairMasks], ...]:
+        """Per modality code: its row indices and the pair masks over those rows."""
+        out = []
+        for code in range(len(self.modalities)):
+            rows = np.flatnonzero(self.mod_codes == code)
+            _read_only(rows)
+            out.append((rows, PairMasks.of(self.id_codes[rows])))
+        return tuple(out)
+
+    @cached_property
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(own, count)``: P x n whether row r has identity code c, and each code's row count."""
+        own = self.id_codes[None, :] == np.arange(len(self.identities))[:, None]
+        count = own.sum(axis=1)
+        _read_only(own, count)
+        return own, count
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """P x 2k: each identity's rows in row order, identities in code order."""
+        blocks = np.argsort(self.id_codes, kind="stable").reshape(len(self.identities), -1)
+        _read_only(blocks)
+        return blocks
+
+    @cached_property
+    def block_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """P x 2k x 2k ``(intra, cross)`` positive pairs inside each identity block."""
+        return _positive_pairs(self.mod_codes[self.blocks])
+
+    @cached_property
+    def batch_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """1 x n x n ``(intra, cross)`` positive pairs over all rows as one block, in row order."""
+        ids = self.id_codes[None]
+        return _positive_pairs(self.mod_codes[None], ids[:, :, None] == ids[:, None, :])
+
+
+def _positive_pairs(mods: np.ndarray, same_id: np.ndarray | None = None):
+    """Per block of rows (``mods``: blocks x m modality codes), its positive pairs.
+
+    Returns ``(intra, cross)``, blocks x m x m: distinct rows of one identity
+    and one modality, and rows of one identity and the two modalities.
+    ``same_id`` says which rows share an identity; when it is None, all do.
+    """
+    same_mod = mods[:, :, None] == mods[:, None, :]
+    intra = same_mod & ~np.eye(mods.shape[1], dtype=bool)
+    cross = ~same_mod
+    if same_id is not None:
+        intra &= same_id
+        cross &= same_id
+    _read_only(intra, cross)
+    return intra, cross
 
 
 @dataclass
@@ -172,12 +263,6 @@ class LabeledBatch:
             self.validate()
         return self._structure
 
-    def identity_values(self) -> np.ndarray:
-        return np.unique(self.labels)
-
-    def modality_values(self) -> tuple[str, ...]:
-        return tuple(np.unique(self.modalities).tolist())
-
     def cell_count(self) -> int:
         """Rows per (identity, modality) cell; raises ConfigError on uneven cells."""
         return self.structure.k
@@ -197,8 +282,7 @@ class LabeledBatch:
         sizes = sorted(set(np.bincount(2 * id_codes + mod_codes, minlength=2 * len(ids)).tolist()))
         if len(sizes) != 1:
             raise ConfigError(f"uneven (identity, modality) cells: sizes {sizes}")
-        self.labels.flags.writeable = False
-        self.modalities.flags.writeable = False
+        _read_only(self.labels, self.modalities)
         self._structure = BatchStructure(
             self.labels, self.modalities, ids, id_codes, mods, mod_codes, sizes[0]
         )

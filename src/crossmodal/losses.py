@@ -11,11 +11,24 @@ loss in this module:
 * the gradient of a euclidean distance between coincident points is taken
   as 0 in every direction.
 
-Every euclidean-distance gradient goes through one pair-weight kernel,
-``_pair_weight_grad`` (batch-hard triplet, euclid ``msel``, ``dcl`` via the
-rows stacked with their centers), and the conventions hold there: an inactive
-hinge places no weight, mining picks the lowest index before weights are
-placed, and the kernel drops every pair at distance 0.
+Every euclidean-distance gradient goes through one kernel,
+``_pair_weight_grad``. It takes the coefficient matrix g = s / dist of a
+loss's symmetric pair weights s, already divided, with g = 0 wherever dist
+is 0, and returns ``g.sum(-1) * x - g @ x``. Each loss fills g only where its
+weights can be non-zero:
+
+* the batch-hard triplet at each anchor's two mined pairs and their mirrors,
+  inside an n x n matrix of zeros;
+* euclid ``msel`` inside each identity's 2K x 2K block, stacked P deep, on
+  the block rows (``BatchStructure.blocks``); it builds only within-block
+  distances and scatters its gradient back to the batch rows;
+* ``dcl`` in the two rows x centers blocks of the rows stacked with their
+  centers, from one centers x rows divide.
+
+The conventions hold there: an inactive hinge places no weight, mining picks
+the lowest index before weights are placed, and a pair at distance 0 gets
+coefficient 0. The masks these losses read (pairs per identity, identity
+blocks, memberships) are derived once per batch structure.
 
 Each loss built on euclidean distances returns a :class:`Mining` record of its
 decisions, made of references to arrays it built anyway; a stage objective
@@ -32,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import LabeledBatch, Stage
+from .batch import LabeledBatch, PairMasks, Stage
 from .core import as_matrix, pairwise_distances
 from .errors import (
     ConfigError,
@@ -45,6 +58,9 @@ from .errors import (
 
 MSEL_METRICS = ("euclid", "cosine")
 DCL_MODES = ("hard", "all", "dyn")
+
+#: The batch-hard pair weights of an anchor's hardest positive and hardest negative.
+_SIGNS = np.array([[1.0], [-1.0]])
 
 #: Denominator threshold below which the center-loss ratio is considered degenerate.
 DCL_EPS = 1e-12
@@ -124,10 +140,10 @@ class LossConfig:
     include_id_stage2: bool = False
 
     def validate(self) -> "LossConfig":
-        if self.margin < 0:
-            raise ConfigError("margin must be >= 0")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("loss weights must be >= 0")
+        """margin, lambda1 and lambda2 finite and >= 0 (NaN fails); known metric and mode."""
+        for name in ("margin", "lambda1", "lambda2"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         if self.msel_metric not in MSEL_METRICS:
             raise ConfigError(f"msel_metric must be one of {MSEL_METRICS}")
         if self.dcl_mode not in DCL_MODES:
@@ -166,74 +182,78 @@ def identity_loss(logits, labels) -> LossOutput:
     return LossOutput(value, grad)
 
 
-def _pair_weight_grad(s: np.ndarray, dist: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """Row gradient of sum_{i<j} s_ij * ||x_i - x_j|| for a symmetric weight matrix s.
+def _pair_weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row gradient of sum_{i<j} s_ij * ||x_i - x_j||, given g = s / dist (0 where dist is 0).
 
-    Pairs at distance 0 contribute nothing (the coincident-point convention).
+    ``g`` is symmetric, so row i's gradient is sum_j g_ij * (x_i - x_j). Leading
+    axes are stacked matrices (one per identity block in :func:`msel`).
     """
-    g = np.divide(s, dist, out=np.zeros_like(s), where=dist > 0)
-    return g.sum(axis=1)[:, None] * feats - g @ feats
+    return g.sum(axis=-1)[..., None] * x - g @ x
 
 
-def _batch_hard(
-    feats: np.ndarray, labels: np.ndarray, margin: float, dist: np.ndarray | None = None
-) -> LossOutput:
+def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutput:
     """Summed hinge over anchors, each mined against its hardest positive/negative.
 
-    ``dist`` is the euclid matrix of ``feats`` when the caller already built it.
+    ``masks`` are the pair masks of the rows' identities. Each anchor's pair
+    weights are +1 at its hardest positive and -1 at its hardest negative when
+    its hinge is active, and 0 otherwise, so the symmetric weights and their
+    quotients by distance are written at those 2n entries and their mirrors
+    only; every other entry of the dense quotient matrix is 0.
     """
-    n = feats.shape[0]
-    if dist is None:
-        dist = pairwise_distances(feats, "euclid")
-    same = labels[:, None] == labels[None, :]
-    off = ~np.eye(n, dtype=bool)
-    pos_mask = same & off
-    neg_mask = ~same
-    if not pos_mask.any(axis=1).all():
+    if not masks.every_pos:
         raise SamplingError("every anchor needs at least one other row of its identity")
-    if not neg_mask.any(axis=1).all():
+    if not masks.every_neg:
         raise SamplingError("batch needs at least two identities")
-    pos_idx = np.where(pos_mask, dist, -np.inf).argmax(axis=1)
-    neg_idx = np.where(neg_mask, dist, np.inf).argmin(axis=1)
+    n = feats.shape[0]
+    dist = pairwise_distances(feats, "euclid")
+    mined = np.array(  # 2 x n: each anchor's hardest positive and hardest negative
+        (
+            np.where(masks.pos, dist, -np.inf).argmax(axis=1),
+            np.where(masks.neg, dist, np.inf).argmin(axis=1),
+        )
+    )
     rows = np.arange(n)
-    hinge = dist[rows, pos_idx] - dist[rows, neg_idx] + margin
-    active = np.flatnonzero(hinge > 0)
-    w = np.zeros_like(dist)
-    w[active, pos_idx[active]] = 1.0
-    w[active, neg_idx[active]] = -1.0
-    mining = Mining(dist=dist, off=off, hinge=hinge, pos=pos_mask, neg=neg_mask)
-    return LossOutput(float(hinge[active].sum()), _pair_weight_grad(w + w.T, dist, feats), mining)
+    there, back = rows * n + mined, mined * n + rows  # flat indices of (a, j) and (j, a)
+    d = dist.take(there)
+    hinge = d[0] - d[1] + margin
+    active = hinge > 0
+    g = np.zeros((n, n))
+    w = _SIGNS * active
+    g.put(there, w)
+    sym = w + g.take(back)
+    g.put(there, np.divide(sym, d, out=np.zeros_like(sym), where=d > 0))
+    g.put(back, g.take(there))
+    mining = Mining(dist=dist, off=masks.off, hinge=hinge, pos=masks.pos, neg=masks.neg)
+    return LossOutput(float(hinge[active].sum()), _pair_weight_grad(g, feats), mining)
 
 
-def hard_triplet_global(
-    batch: LabeledBatch, margin: float = 0.1, *, _dist: np.ndarray | None = None
-) -> LossOutput:
+def hard_triplet_global(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
     """Batch-hard triplet loss mined over all rows, ignoring modality tags.
 
-    ``_dist`` is internal: :func:`stage2_objective` passes the euclid matrix it
-    shares with :func:`msel`.
+    It needs no even cells: a batch that fails validation with a
+    ``ConfigError`` is mined from its labels, without cached masks.
     """
-    return _batch_hard(batch.features, batch.labels, margin, _dist)
+    try:
+        masks = batch.structure.pairs
+    except ConfigError:
+        masks = PairMasks.of(np.unique(batch.labels, return_inverse=True)[1])
+    return _batch_hard(batch.features, margin, masks)
 
 
 def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
     """Batch-hard triplet loss mined separately inside each of the two modalities."""
-    mod_codes = batch.structure.mod_codes
     value = 0.0
     grad = np.zeros_like(batch.features)
     parts = []
-    for code in range(2):
-        idx = np.flatnonzero(mod_codes == code)
-        part = _batch_hard(batch.features[idx], batch.labels[idx], margin)
+    for idx, masks in batch.structure.modality_pairs:
+        part = _batch_hard(batch.features[idx], margin, masks)
         value += part.value
         grad[idx] += part.grad
         parts.append(part.mining)
     return LossOutput(value, grad, Mining(parts=tuple(parts)))
 
 
-def msel(
-    batch: LabeledBatch, metric: str = "euclid", *, _dist: np.ndarray | None = None
-) -> LossOutput:
+def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
     """Mean squared gap between within-modality and cross-modality positive distances.
 
     For each anchor, the mean distance to its same-identity same-modality rows
@@ -242,8 +262,18 @@ def msel(
     over all 2PK anchors. Driving it to zero makes positive pairs look the
     same whether or not they cross the modality boundary.
 
-    ``_dist`` is internal: :func:`stage2_objective` passes the ``metric``
-    matrix it shares with :func:`hard_triplet_global`.
+    Every pair it reads lies inside one identity, so the euclid metric works
+    on the P identity blocks of 2K rows (``BatchStructure.blocks``), builds
+    only their within-block distances, and scatters the gradient back to the
+    rows. Its anchor sums then run over a block row instead of a batch row
+    that is zero outside the block. numpy sums a row pairwise, in 8
+    interleaved partial sums, so the two agree bit for bit when 2K is a
+    multiple of 8 and each block starts at a multiple of 2K in the batch
+    (``sample_batch``'s layout, in any identity order); otherwise they can
+    differ in the last bits. The cosine metric runs the same body on one
+    block holding the whole batch in row order, which is the dense n x n form
+    bit for bit: its identity-block form moved the gradient checker's pinned
+    cosine error, whose batches have 2K = 6.
     """
     if metric not in MSEL_METRICS:
         raise ConfigError(f"msel metric must be one of {MSEL_METRICS}")
@@ -251,30 +281,34 @@ def msel(
     k = s.k
     if k < 2:
         raise ConfigError("msel needs k >= 2 rows per (identity, modality) cell")
-    feats = batch.features
-    n = feats.shape[0]
-    dist = pairwise_distances(feats, metric) if _dist is None else _dist
-    same_id = s.id_codes[:, None] == s.id_codes[None, :]
-    same_mod = s.mod_codes[:, None] == s.mod_codes[None, :]
-    off = ~np.eye(n, dtype=bool)
-    intra = same_id & same_mod & off
-    cross = same_id & ~same_mod
-    d_intra = (dist * intra).sum(axis=1) / (k - 1)
-    d_cross = (dist * cross).sum(axis=1) / k
-    diff = d_intra - d_cross
-    value = float((diff**2).mean())
+    n = len(batch)
+    if metric == "euclid":
+        blocks, (intra, cross) = s.blocks, s.block_pairs
+        x = batch.features[blocks]
+        delta = x[:, :, None, :] - x[:, None, :, :]
+        dist = np.sqrt(np.einsum("pijk,pijk->pij", delta, delta))
+    else:
+        blocks, (intra, cross) = np.arange(n)[None], s.batch_pairs
+        x = batch.features[blocks]
+        dist = pairwise_distances(batch.features, "cosine")[None]
+    diff = (dist * intra).sum(axis=-1) / (k - 1) - (dist * cross).sum(axis=-1) / k
+    by_row = np.empty(n)
+    by_row[blocks] = diff  # the mean sums in row order
+    value = float((by_row**2).mean())
 
     # d(value)/d(dist[a, i]) for each anchor a and partner i, then chain through
     # the metric. Each unordered pair appears twice in the anchor sum, once per
     # role, so the per-pair weight is symmetrized before the chain rule.
-    w = (2.0 * diff / n)[:, None] * (intra / (k - 1.0) - cross / float(k))
-    sym = w + w.T
+    w = (2.0 * diff / n)[..., None] * (intra / (k - 1.0) - cross / float(k))
+    sym = w + w.transpose(0, 2, 1)
+    grad = np.empty_like(batch.features)
     if metric == "euclid":
-        return LossOutput(value, _pair_weight_grad(sym, dist, feats), Mining(dist=dist, off=off))
-    norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))
-    sim = 1.0 - dist
-    coef = (sym * sim).sum(axis=1) / norms**2
-    grad = coef[:, None] * feats - (sym / (norms[:, None] * norms[None, :])) @ feats
+        g = np.divide(sym, dist, out=np.zeros_like(sym), where=dist > 0)
+        grad[blocks] = _pair_weight_grad(g, x)
+        return LossOutput(value, grad, Mining(dist=dist, off=intra | cross))
+    norms = np.sqrt(np.einsum("pij,pij->pi", x, x))
+    coef = (sym * (1.0 - dist)).sum(axis=-1) / norms**2
+    grad[blocks] = coef[..., None] * x - (sym / (norms[..., None] * norms[:, None, :])) @ x
     return LossOutput(value, grad)
 
 
@@ -284,8 +318,7 @@ def compute_centers(batch: LabeledBatch) -> CenterStats:
     if len(s.identities) < 2:
         raise ConfigError("center statistics need at least two identities")
     feats = as_matrix(batch.features)
-    own = s.id_codes[None, :] == np.arange(len(s.identities))[:, None]
-    count = own.sum(axis=1)
+    own, count = s.members
     centers = (own @ feats) / count[:, None]
     diff = feats[None, :, :] - centers[:, None, :]
     dist = np.sqrt(np.einsum("cnd,cnd->cn", diff, diff))
@@ -320,7 +353,7 @@ def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
     if mode != "all":
         empty = np.flatnonzero(~sel.any(axis=1))
         sel[empty, np.where(other, dist, np.inf)[empty].argmin(axis=1)] = True
-    own_w = own / own.sum(axis=1, keepdims=True)
+    own_w = own / batch.structure.members[1][:, None]
     sel_w = sel / sel.sum(axis=1, keepdims=True)
     num = float((own_w * dist).sum())
     den = float((sel_w * dist).sum())
@@ -331,11 +364,10 @@ def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
     # through own_w, the averaging matrix that produced them.
     w = own_w / den - (num / den**2) * sel_w
     n = len(feats)
-    pair_w = np.zeros((n + len(w),) * 2)
-    pair_d = np.zeros_like(pair_w)
-    pair_w[n:, :n], pair_w[:n, n:] = w, w.T
-    pair_d[n:, :n], pair_d[:n, n:] = dist, dist.T
-    g = _pair_weight_grad(pair_w, pair_d, np.vstack([feats, stats.centers]))
+    g = np.zeros((n + len(w),) * 2)
+    g[n:, :n] = np.divide(w, dist, out=np.zeros_like(w), where=dist > 0)
+    g[:n, n:] = g[n:, :n].T
+    g = _pair_weight_grad(g, np.vstack([feats, stats.centers]))
     grad = g[:n] + own_w.T @ g[n:]
     return LossOutput(num / den, grad, mining)
 
@@ -373,19 +405,17 @@ def stage2_objective(
 
     The identity term is off by default here and can be re-enabled through
     ``cfg.include_id_stage2``; with both lambdas at zero the result equals
-    the global hard-triplet loss exactly. The euclid distance matrix is built
-    once and read by the triplet and, for the euclid metric, by ``msel``.
+    the global hard-triplet loss exactly.
     """
     cfg.validate()
     _check_stage(batch, Stage.STAGE2)
-    dist = pairwise_distances(batch.features, "euclid")
-    tri = hard_triplet_global(batch, cfg.margin, _dist=dist)
+    tri = hard_triplet_global(batch, cfg.margin)
     value = tri.value
     grad = tri.grad.copy()
     terms = {"global": tri.value}
     mined = [tri.mining]
     if cfg.lambda1 > 0:
-        part = msel(batch, cfg.msel_metric, _dist=dist if cfg.msel_metric == "euclid" else None)
+        part = msel(batch, cfg.msel_metric)
         value += cfg.lambda1 * part.value
         grad += cfg.lambda1 * part.grad
         terms["msel"] = part.value

@@ -14,6 +14,7 @@ batch-norm running statistics stay outside it.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass, replace
 
@@ -51,11 +52,18 @@ def check_momentum(momentum: float) -> None:
 def _pack(obj) -> None:
     """Copy ``obj``'s trainable tensors into ``obj.flat`` and rebind each to its view."""
     tensors = [np.asarray(getattr(obj, name)) for name in TRAINABLE]
-    obj.flat = np.concatenate([t.ravel() for t in tensors], dtype=np.float64)
+    flat = np.concatenate([t.ravel() for t in tensors], dtype=np.float64)
+    _bind(obj, flat, [t.shape for t in tensors])
+
+
+def _bind(obj, flat: np.ndarray, shapes) -> None:
+    """Make ``flat`` ``obj``'s buffer and each trainable tensor its view, in ``TRAINABLE`` order."""
+    obj.flat = flat
     start = 0
-    for name, t in zip(TRAINABLE, tensors):
-        setattr(obj, name, obj.flat[start : start + t.size].reshape(t.shape))
-        start += t.size
+    for name, shape in zip(TRAINABLE, shapes):
+        size = math.prod(shape)
+        setattr(obj, name, flat[start : start + size].reshape(shape))
+        start += size
 
 
 @dataclass
@@ -118,6 +126,13 @@ class ModelGrads:
 
     def __post_init__(self):
         _pack(self)
+
+    @classmethod
+    def adopt(cls, flat: np.ndarray, like: ModelParams) -> "ModelGrads":
+        """Tensors shaped like ``like``'s that are views of ``flat`` itself, not a copy."""
+        grads = cls.__new__(cls)
+        _bind(grads, flat, [getattr(like, name).shape for name in TRAINABLE])
+        return grads
 
     def __getitem__(self, name: str) -> np.ndarray:
         return getattr(self, name)
@@ -222,8 +237,10 @@ def backward(
         d_logits = np.asarray(d_logits, dtype=np.float64)
         if d_logits.shape != trace.logits.shape:
             raise DimensionError("d_logits shape does not match the traced logits")
-    g_wc = trace.bn_embeddings.T @ d_logits
-    g_bc = d_logits.sum(axis=0)
+    # every gradient is written straight into its slice of one flat buffer
+    grads = ModelGrads.adopt(np.empty_like(params.flat), params)
+    np.matmul(trace.bn_embeddings.T, d_logits, out=grads.wc)
+    d_logits.sum(axis=0, out=grads.bc)
 
     d_bn = d_logits @ params.wc.T
     if d_bn_embeddings is not None:
@@ -232,8 +249,8 @@ def backward(
             raise DimensionError("d_bn_embeddings shape does not match the trace")
         d_bn = d_bn + d_bn_embeddings
 
-    g_gamma = (d_bn * trace.xhat).sum(axis=0)
-    g_beta = d_bn.sum(axis=0)
+    (d_bn * trace.xhat).sum(axis=0, out=grads.bn_gamma)
+    d_bn.sum(axis=0, out=grads.bn_beta)
     dxhat = d_bn * params.bn_gamma
     if trace.mode == TRAIN:
         xmu = trace.embeddings - trace.mean
@@ -249,16 +266,16 @@ def backward(
             raise DimensionError("d_embeddings shape does not match the trace")
         d_emb = d_emb + d_embeddings
 
-    g_w2 = trace.a1.T @ d_emb
-    g_b2 = d_emb.sum(axis=0)
+    np.matmul(trace.a1.T, d_emb, out=grads.w2)
+    d_emb.sum(axis=0, out=grads.b2)
     d_a1 = d_emb @ params.w2.T
     if params.activation == "relu":
         d_z1 = d_a1 * (trace.z1 > 0)
     else:
         d_z1 = d_a1
-    g_w1 = trace.x.T @ d_z1
-    g_b1 = d_z1.sum(axis=0)
-    return ModelGrads(g_w1, g_b1, g_w2, g_b2, g_gamma, g_beta, g_wc, g_bc)
+    np.matmul(trace.x.T, d_z1, out=grads.w1)
+    d_z1.sum(axis=0, out=grads.b1)
+    return grads
 
 
 def update_bn_stats(params: ModelParams, trace: ForwardTrace, momentum: float = 0.1) -> None:

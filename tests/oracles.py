@@ -169,6 +169,47 @@ def msel(feats, labels, mods, metric="euclid"):
     return total / n
 
 
+def msel_grad(feats, labels, mods):
+    """Gradient of euclid :func:`msel`, accumulated anchor by anchor.
+
+    Each anchor's squared gap weighs the unit vectors to its partners by
+    2 * gap / n over the partner count, positive for same-modality partners
+    and negative for the others, mirrored onto the partner; a partner at
+    distance 0 adds nothing.
+    """
+    n, dim = len(feats), len(feats[0])
+    grad = [[0.0] * dim for _ in range(n)]
+    for i in range(n):
+        intra = [j for j in range(n) if j != i and labels[j] == labels[i] and mods[j] == mods[i]]
+        cross = [j for j in range(n) if labels[j] == labels[i] and mods[j] != mods[i]]
+        gap = sum(euclid(feats[i], feats[j]) for j in intra) / len(intra)
+        gap -= sum(euclid(feats[i], feats[j]) for j in cross) / len(cross)
+        for partners, sign in ((intra, 1.0), (cross, -1.0)):
+            coef = sign * 2.0 * gap / n / len(partners)
+            for j in partners:
+                d = euclid(feats[i], feats[j])
+                if d > 0:
+                    for c in range(dim):
+                        u = coef * (feats[i][c] - feats[j][c]) / d
+                        grad[i][c] += u
+                        grad[j][c] -= u
+    return grad
+
+
+def msel_gap(feats, labels):
+    """Distance from the inputs to the nearest kink of euclid :func:`msel`.
+
+    Its only kink is a coincident pair, and it reads only pairs of distinct
+    rows of one identity: the smallest such distance.
+    """
+    gap = math.inf
+    for i in range(len(feats)):
+        for j in range(len(feats)):
+            if j != i and labels[j] == labels[i]:
+                gap = min(gap, euclid(feats[i], feats[j]))
+    return gap
+
+
 def centers_of(feats, labels):
     """Per-identity mean rows, identities in ascending order."""
     out = {}

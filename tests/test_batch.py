@@ -95,8 +95,8 @@ def test_sample_batch_structure_and_determinism():
     for stage in (Stage.STAGE1, Stage.STAGE2):
         batch = sample_batch(ds, spec, stage, RngStream(5))
         assert len(batch) == spec.rows
-        assert batch.modality_values() == tuple(sorted(stage.modality_pair))
-        assert len(batch.identity_values()) == spec.p
+        assert batch.structure.modalities == tuple(sorted(stage.modality_pair))
+        assert len(batch.structure.identities) == spec.p
         assert batch.cell_count() == spec.k
         # rows are drawn without replacement: all distinct
         combos = {(int(l), str(m), tuple(f)) for l, m, f in

@@ -246,6 +246,16 @@ def test_invalid_model_or_optimizer_value_exits_1_before_creating_the_run(
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("override", ["loss.margin=nan", "loss.lambda1=inf", "loss.lambda2=nan"])
+def test_invalid_loss_value_exits_1_before_creating_the_run(small_data, tmp_path, capsys, override):
+    cfg = write_small_config(tmp_path, small_data)
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--set", override, "--out", str(run_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not run_dir.exists()
+
+
 def test_run_directory_holds_no_temporary_files(small_data, tmp_path, capsys):
     cfg = write_small_config(tmp_path, small_data)
     run_dir = tmp_path / "run"

@@ -482,3 +482,22 @@ def test_loss_config_validation():
         LossConfig(msel_metric="dot").validate()
     with pytest.raises(ConfigError):
         LossConfig(dcl_mode="soft").validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_loss_config_rejects_a_margin_that_is_not_finite_and_nonnegative(value):
+    # a NaN margin makes every hinge comparison false: the triplet term reads 0
+    with pytest.raises(ConfigError, match="^margin must be finite and >= 0$"):
+        LossConfig(margin=value).validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_loss_config_rejects_a_lambda1_that_is_not_finite_and_nonnegative(value):
+    with pytest.raises(ConfigError, match="^lambda1 must be finite and >= 0$"):
+        LossConfig(lambda1=value).validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_loss_config_rejects_a_lambda2_that_is_not_finite_and_nonnegative(value):
+    with pytest.raises(ConfigError, match="^lambda2 must be finite and >= 0$"):
+        LossConfig(lambda2=value).validate()

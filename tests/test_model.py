@@ -9,6 +9,7 @@ from crossmodal.model import (
     EVAL,
     TRAIN,
     TRAINABLE,
+    ModelGrads,
     backward,
     extract_test_features,
     forward,
@@ -160,6 +161,23 @@ def _assert_packed(tensors):
         assert np.shares_memory(getattr(tensors, name), tensors.flat), name
     want = np.concatenate([getattr(tensors, name).ravel() for name in TRAINABLE])
     assert tensors.flat.dtype == np.float64 and np.array_equal(tensors.flat, want)
+
+
+def test_adopted_gradients_are_views_of_the_given_buffer(rng):
+    p = make_params(rng)
+    flat = rng.normal(size=p.flat.size)
+    grads = ModelGrads.adopt(flat, p)
+    assert grads.flat is flat
+    _assert_packed(grads)
+    for name in TRAINABLE:
+        assert grads[name].shape == getattr(p, name).shape
+    # backward fills a new buffer on every call, and the same inputs fill it the same
+    _, _, _, trace = forward(p, rng.normal(size=(6, 5)), TRAIN)
+    d_emb, d_logits = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+    first = backward(trace, p, d_embeddings=d_emb, d_logits=d_logits)
+    again = backward(trace, p, d_embeddings=d_emb, d_logits=d_logits)
+    assert first.flat.tobytes() == again.flat.tobytes()
+    assert not np.shares_memory(first.flat, again.flat)
 
 
 def test_trainable_tensors_are_views_of_one_flat_vector(rng, tmp_path):
