@@ -49,7 +49,6 @@ KEY_SPECS: dict[str, tuple[tuple[str, ...], object]] = {
     "batch.k": (("train", "k"), int),
     "model.hidden_dim": (("train", "hidden_dim"), int),
     "model.embed_dim": (("train", "embed_dim"), int),
-    "model.activation": (("train", "activation"), str),
     "model.bn_momentum": (("train", "bn_momentum"), float),
     "loss.margin": (("train", "loss", "margin"), float),
     "loss.lambda1": (("train", "loss", "lambda1"), float),

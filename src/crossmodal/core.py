@@ -59,6 +59,16 @@ def cosine_distance(a, b) -> float:
     return float(1.0 - np.dot(va, vb) / (na * nb))
 
 
+def _euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclid distances from each row of ``a`` to each row of ``b``, over stacked leading axes.
+
+    Entry ``[..., i, j]`` reduces ``a[..., i, :] - b[..., j, :]``, which
+    swapping ``a`` and ``b`` negates exactly, so the result transposes bitwise.
+    """
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    return np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff))
+
+
 def pairwise_distances(batch, metric: str = "euclid") -> np.ndarray:
     """All-pairs distance matrix over the rows of ``batch``.
 
@@ -66,14 +76,12 @@ def pairwise_distances(batch, metric: str = "euclid") -> np.ndarray:
     differences (which negate exactly under row swap), and cosine similarities
     are computed once per unordered pair and mirrored.
 
-    Euclid entries are ``sqrt(einsum(diff, diff))`` over the length-d
-    difference of the two rows. Row block ``[a, a + _BLOCK)`` is differenced
-    against rows ``[a, n)`` only, in increasing ``a``, and the columns
-    ``[0, a)`` of the block are mirrored from the blocks above it; a batch of
-    at most ``_BLOCK`` rows is one block. Each entry still reduces the same
-    difference vector (or its exact negation, which squares to the same
-    terms), so the matrix is bitwise equal to the one-shot n x n x d form
-    while the largest temporary shrinks from n*n*d to _BLOCK*n*d floats.
+    Euclid entries come from :func:`_euclid`, row block ``[a, a + _BLOCK)``
+    against rows ``[a, n)`` only, in increasing ``a``; the block's columns
+    ``[0, a)`` are mirrored from the blocks above it, and a batch of at most
+    ``_BLOCK`` rows is one block. So the matrix is bitwise equal to the
+    one-shot n x n x d form while the largest temporary shrinks from n*n*d to
+    _BLOCK*n*d floats.
     """
     x = as_matrix(batch)
     if metric not in METRICS:
@@ -83,8 +91,7 @@ def pairwise_distances(batch, metric: str = "euclid") -> np.ndarray:
         out = np.empty((n, n))
         for a in range(0, n, _BLOCK):
             b = min(a + _BLOCK, n)
-            diff = x[a:b, None, :] - x[None, a:, :]
-            out[a:b, a:] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            out[a:b, a:] = _euclid(x[a:b], x[a:])
             out[a:b, :a] = out[:a, a:b].T
         return out
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
@@ -105,8 +112,7 @@ def cross_distances(a, b, metric: str = "euclid") -> np.ndarray:
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if metric == "euclid":
-        diff = xa[:, None, :] - xb[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        return _euclid(xa, xb)
     na = np.sqrt(np.einsum("ij,ij->i", xa, xa))
     nb = np.sqrt(np.einsum("ij,ij->i", xb, xb))
     if (na <= NORM_EPS).any() or (nb <= NORM_EPS).any():

@@ -2,11 +2,11 @@
 
 Each component check draws random "general position" instances: batches are
 resampled until every hinge argument, hardest-pair margin, selection
-threshold, and rectifier pre-activation sits at least ``TIE_TOL`` away from
+threshold, and rectifier input sits at least ``TIE_TOL`` away from
 its non-smooth point, so a 1e-6 perturbation cannot flip any discrete choice.
 The mining decisions are not re-derived here: regularity reads the
 :class:`~crossmodal.losses.Mining` record each loss returns, through its
-``gap``. Only two tests are local: the rectifier pre-activations of the model
+``gap``. Only two tests are local: the rectifier inputs of the model
 check, and the norm floor that keeps cosine ``msel`` well conditioned.
 
 One table maps each component to a drawer of ``(analytic, value_fn, x)``
@@ -163,7 +163,7 @@ def _model(stage: Stage):
             params = model.init_params(in_dim, hidden, embed, p, s)
             return (params, *loss_and_grads(params, raw, stage, _BASE, raw.labels))
 
-        def regular(candidate) -> bool:  # init_params' encoder is a relu one
+        def regular(candidate) -> bool:
             _, out, _, trace = candidate
             return np.abs(trace.z1).min() >= TIE_TOL and _gap(out) >= TIE_TOL
 

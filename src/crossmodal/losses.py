@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch import LabeledBatch, PairMasks, Stage
-from .core import as_matrix, pairwise_distances
+from .core import _euclid, as_matrix, pairwise_distances
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -228,16 +228,8 @@ def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutpu
 
 
 def hard_triplet_global(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
-    """Batch-hard triplet loss mined over all rows, ignoring modality tags.
-
-    It needs no even cells: a batch that fails validation with a
-    ``ConfigError`` is mined from its labels, without cached masks.
-    """
-    try:
-        masks = batch.structure.pairs
-    except ConfigError:
-        masks = PairMasks.of(np.unique(batch.labels, return_inverse=True)[1])
-    return _batch_hard(batch.features, margin, masks)
+    """Batch-hard triplet loss mined over all rows, ignoring modality tags."""
+    return _batch_hard(batch.features, margin, batch.structure.pairs)
 
 
 def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
@@ -285,8 +277,7 @@ def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
     if metric == "euclid":
         blocks, (intra, cross) = s.blocks, s.block_pairs
         x = batch.features[blocks]
-        delta = x[:, :, None, :] - x[:, None, :, :]
-        dist = np.sqrt(np.einsum("pijk,pijk->pij", delta, delta))
+        dist = _euclid(x, x)
     else:
         blocks, (intra, cross) = np.arange(n)[None], s.batch_pairs
         x = batch.features[blocks]
@@ -320,8 +311,7 @@ def compute_centers(batch: LabeledBatch) -> CenterStats:
     feats = as_matrix(batch.features)
     own, count = s.members
     centers = (own @ feats) / count[:, None]
-    diff = feats[None, :, :] - centers[:, None, :]
-    dist = np.sqrt(np.einsum("cnd,cnd->cn", diff, diff))
+    dist = _euclid(centers, feats)
     neg_margins = (dist * ~own).sum(axis=1) / (len(feats) - count)
     return CenterStats(s.identities, centers, neg_margins, own, dist)
 

@@ -26,18 +26,16 @@ from .errors import ConfigError, DimensionError, StateError
 BN_EPS = 1e-5
 TRAIN = "train"
 EVAL = "eval"
-ACTIVATIONS = ("relu", "identity")
 TRAINABLE = ("w1", "b1", "w2", "b2", "bn_gamma", "bn_beta", "wc", "bc")
 _PARAM_NAMES = (*TRAINABLE, "bn_running_mean", "bn_running_var")
 
 _CHECKPOINT_VERSION = 1
+_CHECKPOINT_ACTIVATION = "relu"  # the ``activation`` field: the encoder is always rectified
 _OPT_HYPER = ("base_lr", "beta1", "beta2", "eps", "weight_decay")  # the order of ``opt_hyper``
 
 
-def check_encoder(activation: str, **sizes: int) -> None:
-    """A known activation, and every given layer size >= 1."""
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"activation must be one of {ACTIVATIONS}")
+def check_encoder(**sizes: int) -> None:
+    """Every given layer size >= 1."""
     for name, val in sizes.items():
         if int(val) < 1:
             raise ConfigError(f"{name} must be >= 1")
@@ -80,10 +78,8 @@ class ModelParams:
     bn_running_var: np.ndarray
     wc: np.ndarray
     bc: np.ndarray
-    activation: str = "relu"
 
     def __post_init__(self):
-        check_encoder(self.activation)
         _pack(self)
 
     @property
@@ -161,12 +157,9 @@ def init_params(
     embed_dim: int,
     n_classes: int,
     rng: RngStream,
-    activation: str = "relu",
 ) -> ModelParams:
     """Gaussian(0, 2/fan_in) weights, zero biases, unit-gain batch norm."""
-    check_encoder(
-        activation, in_dim=in_dim, hidden_dim=hidden_dim, embed_dim=embed_dim, n_classes=n_classes
-    )
+    check_encoder(in_dim=in_dim, hidden_dim=hidden_dim, embed_dim=embed_dim, n_classes=n_classes)
     return ModelParams(
         w1=rng.normal(scale=np.sqrt(2.0 / in_dim), size=(in_dim, hidden_dim)),
         b1=np.zeros(hidden_dim),
@@ -178,7 +171,6 @@ def init_params(
         bn_running_var=np.ones(embed_dim),
         wc=rng.normal(scale=np.sqrt(2.0 / embed_dim), size=(embed_dim, n_classes)),
         bc=np.zeros(n_classes),
-        activation=activation,
     )
 
 
@@ -197,7 +189,7 @@ def forward(
     if xm.shape[1] != params.in_dim:
         raise DimensionError(f"input has {xm.shape[1]} dims, model expects {params.in_dim}")
     z1 = xm @ params.w1 + params.b1
-    a1 = np.maximum(z1, 0.0) if params.activation == "relu" else z1
+    a1 = np.maximum(z1, 0.0)
     emb = a1 @ params.w2 + params.b2
     if mode == TRAIN:
         if xm.shape[0] < 2:
@@ -269,10 +261,7 @@ def backward(
     np.matmul(trace.a1.T, d_emb, out=grads.w2)
     d_emb.sum(axis=0, out=grads.b2)
     d_a1 = d_emb @ params.w2.T
-    if params.activation == "relu":
-        d_z1 = d_a1 * (trace.z1 > 0)
-    else:
-        d_z1 = d_a1
+    d_z1 = d_a1 * (trace.z1 > 0)
     np.matmul(trace.x.T, d_z1, out=grads.w1)
     d_z1.sum(axis=0, out=grads.b1)
     return grads
@@ -308,7 +297,7 @@ def save_checkpoint(path, params: ModelParams, optim_state=None) -> None:
     """
     arrays: dict[str, np.ndarray] = {
         "format_version": np.array(_CHECKPOINT_VERSION),
-        "activation": np.array(params.activation),
+        "activation": np.array(_CHECKPOINT_ACTIVATION),
     }
     for name in _PARAM_NAMES:
         arrays[f"param_{name}"] = getattr(params, name)
@@ -326,9 +315,10 @@ def load_checkpoint(path):
     """Read a checkpoint back into ``(ModelParams, OptimState | None)``.
 
     A file that is not a readable ``.npz`` archive (truncated, corrupted, a
-    bare ``.npy`` array, or something else entirely), that lacks a field, or
-    whose tensors have the wrong shape or non-finite values raises
-    ``StateError`` naming the path and, when one is at fault, the field.
+    bare ``.npy`` array, or something else entirely), that lacks a field, whose
+    ``activation`` is not ``relu``, or whose tensors have the wrong shape or
+    non-finite values raises ``StateError`` naming the path and, when one is
+    at fault, the field.
     """
     try:
         return _read_checkpoint(path)
@@ -348,6 +338,9 @@ def _read_checkpoint(path):
         version = int(data["format_version"])
         if version != _CHECKPOINT_VERSION:
             raise StateError(f"unsupported checkpoint version {version}")
+        activation = str(data["activation"])
+        if activation != _CHECKPOINT_ACTIVATION:
+            raise StateError(f"checkpoint {path}: activation is {activation!r}, not 'relu'")
         has_optim = "opt_step_count" in data
         shapes = _field_shapes(path, *(data[f"param_{name}"] for name in ("w1", "w2", "wc")))
         arrays = {
@@ -355,10 +348,7 @@ def _read_checkpoint(path):
             for key, shape in shapes.items()
             if has_optim or key.startswith("param_")
         }
-        params = ModelParams(
-            activation=str(data["activation"]),
-            **{name: arrays[f"param_{name}"] for name in _PARAM_NAMES},
-        )
+        params = ModelParams(**{name: arrays[f"param_{name}"] for name in _PARAM_NAMES})
         optim_state = None
         if has_optim:
             optim_state = OptimState(

@@ -60,8 +60,8 @@ def init_optim_state(
         beta2=beta2,
         eps=eps,
         weight_decay=weight_decay,
-        m=ModelGrads(**{name: np.zeros_like(getattr(params, name)) for name in TRAINABLE}),
-        v=ModelGrads(**{name: np.zeros_like(getattr(params, name)) for name in TRAINABLE}),
+        m=ModelGrads.adopt(np.zeros_like(params.flat), params),
+        v=ModelGrads.adopt(np.zeros_like(params.flat), params),
     )
 
 

@@ -184,10 +184,16 @@ def load_features(path) -> SynthDataset:
     """Parse a feature file written by :func:`save_features`.
 
     Raises :class:`ParseError` with a 1-based line number for any malformed
-    header, row, token, or non-finite value. Blank lines are skipped.
+    header, row, token, non-ASCII byte (a byte-order mark included), identity
+    outside int64, or non-finite value. Blank lines are skipped.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"non-ASCII byte {raw[exc.start]:#04x}", line=line) from None
     if not lines:
         raise ParseError("empty feature file", line=1)
     header = lines[0].split(",")
@@ -212,6 +218,8 @@ def load_features(path) -> SynthDataset:
             raise ParseError(f"identity {tokens[0]!r} is not an integer", line=lineno) from None
         if ident < 0:
             raise ParseError("identity must be non-negative", line=lineno)
+        if ident >= 2**63:
+            raise ParseError(f"identity {ident} does not fit in int64", line=lineno)
         if tokens[1] not in MODALITY_CODES:
             raise ParseError(f"unknown modality tag {tokens[1]!r}", line=lineno)
         try:

@@ -58,7 +58,6 @@ class TrainConfig:
     k: int = 4
     hidden_dim: int = 32
     embed_dim: int = 16
-    activation: str = "relu"
     bn_momentum: float = 0.1
     epochs: int = 40
     stage1_epochs: int = 10
@@ -92,7 +91,7 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 0")
         check_lr_range(self.base_lr, self.resolved_min_lr())
         check_adam(self.base_lr, self.beta1, self.beta2, self.adam_eps, self.weight_decay)
-        check_encoder(self.activation, hidden_dim=self.hidden_dim, embed_dim=self.embed_dim)
+        check_encoder(hidden_dim=self.hidden_dim, embed_dim=self.embed_dim)
         check_momentum(self.bn_momentum)
         RngStream(self.seed)  # the stream's own seed check
         BatchSpec(self.p, self.k)
@@ -158,12 +157,13 @@ def evaluate_params(
     )
 
 
-def _check_dataset(dataset: SynthDataset, cfg: TrainConfig, stages: set[Stage]) -> None:
+def check_dataset(dataset: SynthDataset, cfg: TrainConfig) -> None:
+    """``ConfigError`` unless every stage the schedule plays can draw its P x K batches."""
     spec = BatchSpec(cfg.p, cfg.k)
     ids = dataset.identities
     if len(ids) < spec.p:
         raise ConfigError(f"dataset has {len(ids)} identities, batches need {spec.p}")
-    for stage in stages:
+    for stage in dict.fromkeys(stage_for_epoch(cfg, e) for e in range(cfg.epochs)):
         for mod in stage.modality_pair:
             short = [i for i in ids if dataset.count_of(int(i), mod) < spec.k]
             if short:
@@ -215,8 +215,7 @@ def train(
     provided, e.g. to stream logs or save checkpoints.
     """
     cfg.validate()
-    stages = {stage_for_epoch(cfg, e) for e in range(cfg.epochs)}
-    _check_dataset(dataset, cfg, stages)
+    check_dataset(dataset, cfg)
     classes = dataset.identities
     spec = BatchSpec(cfg.p, cfg.k)
     root = RngStream(cfg.seed)
@@ -226,7 +225,6 @@ def train(
         cfg.embed_dim,
         n_classes=len(classes),
         rng=root.child(0),
-        activation=cfg.activation,
     )
     fresh_optimizer = partial(
         init_optim_state, params, cfg.base_lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay

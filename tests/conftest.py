@@ -25,6 +25,7 @@ CORRUPT_CHECKPOINT_KINDS = (
     "text_bc",
     "nan_opt_m_w1",
     "wrong_shape_opt_v_bc",
+    "identity_activation",
 )
 
 
@@ -50,6 +51,7 @@ def write_corrupt_checkpoints(tmp_path):
         "text_bc": ("param_bc", np.array(["a", "b"]), "param_bc has dtype <U1"),
         "nan_opt_m_w1": ("opt_m_w1", np.full((4, 5), np.nan), "opt_m_w1 has non-finite values"),
         "wrong_shape_opt_v_bc": ("opt_v_bc", np.zeros((2, 1)), "opt_v_bc has shape (2, 1)"),
+        "identity_activation": ("activation", np.array("identity"), "activation is 'identity'"),
     }
     for kind, (field, value, fragment) in tampered.items():
         fields = dict(np.load(good))

@@ -15,7 +15,7 @@ from crossmodal.batch import (
 )
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, DimensionError, NumericError, SamplingError
-from crossmodal.losses import compute_centers, hard_triplet_intra, msel
+from crossmodal.losses import compute_centers, hard_triplet_global, hard_triplet_intra, msel
 from crossmodal.synthdata import SynthDataset, make_benchmark
 
 
@@ -124,7 +124,13 @@ def test_structure_survives_feature_swap_but_not_label_change():
     with pytest.raises(ValueError):
         batch.labels[0] = 1  # the arrays a structure was derived from are read-only
     uneven = replace(batch, labels=[0, 0, 0, 1, 1, 1, 1, 1])
-    for use in (LabeledBatch.cell_count, msel, compute_centers, hard_triplet_intra):
+    for use in (
+        LabeledBatch.cell_count,
+        msel,
+        compute_centers,
+        hard_triplet_intra,
+        hard_triplet_global,
+    ):
         with pytest.raises(ConfigError, match="uneven"):
             use(uneven)
 

@@ -256,6 +256,62 @@ def test_invalid_loss_value_exits_1_before_creating_the_run(small_data, tmp_path
     assert not run_dir.exists()
 
 
+def _filtered(name, keep):
+    """A copy of the data file holding its header and the rows ``keep`` accepts."""
+
+    def write(tmp_path, data_path):
+        header, *rows = data_path.read_text().splitlines(keepends=True)
+        path = tmp_path / name
+        path.write_text(header + "".join(row for row in rows if keep(row)))
+        return path
+
+    return write
+
+
+_one_identity = _filtered("one_id.csv", lambda row: row.startswith("0,"))
+_without_gray = _filtered("no_gray.csv", lambda row: ",gray," not in row)
+
+
+@pytest.mark.parametrize(
+    "data,override,needle",
+    [
+        (None, "batch.p=1000", "batches need 1000"),
+        (_one_identity, "batch.p=3", "dataset has 1 identities"),
+        (_without_gray, "train.schedule=gray_first", "'gray' rows per identity"),
+    ],
+    ids=["batch_p_1000", "one_identity", "no_gray"],
+)
+def test_unusable_dataset_exits_1_before_creating_the_run(
+    small_data, tmp_path, capsys, data, override, needle
+):
+    data_path = small_data if data is None else data(tmp_path, small_data)
+    cfg = write_small_config(tmp_path, data_path)
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--set", override, "--out", str(run_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "content,needle",
+    [
+        (b"\xef\xbb\xbfid,modality,f0\n0,vis,1.0\n", "line 1: non-ASCII byte 0xef"),
+        (b"id,modality,f0\n99999999999999999999,vis,1.0\n", "line 2: identity"),
+    ],
+    ids=["byte_order_mark", "label_overflow"],
+)
+def test_unreadable_feature_file_exits_1_naming_the_line(tmp_path, capsys, content, needle):
+    data_path = tmp_path / "bad.csv"
+    data_path.write_bytes(content)
+    cfg = write_small_config(tmp_path, data_path)
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and "Traceback" not in err
+
+
 def test_run_directory_holds_no_temporary_files(small_data, tmp_path, capsys):
     cfg = write_small_config(tmp_path, small_data)
     run_dir = tmp_path / "run"
@@ -296,7 +352,6 @@ def test_interrupted_write_keeps_previous_file(tmp_path):
     "override, exit_code, prefix",
     [
         ("optim.base_lr=1e300", 2, "epoch 0, batch "),  # parameters overflow mid-epoch
-        ("batch.p=9", 1, "dataset has 4 identities"),  # the trainer's own config check
     ],
 )
 def test_failed_run_records_status(small_data, tmp_path, capsys, override, exit_code, prefix):

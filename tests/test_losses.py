@@ -362,11 +362,8 @@ def test_dcl_degenerate_when_everything_coincides():
 
 
 def test_triplet_needs_positives_and_negatives():
-    lonely = LabeledBatch(
-        np.zeros((3, 2)), [0, 1, 1], ["vis", "ir", "vis"]
-    )
-    with pytest.raises(SamplingError):
-        hard_triplet_global(lonely, 0.1)
+    with pytest.raises(SamplingError):  # k = 1: no same-modality positive
+        hard_triplet_intra(_center_example(), 0.1)
     one_id = LabeledBatch(np.zeros((4, 2)), [0] * 4, ["vis", "ir", "vis", "ir"])
     with pytest.raises(SamplingError):
         hard_triplet_global(one_id, 0.1)
@@ -426,8 +423,8 @@ def test_stage2_objective_composition(rng):
 
 
 @pytest.mark.parametrize("metric", ["euclid", "cosine"])
-def test_stage2_objective_shares_one_matrix_exactly(rng, metric):
-    # 72 rows: past the blocked-kernel threshold, so the shared matrix is blocked.
+def test_stage2_objective_is_the_exact_weighted_sum_of_its_terms(rng, metric):
+    # 72 rows: past the blocked-kernel threshold, so the triplet's distances are blocked.
     batch = make_pk_batch(rng, 6, 6, 5)
     logits = rng.normal(size=(len(batch), 6))
     cfg = LossConfig(lambda1=0.3, lambda2=0.7, msel_metric=metric)

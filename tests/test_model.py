@@ -21,8 +21,8 @@ from crossmodal.model import (
 from crossmodal.optim import init_optim_state, step
 
 
-def make_params(rng, in_dim=5, hidden=6, embed=4, classes=3, activation="relu"):
-    return init_params(in_dim, hidden, embed, classes, rng, activation=activation)
+def make_params(rng, in_dim=5, hidden=6, embed=4, classes=3):
+    return init_params(in_dim, hidden, embed, classes, rng)
 
 
 def test_init_shapes_and_defaults(rng):
@@ -36,15 +36,13 @@ def test_init_shapes_and_defaults(rng):
     assert p.in_dim == 5 and p.hidden_dim == 6 and p.embed_dim == 4 and p.n_classes == 3
     with pytest.raises(ConfigError):
         init_params(0, 6, 4, 3, rng)
-    with pytest.raises(ConfigError):
-        make_params(rng, activation="tanh")
 
 
 def test_forward_matches_hand_rolled_math(rng):
-    p = make_params(rng, activation="identity")
+    p = make_params(rng)
     x = rng.normal(size=(7, 5))
     emb, bn, logits, trace = forward(p, x, TRAIN)
-    want_emb = (x @ p.w1 + p.b1) @ p.w2 + p.b2
+    want_emb = np.maximum(x @ p.w1 + p.b1, 0) @ p.w2 + p.b2
     assert np.allclose(emb, want_emb, atol=1e-12)
     mean, var = want_emb.mean(axis=0), want_emb.var(axis=0)
     want_bn = p.bn_gamma * (want_emb - mean) / np.sqrt(var + BN_EPS) + p.bn_beta
@@ -153,7 +151,6 @@ def test_params_copy_is_deep(rng):
     q = p.copy()
     q.w1 += 1.0
     assert not np.array_equal(p.w1, q.w1)
-    assert q.activation == p.activation
 
 
 def _assert_packed(tensors):
@@ -207,7 +204,6 @@ def test_checkpoint_roundtrip_params_only(rng, tmp_path):
     assert opt is None
     for name in (*TRAINABLE, "bn_running_mean", "bn_running_var"):
         assert np.array_equal(getattr(loaded, name), getattr(p, name)), name
-    assert loaded.activation == p.activation
 
 
 def test_checkpoint_roundtrip_with_optimizer(rng, tmp_path):
