@@ -150,7 +150,7 @@ def cmd_train(args) -> int:
         raise ConfigError("config must set data.path")
     dataset = synthdata.load_features(cfg.data_path)
     eval_dataset = synthdata.load_features(cfg.eval_path) if cfg.eval_path else None
-    trainer.check_dataset(dataset, cfg.train)
+    trainer.check_dataset(dataset, cfg.train, eval_dataset)
     out_dir = args.out
     if os.path.exists(out_dir) and os.listdir(out_dir):
         raise ConfigError(f"run directory {out_dir!r} already exists and is not empty")

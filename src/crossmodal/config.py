@@ -18,13 +18,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_optional_float(text: str):
-    return None if text.strip().lower() == "none" else float(text)
-
-
 def _format_value(value) -> str:
-    if value is None:
-        return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -63,13 +57,10 @@ KEY_SPECS: dict[str, tuple[tuple[str, ...], object]] = {
     "train.eval_every": (("train", "eval_every"), int),
     "train.eval_direction": (("train", "eval_direction"), str),
     "optim.base_lr": (("train", "base_lr"), float),
-    "optim.min_lr": (("train", "min_lr"), _parse_optional_float),
     "optim.beta1": (("train", "beta1"), float),
     "optim.beta2": (("train", "beta2"), float),
     "optim.eps": (("train", "adam_eps"), float),
     "optim.weight_decay": (("train", "weight_decay"), float),
-    "optim.per_step_schedule": (("train", "per_step_schedule"), _parse_bool),
-    "optim.reset_at_switch": (("train", "reset_optimizer_at_switch"), _parse_bool),
 }
 
 
@@ -136,15 +127,15 @@ def parse_config_file(path) -> RunConfig:
 def resolved_items(cfg: RunConfig) -> list[tuple[str, str]]:
     """Every known key with its current value, serialized for replay.
 
-    Keys whose value is unset (None) are omitted; parsing the result restores
-    the same config. The only parseable None is ``optim.min_lr=none``.
+    Unset data paths (None) are omitted; parsing the result restores the
+    same config.
     """
     items = []
     for key, (path, _) in KEY_SPECS.items():
         target = cfg
         for attr in path:
             target = getattr(target, attr)
-        if target is None and key != "optim.min_lr":
+        if target is None:
             continue
         items.append((key, _format_value(target)))
     return items

@@ -213,15 +213,16 @@ def backward(
     trace: ForwardTrace,
     params: ModelParams,
     d_embeddings: np.ndarray | None = None,
-    d_bn_embeddings: np.ndarray | None = None,
     d_logits: np.ndarray | None = None,
 ) -> ModelGrads:
-    """Merge the three upstream gradient paths and backpropagate to all parameters.
+    """Merge the two upstream gradient paths and backpropagate to all parameters.
 
-    The three optional upstreams are gradients with respect to the raw
-    embeddings, the post-norm embeddings, and the logits; missing ones are
-    treated as zero.
+    The optional upstreams are gradients with respect to the raw embeddings
+    and the logits; a missing one is treated as zero. Only a train-mode trace
+    can be backpropagated; an eval-mode one raises ``StateError``.
     """
+    if trace.mode != TRAIN:
+        raise StateError("backward needs a train-mode trace")
     n = trace.x.shape[0]
     if d_logits is None:
         d_logits = np.zeros_like(trace.logits)
@@ -235,22 +236,13 @@ def backward(
     d_logits.sum(axis=0, out=grads.bc)
 
     d_bn = d_logits @ params.wc.T
-    if d_bn_embeddings is not None:
-        d_bn_embeddings = np.asarray(d_bn_embeddings, dtype=np.float64)
-        if d_bn_embeddings.shape != trace.bn_embeddings.shape:
-            raise DimensionError("d_bn_embeddings shape does not match the trace")
-        d_bn = d_bn + d_bn_embeddings
-
     (d_bn * trace.xhat).sum(axis=0, out=grads.bn_gamma)
     d_bn.sum(axis=0, out=grads.bn_beta)
     dxhat = d_bn * params.bn_gamma
-    if trace.mode == TRAIN:
-        xmu = trace.embeddings - trace.mean
-        dvar = (dxhat * xmu).sum(axis=0) * (-0.5) * trace.istd**3
-        dmean = -dxhat.sum(axis=0) * trace.istd + dvar * (-2.0) * xmu.mean(axis=0)
-        d_emb = dxhat * trace.istd + dvar * 2.0 * xmu / n + dmean / n
-    else:
-        d_emb = dxhat * trace.istd
+    xmu = trace.embeddings - trace.mean
+    dvar = (dxhat * xmu).sum(axis=0) * (-0.5) * trace.istd**3
+    dmean = -dxhat.sum(axis=0) * trace.istd + dvar * (-2.0) * xmu.mean(axis=0)
+    d_emb = dxhat * trace.istd + dvar * 2.0 * xmu / n + dmean / n
 
     if d_embeddings is not None:
         d_embeddings = np.asarray(d_embeddings, dtype=np.float64)

@@ -38,12 +38,6 @@ def check_adam(
         raise ConfigError("betas must lie in [0, 1)")
 
 
-def check_lr_range(base_lr: float, min_lr: float) -> None:
-    """A cosine schedule needs 0 <= min_lr <= base_lr; NaN fails."""
-    if not 0 <= min_lr <= base_lr:
-        raise ConfigError("need 0 <= min_lr <= base_lr")
-
-
 def init_optim_state(
     params: ModelParams,
     base_lr: float = 3e-4,
@@ -105,5 +99,6 @@ def cosine_lr(epoch: float, total_epochs: int, base_lr: float, min_lr: float) ->
         raise ConfigError("total_epochs must be >= 1")
     if not 0 <= epoch <= total_epochs:
         raise ConfigError(f"epoch {epoch} outside [0, {total_epochs}]")
-    check_lr_range(base_lr, min_lr)
+    if not 0 <= min_lr <= base_lr:
+        raise ConfigError("need 0 <= min_lr <= base_lr")
     return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * epoch / total_epochs))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .model import (
     init_params,
     update_bn_stats,
 )
-from .optim import check_adam, check_lr_range, cosine_lr, init_optim_state, step
+from .optim import check_adam, cosine_lr, init_optim_state, step
 from .synthdata import SynthDataset
 
 SCHEDULES = ("gray_first", "rgb_first")
@@ -64,19 +63,13 @@ class TrainConfig:
     schedule: str = "gray_first"
     loss: LossConfig = field(default_factory=LossConfig)
     base_lr: float = 3e-4
-    min_lr: float | None = None
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
     weight_decay: float = 1e-4
-    per_step_schedule: bool = False
-    reset_optimizer_at_switch: bool = False
     seed: int = 0
     eval_every: int = 0
     eval_direction: str = "t2v"
-
-    def resolved_min_lr(self) -> float:
-        return self.base_lr / 100.0 if self.min_lr is None else self.min_lr
 
     def validate(self) -> "TrainConfig":
         if self.epochs < 1:
@@ -89,7 +82,6 @@ class TrainConfig:
             raise ConfigError(f"eval_direction must be one of {DIRECTIONS}")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0")
-        check_lr_range(self.base_lr, self.resolved_min_lr())
         check_adam(self.base_lr, self.beta1, self.beta2, self.adam_eps, self.weight_decay)
         check_encoder(hidden_dim=self.hidden_dim, embed_dim=self.embed_dim)
         check_momentum(self.bn_momentum)
@@ -101,7 +93,7 @@ class TrainConfig:
 
 @dataclass
 class EpochLog:
-    """Per-epoch record: stage, mean loss terms over batches, lr, optional eval."""
+    """Per-epoch record: stage, mean loss terms over batches, the epoch's lr, optional eval."""
 
     epoch: int
     stage: int
@@ -123,6 +115,20 @@ def stage_for_epoch(cfg: TrainConfig, epoch: int) -> Stage:
     return Stage.STAGE2 if epoch < cfg.epochs - cfg.stage1_epochs else Stage.STAGE1
 
 
+def _eval_rows(dataset: SynthDataset, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """Query and gallery row indices for ``direction``; ``ConfigError`` if none can be scored."""
+    if direction not in DIRECTIONS:
+        raise ConfigError(f"direction must be one of {DIRECTIONS}")
+    ir_rows = dataset.modality_rows(Modality.IR)
+    vis_rows = dataset.modality_rows(Modality.VIS)
+    if ir_rows.size == 0 or vis_rows.size == 0:
+        raise ConfigError("evaluation needs both visible and infrared rows")
+    q_rows, g_rows = (ir_rows, vis_rows) if direction == "t2v" else (vis_rows, ir_rows)
+    if not np.isin(dataset.labels[q_rows], dataset.labels[g_rows]).any():
+        raise ConfigError(f"no {direction} query identity appears in the evaluation gallery")
+    return q_rows, g_rows
+
+
 def evaluate_params(
     params: ModelParams,
     dataset: SynthDataset,
@@ -135,13 +141,7 @@ def evaluate_params(
     ``t2v`` queries infrared rows against the visible gallery; ``v2t`` swaps
     the roles.
     """
-    if direction not in DIRECTIONS:
-        raise ConfigError(f"direction must be one of {DIRECTIONS}")
-    ir_rows = dataset.modality_rows(Modality.IR)
-    vis_rows = dataset.modality_rows(Modality.VIS)
-    if ir_rows.size == 0 or vis_rows.size == 0:
-        raise ConfigError("evaluation needs both visible and infrared rows")
-    q_rows, g_rows = (ir_rows, vis_rows) if direction == "t2v" else (vis_rows, ir_rows)
+    q_rows, g_rows = _eval_rows(dataset, direction)
     q_tag, g_tag = ("ir", "vis") if direction == "t2v" else ("vis", "ir")
     qf = extract_test_features(params, dataset.features[q_rows])
     gf = extract_test_features(params, dataset.features[g_rows])
@@ -157,8 +157,12 @@ def evaluate_params(
     )
 
 
-def check_dataset(dataset: SynthDataset, cfg: TrainConfig) -> None:
-    """``ConfigError`` unless every stage the schedule plays can draw its P x K batches."""
+def check_dataset(
+    dataset: SynthDataset, cfg: TrainConfig, eval_dataset: SynthDataset | None = None
+) -> None:
+    """``ConfigError`` unless every stage the schedule plays can draw its P x K batches
+    and the final epoch can score ``eval_dataset`` (else ``dataset``).
+    """
     spec = BatchSpec(cfg.p, cfg.k)
     ids = dataset.identities
     if len(ids) < spec.p:
@@ -171,6 +175,7 @@ def check_dataset(dataset: SynthDataset, cfg: TrainConfig) -> None:
                     f"{stage.name} needs {spec.k} {mod!r} rows per identity; "
                     f"identities {short[:4]} fall short"
                 )
+    _eval_rows(dataset if eval_dataset is None else eval_dataset, cfg.eval_direction)
 
 
 def steps_per_epoch(dataset: SynthDataset, cfg: TrainConfig) -> int:
@@ -215,7 +220,7 @@ def train(
     provided, e.g. to stream logs or save checkpoints.
     """
     cfg.validate()
-    check_dataset(dataset, cfg)
+    check_dataset(dataset, cfg, eval_dataset)
     classes = dataset.identities
     spec = BatchSpec(cfg.p, cfg.k)
     root = RngStream(cfg.seed)
@@ -226,31 +231,21 @@ def train(
         n_classes=len(classes),
         rng=root.child(0),
     )
-    fresh_optimizer = partial(
-        init_optim_state, params, cfg.base_lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
+    opt = init_optim_state(
+        params, cfg.base_lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
     )
-    opt = fresh_optimizer()
     n_steps = steps_per_epoch(dataset, cfg)
-    min_lr = cfg.resolved_min_lr()
     eval_ds = eval_dataset if eval_dataset is not None else dataset
     logs: list[EpochLog] = []
-    prev_stage: Stage | None = None
     for epoch in range(cfg.epochs):
         stage = stage_for_epoch(cfg, epoch)
-        if cfg.reset_optimizer_at_switch and prev_stage is not None and stage != prev_stage:
-            opt = fresh_optimizer()
-        prev_stage = stage
-        lr_epoch = cosine_lr(epoch, cfg.epochs, cfg.base_lr, min_lr)
+        lr = cosine_lr(epoch, cfg.epochs, cfg.base_lr, cfg.base_lr / 100.0)
         sums: dict[str, float] = defaultdict(float)
         for b in range(n_steps):
             try:
                 batch = sample_batch(dataset, spec, stage, root.child(1, epoch, b))
                 targets = np.searchsorted(classes, batch.labels)
                 out, grads, trace = loss_and_grads(params, batch, stage, cfg.loss, targets)
-                if cfg.per_step_schedule:
-                    lr = cosine_lr(epoch + b / n_steps, cfg.epochs, cfg.base_lr, min_lr)
-                else:
-                    lr = lr_epoch
                 step(opt, params, grads, lr)
                 update_bn_stats(params, trace, cfg.bn_momentum)
             except CrossmodalError as exc:
@@ -263,7 +258,7 @@ def train(
         last = epoch == cfg.epochs - 1
         if last or (cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0):
             report = evaluate_params(params, eval_ds, cfg.eval_direction)
-        log = EpochLog(epoch, stage.value, lr_epoch, terms, n_steps, report)
+        log = EpochLog(epoch, stage.value, lr, terms, n_steps, report)
         logs.append(log)
         if on_epoch is not None:
             on_epoch(epoch, params, log)
@@ -287,12 +282,15 @@ def ablate(
     ``variants`` maps a name to dotted config-key overrides (see
     :mod:`crossmodal.config`); an empty list runs the base config alone. A row
     holds ``<key>_mean``, ``_std`` and ``_values`` per ``_ABLATION_METRICS`` key.
-    One failing variant is recorded as an error row and the rest still run.
+    An empty seed list or a negative seed raises ``ConfigError`` before any
+    run; one failing variant is recorded as an error row and the rest still run.
     """
     from .config import apply_train_overrides
 
     if not seeds:
         raise ConfigError("ablation needs at least one seed")
+    for seed in seeds:
+        RngStream(seed)  # the stream's own seed check, before any variant runs
     if not variants:
         variants = [("base", {})]
     rows: list[dict] = []

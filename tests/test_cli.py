@@ -4,10 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import CORRUPT_CHECKPOINT_KINDS, write_corrupt_checkpoints
+from conftest import CORRUPT_CHECKPOINT_KINDS, make_pk_batch, write_corrupt_checkpoints
 
 from crossmodal import cli, synthdata
 from crossmodal.cli import main
+from crossmodal.core import RngStream
+from crossmodal.losses import LossConfig, stage1_objective, stage2_objective
 from crossmodal.model import load_checkpoint
 from crossmodal.synthdata import load_features
 
@@ -256,36 +258,42 @@ def test_invalid_loss_value_exits_1_before_creating_the_run(small_data, tmp_path
     assert not run_dir.exists()
 
 
-def _filtered(name, keep):
-    """A copy of the data file holding its header and the rows ``keep`` accepts."""
+def _rewritten(name, rewrite):
+    """A copy of the data file holding its header and each row as ``rewrite`` returns it."""
 
     def write(tmp_path, data_path):
         header, *rows = data_path.read_text().splitlines(keepends=True)
         path = tmp_path / name
-        path.write_text(header + "".join(row for row in rows if keep(row)))
+        path.write_text(header + "".join(map(rewrite, rows)))
         return path
 
     return write
 
 
-_one_identity = _filtered("one_id.csv", lambda row: row.startswith("0,"))
-_without_gray = _filtered("no_gray.csv", lambda row: ",gray," not in row)
+_one_identity = _rewritten("one_id.csv", lambda row: row if row.startswith("0,") else "")
+_without_gray = _rewritten("no_gray.csv", lambda row: "" if ",gray," in row else row)
+_without_ir = _rewritten("no_ir.csv", lambda row: "" if ",ir," in row else row)
+# a leading 9 turns infrared identity 0 into 90, 1 into 91, ...: ids no visible row carries
+_ir_ids_shifted = _rewritten("ir_shifted.csv", lambda row: "9" + row if ",ir," in row else row)
 
 
 @pytest.mark.parametrize(
-    "data,override,needle",
+    "data,eval_data,override,needle",
     [
-        (None, "batch.p=1000", "batches need 1000"),
-        (_one_identity, "batch.p=3", "dataset has 1 identities"),
-        (_without_gray, "train.schedule=gray_first", "'gray' rows per identity"),
+        (None, None, "batch.p=1000", "batches need 1000"),
+        (_one_identity, None, "batch.p=3", "dataset has 1 identities"),
+        (_without_gray, None, "train.schedule=gray_first", "'gray' rows per identity"),
+        (None, _without_ir, "train.eval_direction=t2v", "both visible and infrared rows"),
+        (None, _ir_ids_shifted, "train.eval_direction=t2v", "no t2v query identity"),
     ],
-    ids=["batch_p_1000", "one_identity", "no_gray"],
+    ids=["batch_p_1000", "one_identity", "no_gray", "eval_no_ir", "eval_ir_ids_shifted"],
 )
 def test_unusable_dataset_exits_1_before_creating_the_run(
-    small_data, tmp_path, capsys, data, override, needle
+    small_data, tmp_path, capsys, data, eval_data, override, needle
 ):
     data_path = small_data if data is None else data(tmp_path, small_data)
-    cfg = write_small_config(tmp_path, data_path)
+    eval_path = None if eval_data is None else eval_data(tmp_path, small_data)
+    cfg = write_small_config(tmp_path, data_path, eval_path)
     run_dir = tmp_path / "run"
     rc = main(["train", "--config", str(cfg), "--set", override, "--out", str(run_dir)])
     assert rc == 1
@@ -501,6 +509,17 @@ def test_ablate_bad_seeds_exits_1(small_data, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ablate_negative_seed_exits_1_without_a_table(small_data, tmp_path, capsys):
+    cfg = write_small_config(tmp_path, small_data)
+    out_dir = tmp_path / "ab"
+    args = ["--config", str(cfg), "--data", str(small_data), "--out", str(out_dir)]
+    rc = main(["ablate", *args, "--seeds", "0,-1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be non-negative\n" and captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_gradcheck_single_component(capsys):
     rc = main(["gradcheck", "--component", "l_id", "--seeds", "2"])
     assert rc == 0
@@ -538,6 +557,17 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding=
 def test_readme_epochs_csv_columns_match_the_writer():
     documented = re.search(r"^- `epochs\.csv` — `([^`]+)`", README, re.M).group(1)
     assert documented == cli.EPOCH_CSV_HEADER
+
+
+def test_loss_term_columns_match_the_objectives_terms():
+    # a renamed term would otherwise leave its epochs.csv column blank
+    cfg = LossConfig(lambda1=0.5, lambda2=0.5, include_id_stage2=True)
+    emitted = set()
+    for objective, pair in ((stage1_objective, ("gray", "ir")), (stage2_objective, ("vis", "ir"))):
+        batch = make_pk_batch(RngStream(0), 3, 2, 4, pair)
+        logits = RngStream(1).normal(size=(12, 3))
+        emitted |= set(objective(batch, logits, batch.labels, cfg).terms)
+    assert emitted == set(cli._LOSS_TERMS)
 
 
 def test_readme_run_directory_lists_the_manifest_artifacts(small_data, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 
 from crossmodal.config import (
@@ -20,12 +22,10 @@ def test_set_key_reaches_nested_attributes():
     set_key(cfg, "batch.p", "6")
     set_key(cfg, "loss.lambda1", "0.25")
     set_key(cfg, "loss.include_id_stage2", "true")
-    set_key(cfg, "optim.min_lr", "none")
     assert cfg.data_path == "train.csv"
     assert cfg.train.p == 6
     assert cfg.train.loss.lambda1 == 0.25
     assert cfg.train.loss.include_id_stage2 is True
-    assert cfg.train.min_lr is None
 
 
 def test_set_key_rejects_unknown_and_bad_values():
@@ -91,8 +91,8 @@ def test_resolved_text_round_trips(tmp_path):
     cfg = RunConfig(data_path="a.csv", eval_path="b.csv")
     cfg.train.p = 5
     cfg.train.loss.dcl_mode = "all"
-    cfg.train.min_lr = 1e-5
-    cfg.train.per_step_schedule = True
+    cfg.train.base_lr = 1e-5
+    cfg.train.loss.include_id_stage2 = True
     text = resolved_text(cfg)
     path = tmp_path / "resolved.cfg"
     path.write_text(text)
@@ -105,12 +105,28 @@ def test_resolved_text_round_trips(tmp_path):
 def test_resolved_text_omits_unset_paths():
     text = resolved_text(RunConfig())
     assert "data.path" not in text
-    assert "optim.min_lr=none" in text
+    assert "=none" not in text
     # every other known key is present
     for key in KEY_SPECS:
         if key in ("data.path", "data.eval_path"):
             continue
         assert f"{key}=" in text
+
+
+def _leaf_paths(obj, prefix=()):
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaf_paths(value, prefix + (f.name,))
+        else:
+            yield prefix + (f.name,)
+
+
+def test_key_specs_name_each_config_field_once():
+    # set_key would setattr a path that names no field without complaint
+    paths = [path for path, _ in KEY_SPECS.values()]
+    assert sorted(paths) == sorted(_leaf_paths(RunConfig()))
+    assert len(KEY_SPECS) == 24
 
 
 def test_float_serialization_is_lossless(tmp_path):

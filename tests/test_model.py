@@ -93,9 +93,14 @@ def test_backward_rejects_mismatched_upstreams(rng):
     with pytest.raises(DimensionError):
         backward(trace, p, d_embeddings=np.zeros((6, 3)))
     with pytest.raises(DimensionError):
-        backward(trace, p, d_bn_embeddings=np.zeros((5, 4)))
-    with pytest.raises(DimensionError):
         backward(trace, p, d_logits=np.zeros((6, 4)))
+
+
+def test_backward_rejects_eval_trace(rng):
+    p = make_params(rng)
+    _, _, _, eval_trace = forward(p, rng.normal(size=(6, 5)), EVAL)
+    with pytest.raises(StateError, match="train-mode"):
+        backward(eval_trace, p, d_logits=np.ones((6, 3)))
 
 
 def test_backward_paths_are_additive(rng):

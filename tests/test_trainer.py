@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from crossmodal import trainer
 from crossmodal.batch import FeatureLayout, Stage
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, NumericError, SamplingError
 from crossmodal.evalkit import report_text
 from crossmodal.losses import LossConfig
 from crossmodal.model import TRAINABLE
+from crossmodal.optim import cosine_lr
 from crossmodal.synthdata import generate
 from crossmodal.trainer import (
     EpochLog,
@@ -75,10 +77,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_cfg(eval_direction="g2v").validate()
     with pytest.raises(ConfigError):
-        tiny_cfg(min_lr=1.0).validate()  # above base_lr
+        tiny_cfg(base_lr=-1.0).validate()
     assert tiny_cfg().validate() is not None
-    assert tiny_cfg(base_lr=1.0).resolved_min_lr() == pytest.approx(0.01)
-    assert tiny_cfg(min_lr=0.5).resolved_min_lr() == 0.5
 
 
 def test_steps_per_epoch_counts_vis_and_ir(tiny_data):
@@ -170,16 +170,33 @@ def test_evaluate_params_directions(tiny_data):
         evaluate_params(params, tiny_data, "x2y")
 
 
-def test_reset_optimizer_at_switch_changes_trajectory(tiny_data):
-    p1, _ = train(tiny_data, tiny_cfg())
-    p2, _ = train(tiny_data, tiny_cfg(reset_optimizer_at_switch=True))
-    assert not np.array_equal(p1.w1, p2.w1)
+def _train_recording_steps(monkeypatch, dataset, cfg):
+    """Train, recording the optimizer state and learning rate of every step."""
+    seen = []
+    real_step = trainer.step
+
+    def spy(state, params, grads, lr):
+        seen.append((state, lr))
+        real_step(state, params, grads, lr)
+
+    monkeypatch.setattr(trainer, "step", spy)
+    _, logs = train(dataset, cfg)
+    return seen, logs
 
 
-def test_per_step_schedule_changes_trajectory(tiny_data):
-    p1, _ = train(tiny_data, tiny_cfg())
-    p2, _ = train(tiny_data, tiny_cfg(per_step_schedule=True))
-    assert not np.array_equal(p1.w1, p2.w1)
+def test_one_optimizer_spans_the_stage_switch(tiny_data, monkeypatch):
+    seen, logs = _train_recording_steps(monkeypatch, tiny_data, tiny_cfg())
+    assert [log.stage for log in logs] == [1, 1, 2, 2]
+    assert len({id(state) for state, _ in seen}) == 1
+    assert seen[-1][0].step_count == len(seen) == sum(log.n_batches for log in logs)
+
+
+def test_every_step_uses_its_epochs_logged_lr(tiny_data, monkeypatch):
+    cfg = tiny_cfg()
+    seen, logs = _train_recording_steps(monkeypatch, tiny_data, cfg)
+    assert [lr for _, lr in seen] == [log.lr for log in logs for _ in range(log.n_batches)]
+    want = [cosine_lr(e, cfg.epochs, cfg.base_lr, cfg.base_lr / 100.0) for e in range(cfg.epochs)]
+    assert [log.lr for log in logs] == want
 
 
 # ---------------------------------------------------------------- ablation
