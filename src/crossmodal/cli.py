@@ -302,3 +302,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -104,20 +104,12 @@ def pairwise_distances(batch, metric: str = "euclid") -> np.ndarray:
     return 1.0 - s
 
 
-def cross_distances(a, b, metric: str = "euclid") -> np.ndarray:
-    """Rectangular distance matrix between rows of ``a`` and rows of ``b``."""
+def cross_distances(a, b) -> np.ndarray:
+    """Rectangular euclid distance matrix between rows of ``a`` and rows of ``b``."""
     xa, xb = as_matrix(a), as_matrix(b)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
-    if metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    if metric == "euclid":
-        return _euclid(xa, xb)
-    na = np.sqrt(np.einsum("ij,ij->i", xa, xa))
-    nb = np.sqrt(np.einsum("ij,ij->i", xb, xb))
-    if (na <= NORM_EPS).any() or (nb <= NORM_EPS).any():
-        raise NumericError("cosine distance undefined for (near-)zero-norm rows")
-    return 1.0 - (xa / na[:, None]) @ (xb / nb[:, None]).T
+    return _euclid(xa, xb)
 
 
 class RngStream:

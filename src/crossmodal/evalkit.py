@@ -1,11 +1,11 @@
 """Retrieval evaluation: ranking, CMC / mAP / mINP, and similarity diagnostics.
 
-Equal distances (duplicated rows, exact zeros) rank by ascending gallery index.
-Euclid ``rank`` orders each query row by the matmul form of the squared
-distances and keeps that order only where a rounding-error bound proves it is
-the strict order of the difference-form distances. Every other row, and every
-cosine row, is sorted on ``cross_distances`` with the default sort, and
-stable-sorted again if it holds an exact tie.
+Ranking is by euclidean distance. Equal distances (duplicated rows, exact
+zeros) rank by ascending gallery index. ``rank`` orders each query row by the
+matmul form of the squared distances and keeps that order only where a
+rounding-error bound proves it is the strict order of the difference-form
+distances. Every other row is sorted on ``cross_distances`` with the default
+sort, and stable-sorted again if it holds an exact tie.
 ``evaluate`` memory is O(_BLOCK * m) on certified blocks; fallback rows keep
 the O(rows * m * d) difference form. The gap ratio adds the largest identity's
 n_i^2 * d.
@@ -80,9 +80,9 @@ class EvalReport:
 _SCALAR_FORMATS = {"float": ".6f", "int": ""}
 
 
-def _exact_order(qf: np.ndarray, gf: np.ndarray, metric: str) -> np.ndarray:
+def _exact_order(qf: np.ndarray, gf: np.ndarray) -> np.ndarray:
     """Order on ``cross_distances``: default sort, stable re-sort of rows with an exact tie."""
-    dist = cross_distances(qf, gf, metric)
+    dist = cross_distances(qf, gf)
     order = np.argsort(dist, axis=1)
     sorted_dist = np.take_along_axis(dist, order, axis=1)
     tied = (sorted_dist[:, 1:] == sorted_dist[:, :-1]).any(axis=1)
@@ -105,10 +105,8 @@ def _certified_order(qf: np.ndarray, gf: np.ndarray) -> tuple[np.ndarray, np.nda
     return order, certified & (scale >= lo) & (scale <= hi)
 
 
-def rank(
-    query_feats, gallery_feats, query_ids, gallery_ids, metric: str = "euclid"
-) -> RankingResult:
-    """Sort the gallery per query by ascending distance.
+def rank(query_feats, gallery_feats, query_ids, gallery_ids) -> RankingResult:
+    """Sort the gallery per query by ascending euclidean distance.
 
     Equal distances rank by ascending gallery index. Queries whose identity
     never occurs in the gallery are dropped and counted.
@@ -120,7 +118,7 @@ def rank(
     A row without such a tie has a single ascending order, which any sort
     returns.
 
-    Euclid rows are first ordered by the matmul form
+    Rows are first ordered by the matmul form
     ``m_j = fl(fl(q . (-2 g_j)) + fl(|g_j|^2))``, one BLAS call per query
     block; ``|q|^2`` is left out because it shifts the whole row. A row keeps
     that order when every adjacent gap of its sorted ``m`` exceeds
@@ -176,12 +174,9 @@ def rank(
         raise DimensionError("id arrays must match the feature row counts")
     if qf.shape[1] != gf.shape[1]:
         raise DimensionError(f"dimension mismatch: {qf.shape[1]} vs {gf.shape[1]}")
-    if metric == "euclid":
-        order, certified = _certified_order(qf, gf)
-        if not certified.all():
-            order[~certified] = _exact_order(qf[~certified], gf, metric)
-    else:
-        order = _exact_order(qf, gf, metric)
+    order, certified = _certified_order(qf, gf)
+    if not certified.all():
+        order[~certified] = _exact_order(qf[~certified], gf)
     relevant = gid[order] == qid[:, None]
     keep = relevant.any(axis=1)
     dropped = int((~keep).sum())
@@ -288,7 +283,6 @@ def evaluate(
     gallery_ids,
     query_tag: str = "ir",
     gallery_tag: str = "vis",
-    metric: str = "euclid",
     bins: int = 30,
 ) -> EvalReport:
     """Rank the gallery per query, ``_BLOCK`` query rows at a time, and report.
@@ -305,7 +299,7 @@ def evaluate(
     if kept.size == 0:
         raise DegenerateError("no query has a relevant gallery row")
     blocks = np.split(kept, range(_BLOCK, kept.size, _BLOCK))
-    scores = [_query_scores(rank(qf[r], gf, qid[r], gid, metric).relevant) for r in blocks]
+    scores = [_query_scores(rank(qf[r], gf, qid[r], gid).relevant) for r in blocks]
     first, ap, inp = map(np.concatenate, zip(*scores))
     feats, ids = np.concatenate([qf, gf]), np.concatenate([qid, gid])
     tags = np.repeat([query_tag, gallery_tag], [qf.shape[0], gf.shape[0]])

@@ -3,9 +3,9 @@
 The forward pass is ``x -> linear -> relu -> linear -> embeddings`` followed by
 a 1-D batch-norm layer (the "neck") and a linear classifier on the normalized
 embeddings. Metric losses consume the raw embeddings; the identity loss
-consumes the logits; retrieval at test time uses the post-norm embeddings.
-Forward and backward are pure: batch-norm running statistics are only changed
-by an explicit :func:`update_bn_stats` call.
+consumes the logits. Training (:func:`forward`) normalizes on batch statistics;
+retrieval (:func:`extract_test_features`) uses the post-norm embeddings on the
+running statistics, which only an explicit :func:`update_bn_stats` call changes.
 
 The ``TRAINABLE`` tensors of :class:`ModelParams` and :class:`ModelGrads` are
 views, in ``TRAINABLE`` order, of one contiguous float64 vector ``flat``; the
@@ -24,8 +24,6 @@ from .core import RngStream, as_matrix
 from .errors import ConfigError, DimensionError, StateError
 
 BN_EPS = 1e-5
-TRAIN = "train"
-EVAL = "eval"
 TRAINABLE = ("w1", "b1", "w2", "b2", "bn_gamma", "bn_beta", "wc", "bc")
 _PARAM_NAMES = (*TRAINABLE, "bn_running_mean", "bn_running_var")
 
@@ -148,7 +146,6 @@ class ForwardTrace:
     xhat: np.ndarray
     bn_embeddings: np.ndarray
     logits: np.ndarray
-    mode: str
 
 
 def init_params(
@@ -174,38 +171,32 @@ def init_params(
     )
 
 
-def forward(
-    params: ModelParams, x, mode: str = TRAIN
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ForwardTrace]:
-    """Run the encoder, neck, and classifier.
-
-    Returns ``(embeddings, bn_embeddings, logits, trace)``. Train mode
-    normalizes with batch statistics (and needs >= 2 rows); eval mode uses the
-    stored running statistics and is row-wise deterministic.
-    """
-    if mode not in (TRAIN, EVAL):
-        raise ConfigError(f"mode must be {TRAIN!r} or {EVAL!r}")
+def _encode(params: ModelParams, x) -> tuple[np.ndarray, ...]:
+    """``x -> linear -> relu -> linear``: the input matrix, ``z1``, ``a1`` and the embeddings."""
     xm = as_matrix(x)
     if xm.shape[1] != params.in_dim:
         raise DimensionError(f"input has {xm.shape[1]} dims, model expects {params.in_dim}")
     z1 = xm @ params.w1 + params.b1
     a1 = np.maximum(z1, 0.0)
-    emb = a1 @ params.w2 + params.b2
-    if mode == TRAIN:
-        if xm.shape[0] < 2:
-            raise ConfigError("train-mode batch norm needs at least 2 rows")
-        mean = emb.mean(axis=0)
-        var = emb.var(axis=0)
-    else:
-        mean = params.bn_running_mean
-        var = params.bn_running_var
-        if not (np.isfinite(mean).all() and np.isfinite(var).all() and (var > 0).all()):
-            raise StateError("batch-norm running statistics are invalid")
+    return xm, z1, a1, a1 @ params.w2 + params.b2
+
+
+def _neck(params: ModelParams, emb, mean, var) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch-norm ``emb`` with the given statistics: ``istd``, ``xhat`` and the output."""
     istd = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (emb - mean) * istd
-    bn = params.bn_gamma * xhat + params.bn_beta
+    return istd, xhat, params.bn_gamma * xhat + params.bn_beta
+
+
+def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, ForwardTrace]:
+    """Encoder, neck on batch statistics, classifier: ``(emb, bn_emb, logits, trace)``."""
+    xm, z1, a1, emb = _encode(params, x)
+    if xm.shape[0] < 2:
+        raise ConfigError("batch norm on batch statistics needs at least 2 rows")
+    mean, var = emb.mean(axis=0), emb.var(axis=0)
+    istd, xhat, bn = _neck(params, emb, mean, var)
     logits = bn @ params.wc + params.bc
-    trace = ForwardTrace(xm, z1, a1, emb, mean, var, istd, xhat, bn, logits, mode)
+    trace = ForwardTrace(xm, z1, a1, emb, mean, var, istd, xhat, bn, logits)
     return emb, bn, logits, trace
 
 
@@ -218,11 +209,8 @@ def backward(
     """Merge the two upstream gradient paths and backpropagate to all parameters.
 
     The optional upstreams are gradients with respect to the raw embeddings
-    and the logits; a missing one is treated as zero. Only a train-mode trace
-    can be backpropagated; an eval-mode one raises ``StateError``.
+    and the logits; a missing one is treated as zero.
     """
-    if trace.mode != TRAIN:
-        raise StateError("backward needs a train-mode trace")
     n = trace.x.shape[0]
     if d_logits is None:
         d_logits = np.zeros_like(trace.logits)
@@ -265,8 +253,6 @@ def update_bn_stats(params: ModelParams, trace: ForwardTrace, momentum: float = 
     Uses the usual convention: biased variance normalizes the batch, the
     unbiased estimate feeds the running average.
     """
-    if trace.mode != TRAIN:
-        raise StateError("running statistics only update from train-mode traces")
     check_momentum(momentum)
     n = trace.x.shape[0]
     unbiased = trace.var * n / (n - 1) if n > 1 else trace.var
@@ -277,9 +263,12 @@ def update_bn_stats(params: ModelParams, trace: ForwardTrace, momentum: float = 
 
 
 def extract_test_features(params: ModelParams, x) -> np.ndarray:
-    """Post-norm embeddings in eval mode; the representation used for retrieval."""
-    _, bn, _, _ = forward(params, x, EVAL)
-    return bn
+    """Row-wise post-norm embeddings on the running statistics (``StateError`` if invalid)."""
+    _, _, _, emb = _encode(params, x)
+    mean, var = params.bn_running_mean, params.bn_running_var
+    if not (np.isfinite(mean).all() and np.isfinite(var).all() and (var > 0).all()):
+        raise StateError("batch-norm running statistics are invalid")
+    return _neck(params, emb, mean, var)[2]
 
 
 def save_checkpoint(path, params: ModelParams, optim_state=None) -> None:

@@ -111,8 +111,8 @@ def generate(
         raise ConfigError("need at least 2 identities")
     if per_modality < 2:
         raise ConfigError("need at least 2 samples per modality per identity")
-    if gap_strength < 0 or noise_sigma < 0:
-        raise ConfigError("gap_strength and noise_sigma must be >= 0")
+    if not (0 <= gap_strength < np.inf and 0 <= noise_sigma < np.inf):
+        raise ConfigError("gap_strength and noise_sigma must be finite and >= 0")
     proto_rng = rng.child(0)
     sample_rng = rng.child(1)
     shared = proto_rng.normal(size=(n_ids, layout.shared_dims))

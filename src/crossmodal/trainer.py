@@ -22,7 +22,6 @@ from .errors import ConfigError, CrossmodalError
 from .evalkit import EvalReport, evaluate
 from .losses import LossConfig, ObjectiveOutput, stage1_objective, stage2_objective
 from .model import (
-    TRAIN,
     ForwardTrace,
     ModelGrads,
     ModelParams,
@@ -130,13 +129,9 @@ def _eval_rows(dataset: SynthDataset, direction: str) -> tuple[np.ndarray, np.nd
 
 
 def evaluate_params(
-    params: ModelParams,
-    dataset: SynthDataset,
-    direction: str = "t2v",
-    metric: str = "euclid",
-    bins: int = 30,
+    params: ModelParams, dataset: SynthDataset, direction: str = "t2v"
 ) -> EvalReport:
-    """Score retrieval on a dataset with the post-norm test features.
+    """Score euclid retrieval on a dataset with the post-norm test features.
 
     ``t2v`` queries infrared rows against the visible gallery; ``v2t`` swaps
     the roles.
@@ -152,8 +147,6 @@ def evaluate_params(
         dataset.labels[g_rows],
         query_tag=q_tag,
         gallery_tag=g_tag,
-        metric=metric,
-        bins=bins,
     )
 
 
@@ -169,7 +162,7 @@ def check_dataset(
         raise ConfigError(f"dataset has {len(ids)} identities, batches need {spec.p}")
     for stage in dict.fromkeys(stage_for_epoch(cfg, e) for e in range(cfg.epochs)):
         for mod in stage.modality_pair:
-            short = [i for i in ids if dataset.count_of(int(i), mod) < spec.k]
+            short = [int(i) for i in ids if dataset.count_of(int(i), mod) < spec.k]
             if short:
                 raise ConfigError(
                     f"{stage.name} needs {spec.k} {mod!r} rows per identity; "
@@ -198,7 +191,7 @@ def loss_and_grads(
     ``targets`` are the rows' classifier indices. Returns the objective, the
     parameter gradients and the forward trace for the batch-norm update.
     """
-    emb, _, logits, trace = forward(params, batch.features, TRAIN)
+    emb, _, logits, trace = forward(params, batch.features)
     objective = stage1_objective if stage is Stage.STAGE1 else stage2_objective
     out = objective(replace(batch, features=emb), logits, targets, cfg)
     grads = backward(trace, params, d_embeddings=out.grad_embeddings, d_logits=out.grad_logits)
@@ -282,8 +275,10 @@ def ablate(
     ``variants`` maps a name to dotted config-key overrides (see
     :mod:`crossmodal.config`); an empty list runs the base config alone. A row
     holds ``<key>_mean``, ``_std`` and ``_values`` per ``_ABLATION_METRICS`` key.
-    An empty seed list or a negative seed raises ``ConfigError`` before any
-    run; one failing variant is recorded as an error row and the rest still run.
+    An empty seed list, a negative seed, or a variant whose config is invalid
+    or cannot train and score on the datasets (see :func:`check_dataset`)
+    raises ``ConfigError``, naming the variant, before any run; a variant that
+    fails while training is recorded as an error row and the rest still run.
     """
     from .config import apply_train_overrides
 
@@ -291,12 +286,17 @@ def ablate(
         raise ConfigError("ablation needs at least one seed")
     for seed in seeds:
         RngStream(seed)  # the stream's own seed check, before any variant runs
-    if not variants:
-        variants = [("base", {})]
-    rows: list[dict] = []
-    for name, delta in variants:
+    configs = []
+    for name, delta in variants or [("base", {})]:
         try:
-            cfg = apply_train_overrides(base_cfg, delta)
+            cfg = apply_train_overrides(base_cfg, delta).validate()
+            check_dataset(dataset, cfg, eval_dataset)
+        except ConfigError as exc:
+            raise ConfigError(f"variant {name!r}: {exc}") from exc
+        configs.append((name, cfg))
+    rows: list[dict] = []
+    for name, cfg in configs:
+        try:
             metrics: dict[str, list[float]] = {key: [] for key in _ABLATION_METRICS}
             for seed in seeds:
                 _, logs = train(dataset, replace(cfg, seed=int(seed)), eval_dataset)

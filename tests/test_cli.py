@@ -1,12 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import CORRUPT_CHECKPOINT_KINDS, make_pk_batch, write_corrupt_checkpoints
 
-from crossmodal import cli, synthdata
+from crossmodal import __version__, cli, synthdata
 from crossmodal.cli import main
 from crossmodal.core import RngStream
 from crossmodal.losses import LossConfig, stage1_objective, stage2_objective
@@ -100,6 +103,37 @@ def test_usage_errors_exit_1(capsys):
 def test_version_exits_0(capsys):
     assert main(["--version"]) == 0
     assert "crossmodal" in capsys.readouterr().out
+
+
+def _run_module(*args, cwd):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "crossmodal.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    proc = _run_module("--version", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, f"crossmodal {__version__}\n")
+    proc = _run_module("train", "--config", "missing.cfg", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "the following arguments are required: --out" in proc.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--gap", "nan"), ("--noise", "inf"), ("--gap", "-1")])
+def test_generate_bad_gap_or_noise_exits_1_without_a_file(tmp_path, capsys, flag, value):
+    out = tmp_path / "feats.csv"
+    args = ["--ids", "4", "--per-modality", "3", flag, value, "--out", str(out)]
+    assert main(["generate", *args]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: gap_strength and noise_sigma must be finite and >= 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_run_directory(small_data, tmp_path, capsys):
@@ -507,6 +541,20 @@ def test_ablate_bad_seeds_exits_1(small_data, tmp_path, capsys):
     rc = main(["ablate", "--config", str(cfg), "--data", str(small_data), "--seeds", "0,x"])
     assert rc == 1
     capsys.readouterr()
+
+
+def test_ablate_bad_variant_exits_1_without_a_table(small_data, tmp_path, capsys):
+    cfg = write_small_config(tmp_path, small_data)
+    variants = tmp_path / "variants.txt"
+    variants.write_text("ok: loss.lambda1=0\ntypo: loss.lamda1=0\nneg: loss.margin=-1\n")
+    out_dir = tmp_path / "ab"
+    args = ["--config", str(cfg), "--data", str(small_data), "--out", str(out_dir)]
+    rc = main(["ablate", *args, "--variants", str(variants)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: variant 'typo': unknown config key 'loss.lamda1'\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_ablate_negative_seed_exits_1_without_a_table(small_data, tmp_path, capsys):

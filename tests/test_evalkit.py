@@ -136,14 +136,13 @@ def test_tie_heavy_gallery_matches_oracles():
         assert (step == 0).any()
 
 
-@pytest.mark.parametrize("metric", ["euclid", "cosine"])
-def test_rank_restable_sorts_only_tied_rows(rng, metric):
+def test_rank_restable_sorts_only_tied_rows(rng):
     # Exact gallery duplicates would tie under every query, so the tied rows
     # come from three unit gallery points instead: a query whose first two
     # coordinates are 0 is at an exactly equal distance from all three (its
-    # dot product with each is an exact 0 and its squared differences are
-    # small integers). Two such queries sit exactly on gallery points. The
-    # random queries between them have no tie, so one block holds both kinds.
+    # squared differences are small integers). Two such queries sit exactly
+    # on gallery points. The random queries between them have no tie, so one
+    # block holds both kinds.
     units = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
     on_plane = np.array([[0.0, 0, 2, 0], [0, 0, 0, 3], [0, 0, 1, 1], [0, 0, -1, 2]])
     gf = np.concatenate([rng.normal(size=(20, 4)), units, on_plane[:2]])
@@ -153,19 +152,18 @@ def test_rank_restable_sorts_only_tied_rows(rng, metric):
     perm = rng.permutation(len(qf))
     qf, tied_query = qf[perm], perm >= 24
     qid = rng.integers(0, 6, size=len(qf))  # identity 5 is never in the gallery
-    dist = cross_distances(qf, gf, metric)
+    dist = cross_distances(qf, gf)
     stable = np.argsort(dist, axis=1, kind="stable")
     sorted_dist = np.take_along_axis(dist, stable, axis=1)
     has_tie = (np.diff(sorted_dist, axis=1) == 0).any(axis=1)
     assert has_tie.tolist() == tied_query.tolist()
 
-    result = rank(qf, gf, qid, gid, metric)
+    result = rank(qf, gf, qid, gid)
     kept = np.isin(qid, gid)
     assert has_tie[kept].any() and not has_tie[kept].all()
     assert np.array_equal(result.order, stable[kept])
-    distance = oracles.euclid if metric == "euclid" else oracles.cosine_dist
     for out_row, i in enumerate(np.flatnonzero(kept)):
-        want = oracles.rank_gallery_by_count(qf[i].tolist(), gf.tolist(), distance)
+        want = oracles.rank_gallery_by_count(qf[i].tolist(), gf.tolist(), oracles.euclid)
         assert result.order[out_row].tolist() == want
 
 
@@ -219,9 +217,9 @@ def fallback_rows(monkeypatch):
     calls = []
     real = evalkit.cross_distances
 
-    def recorded(a, b, metric="euclid"):
+    def recorded(a, b):
         calls.append(np.array(a))
-        return real(a, b, metric)
+        return real(a, b)
 
     monkeypatch.setattr(evalkit, "cross_distances", recorded)
     return calls

@@ -6,8 +6,6 @@ from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, DimensionError, StateError
 from crossmodal.model import (
     BN_EPS,
-    EVAL,
-    TRAIN,
     TRAINABLE,
     ModelGrads,
     backward,
@@ -41,14 +39,13 @@ def test_init_shapes_and_defaults(rng):
 def test_forward_matches_hand_rolled_math(rng):
     p = make_params(rng)
     x = rng.normal(size=(7, 5))
-    emb, bn, logits, trace = forward(p, x, TRAIN)
+    emb, bn, logits, trace = forward(p, x)
     want_emb = np.maximum(x @ p.w1 + p.b1, 0) @ p.w2 + p.b2
     assert np.allclose(emb, want_emb, atol=1e-12)
     mean, var = want_emb.mean(axis=0), want_emb.var(axis=0)
     want_bn = p.bn_gamma * (want_emb - mean) / np.sqrt(var + BN_EPS) + p.bn_beta
     assert np.allclose(bn, want_bn, atol=1e-12)
     assert np.allclose(logits, want_bn @ p.wc + p.bc, atol=1e-12)
-    assert trace.mode == TRAIN
     # train-mode normalization really does center and scale
     assert np.allclose(bn.mean(axis=0), p.bn_beta, atol=1e-9)
 
@@ -56,57 +53,54 @@ def test_forward_matches_hand_rolled_math(rng):
 def test_relu_clamps_hidden_activations(rng):
     p = make_params(rng)
     x = rng.normal(size=(6, 5))
-    _, _, _, trace = forward(p, x, TRAIN)
+    _, _, _, trace = forward(p, x)
     assert trace.a1.min() >= 0.0
     assert np.array_equal(trace.a1, np.maximum(trace.z1, 0.0))
 
 
 def test_eval_mode_uses_running_stats_and_is_rowwise(rng):
     p = make_params(rng)
+    p.bn_running_mean[:] = rng.normal(size=4)
+    p.bn_running_var[:] = 0.5 + rng.normal(size=4) ** 2
     x = rng.normal(size=(6, 5))
-    _, bn_all, _, _ = forward(p, x, EVAL)
+    bn_all = extract_test_features(p, x)
+    emb = np.maximum(x @ p.w1 + p.b1, 0) @ p.w2 + p.b2
+    want = p.bn_gamma * (emb - p.bn_running_mean) / np.sqrt(p.bn_running_var + BN_EPS)
+    assert np.allclose(bn_all, want + p.bn_beta, atol=1e-12)
     for i in range(6):
         # table lookup per row: a one-row batch agrees to matmul rounding
-        _, bn_one, _, _ = forward(p, x[i : i + 1], EVAL)
+        bn_one = extract_test_features(p, x[i : i + 1])
         assert np.allclose(bn_one[0], bn_all[i], atol=1e-12)
-    assert np.array_equal(extract_test_features(p, x), bn_all)
 
 
 def test_forward_mode_and_shape_errors(rng):
     p = make_params(rng)
-    with pytest.raises(ConfigError):
-        forward(p, np.zeros((4, 5)), "test")
     with pytest.raises(DimensionError):
-        forward(p, np.zeros((4, 3)), TRAIN)
+        forward(p, np.zeros((4, 3)))
+    with pytest.raises(DimensionError):
+        extract_test_features(p, np.zeros((4, 3)))
     with pytest.raises(ConfigError):
-        forward(p, np.zeros((1, 5)), TRAIN)  # batch statistics need 2 rows
+        forward(p, np.zeros((1, 5)))  # batch statistics need 2 rows
     bad = make_params(rng)
     bad.bn_running_var[0] = 0.0
     with pytest.raises(StateError):
-        forward(bad, np.zeros((4, 5)), EVAL)
+        extract_test_features(bad, np.zeros((4, 5)))
 
 
 def test_backward_rejects_mismatched_upstreams(rng):
     p = make_params(rng)
     x = rng.normal(size=(6, 5))
-    _, _, _, trace = forward(p, x, TRAIN)
+    _, _, _, trace = forward(p, x)
     with pytest.raises(DimensionError):
         backward(trace, p, d_embeddings=np.zeros((6, 3)))
     with pytest.raises(DimensionError):
         backward(trace, p, d_logits=np.zeros((6, 4)))
 
 
-def test_backward_rejects_eval_trace(rng):
-    p = make_params(rng)
-    _, _, _, eval_trace = forward(p, rng.normal(size=(6, 5)), EVAL)
-    with pytest.raises(StateError, match="train-mode"):
-        backward(eval_trace, p, d_logits=np.ones((6, 3)))
-
-
 def test_backward_paths_are_additive(rng):
     p = make_params(rng)
     x = rng.normal(size=(6, 5))
-    _, _, _, trace = forward(p, x, TRAIN)
+    _, _, _, trace = forward(p, x)
     d_emb = rng.normal(size=(6, 4))
     d_logits = rng.normal(size=(6, 3))
     both = backward(trace, p, d_embeddings=d_emb, d_logits=d_logits)
@@ -123,7 +117,7 @@ def test_backward_paths_are_additive(rng):
 def test_update_bn_stats_formula(rng):
     p = make_params(rng)
     x = rng.normal(size=(6, 5))
-    _, _, _, trace = forward(p, x, TRAIN)
+    _, _, _, trace = forward(p, x)
     before_mean = p.bn_running_mean.copy()
     before_var = p.bn_running_var.copy()
     update_bn_stats(p, trace, momentum=0.25)
@@ -140,11 +134,7 @@ def test_update_bn_stats_formula(rng):
 
 def test_update_bn_stats_guards(rng):
     p = make_params(rng)
-    x = rng.normal(size=(6, 5))
-    _, _, _, eval_trace = forward(p, x, EVAL)
-    with pytest.raises(StateError):
-        update_bn_stats(p, eval_trace)
-    _, _, _, trace = forward(p, x, TRAIN)
+    _, _, _, trace = forward(p, rng.normal(size=(6, 5)))
     with pytest.raises(ConfigError):
         update_bn_stats(p, trace, momentum=0.0)
     with pytest.raises(ConfigError):
@@ -174,7 +164,7 @@ def test_adopted_gradients_are_views_of_the_given_buffer(rng):
     for name in TRAINABLE:
         assert grads[name].shape == getattr(p, name).shape
     # backward fills a new buffer on every call, and the same inputs fill it the same
-    _, _, _, trace = forward(p, rng.normal(size=(6, 5)), TRAIN)
+    _, _, _, trace = forward(p, rng.normal(size=(6, 5)))
     d_emb, d_logits = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
     first = backward(trace, p, d_embeddings=d_emb, d_logits=d_logits)
     again = backward(trace, p, d_embeddings=d_emb, d_logits=d_logits)
@@ -184,7 +174,7 @@ def test_adopted_gradients_are_views_of_the_given_buffer(rng):
 
 def test_trainable_tensors_are_views_of_one_flat_vector(rng, tmp_path):
     p = make_params(rng)
-    _, _, _, trace = forward(p, rng.normal(size=(6, 5)), TRAIN)
+    _, _, _, trace = forward(p, rng.normal(size=(6, 5)))
     grads = backward(trace, p, d_logits=rng.normal(size=(6, 3)))
     state = init_optim_state(p)
     path = tmp_path / "model.npz"
@@ -215,7 +205,7 @@ def test_checkpoint_roundtrip_with_optimizer(rng, tmp_path):
     p = make_params(rng)
     state = init_optim_state(p, base_lr=0.01, weight_decay=0.001)
     x = rng.normal(size=(6, 5))
-    _, _, _, trace = forward(p, x, TRAIN)
+    _, _, _, trace = forward(p, x)
     grads = backward(trace, p, d_logits=rng.normal(size=(6, 3)))
     step(state, p, grads)
     path = tmp_path / "model.npz"

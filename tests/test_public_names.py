@@ -2,28 +2,34 @@
 
 ``bench/tracing.py`` installs its wrappers by ``getattr``, so a removed or
 renamed function in its ``TRACED`` table would break ``bench/run.py --trace 1``
-only at benchmark time; this test catches it with the unit tests.
+only at benchmark time; this test catches it with the unit tests. So would a
+renamed, added or removed gradient-check component: the traced result names
+one ``gradcheck.<component>.ms`` metric per component, and it must name
+exactly the ``per_layer`` metrics that ``BENCHMARK.json`` declares.
 """
 
 import functools
 import importlib
 import importlib.util
+import json
 import pathlib
 
 import crossmodal
+from crossmodal import gradcheck
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
-def _traced_table():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TRACED
+    return tracing
 
 
 def test_every_traced_name_resolves():
-    traced = _traced_table()
+    traced = _tracing().TRACED
     assert traced
     for module, attr in traced:
         target = importlib.import_module(f"crossmodal.{module}")
@@ -33,3 +39,9 @@ def test_every_traced_name_resolves():
 def test_every_exported_name_resolves():
     missing = [name for name in crossmodal.__all__ if not hasattr(crossmodal, name)]
     assert missing == []
+
+
+def test_traced_metrics_are_the_declared_per_layer_metrics():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    units = _tracing().metric_units(gradcheck.COMPONENTS)
+    assert list(units.items()) == [(m["name"], m["unit"]) for m in declared]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from crossmodal.evalkit import report_text
 from crossmodal.losses import LossConfig
 from crossmodal.model import TRAINABLE
 from crossmodal.optim import cosine_lr
-from crossmodal.synthdata import generate
+from crossmodal.synthdata import SynthDataset, generate
 from crossmodal.trainer import (
     EpochLog,
     TrainConfig,
@@ -157,8 +159,11 @@ def test_train_overflow_fails_on_the_batch_that_overflowed(tiny_data):
 
 
 def test_train_dataset_check_message(tiny_data):
-    with pytest.raises(ConfigError, match="rows per identity"):
+    # the identities are listed as plain ints, not numpy scalar reprs
+    want = "STAGE1 needs 4 'gray' rows per identity; identities [0, 1, 2, 3] fall short"
+    with pytest.raises(ConfigError) as info:
         train(tiny_data, tiny_cfg(k=4))
+    assert str(info.value) == want
 
 
 def test_evaluate_params_directions(tiny_data):
@@ -203,16 +208,17 @@ def test_every_step_uses_its_epochs_logged_lr(tiny_data, monkeypatch):
 
 
 def test_ablate_rows_and_table(tiny_data):
-    rows = ablate(
-        tiny_data,
-        tiny_cfg(),
-        variants=[
-            ("base", {}),
-            ("no_msel", {"loss.lambda1": "0"}),
-            ("broken", {"batch.k": "9"}),
-        ],
-        seeds=[0, 1],
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = ablate(
+            tiny_data,
+            tiny_cfg(),
+            variants=[
+                ("base", {}),
+                ("no_msel", {"loss.lambda1": "0"}),
+                ("broken", {"optim.base_lr": "1e300"}),
+            ],
+            seeds=[0, 1],
+        )
     assert [row["variant"] for row in rows] == ["base", "no_msel", "broken"]
     for row in rows[:2]:
         assert row["seeds"] == 2
@@ -220,7 +226,10 @@ def test_ablate_rows_and_table(tiny_data):
         assert row["rank1_mean"] == pytest.approx(np.mean(row["rank1_values"]))
         for key in ("rank1", "mean_ap", "minp", "gap_ratio", "pos_sim"):
             assert f"{key}_mean" in row and f"{key}_std" in row
-    assert "error" in rows[2] and "rows per identity" in rows[2]["error"]
+    assert rows[2] == {
+        "variant": "broken",
+        "error": "epoch 0, batch 0: non-finite parameter w1 after step 1",
+    }
 
     table = ablation_table(rows)
     lines = table.strip().split("\n")
@@ -239,3 +248,27 @@ def test_ablate_base_variant_reproduces_plain_training(tiny_data):
 def test_ablate_needs_seeds(tiny_data):
     with pytest.raises(ConfigError):
         ablate(tiny_data, tiny_cfg(), variants=[], seeds=[])
+
+
+@pytest.mark.parametrize(
+    "delta, reason",
+    [
+        ({"loss.lamda1": "0"}, "unknown config key 'loss.lamda1'"),
+        ({"loss.margin": "-1"}, "margin must be finite and >= 0"),
+        ({"batch.k": "99"}, "STAGE1 needs 99 'gray' rows per identity"),
+    ],
+)
+def test_ablate_refuses_a_bad_variant_before_any_run(tiny_data, monkeypatch, delta, reason):
+    monkeypatch.setattr(trainer, "train", None)  # any run would fail with a TypeError
+    with pytest.raises(ConfigError, match=f"^variant 'bad': {re.escape(reason)}"):
+        ablate(tiny_data, tiny_cfg(), [("base", {}), ("bad", delta)], [0])
+
+
+def test_ablate_checks_the_evaluation_set_before_any_run(tiny_data, monkeypatch):
+    monkeypatch.setattr(trainer, "train", None)
+    no_ir = tiny_data.modalities != "ir"
+    eval_data = SynthDataset(
+        tiny_data.features[no_ir], tiny_data.labels[no_ir], tiny_data.modalities[no_ir]
+    )
+    with pytest.raises(ConfigError, match="^variant 'base': evaluation needs both visible"):
+        ablate(tiny_data, tiny_cfg(), [], [0], eval_data)
