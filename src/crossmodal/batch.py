@@ -125,11 +125,19 @@ def _read_only(*arrays: np.ndarray) -> None:
         arr.flags.writeable = False
 
 
+def _identity_blocks(id_codes: np.ndarray, p: int) -> np.ndarray:
+    """p x (n / p): each identity code's rows in row order, codes ascending; read-only."""
+    blocks = np.argsort(id_codes, kind="stable").reshape(p, -1)
+    _read_only(blocks)
+    return blocks
+
+
 @dataclass(frozen=True)
 class PairMasks:
     """Pairs over a row set: distinct rows (``off``), same identity (``pos``), other (``neg``).
 
     ``every_pos`` / ``every_neg``: whether each row has at least one such partner.
+    ``blocks``: the rows of each identity, as in :attr:`BatchStructure.blocks`.
     """
 
     off: np.ndarray
@@ -137,17 +145,19 @@ class PairMasks:
     neg: np.ndarray
     every_pos: bool
     every_neg: bool
+    blocks: np.ndarray
 
     @classmethod
     def of(cls, id_codes: np.ndarray) -> "PairMasks":
-        """Masks over rows with these identity codes (non-negative integers)."""
+        """Masks over rows with these identity codes: 0 to P - 1, each on equally many rows."""
         same = id_codes[:, None] == id_codes[None, :]
         off = ~np.eye(len(id_codes), dtype=bool)
         pos, neg = same & off, ~same
         _read_only(off, pos, neg)
         counts = np.bincount(id_codes)
         every_pos = bool(counts[id_codes].min() >= 2)
-        return cls(off, pos, neg, every_pos, np.count_nonzero(counts) >= 2)
+        blocks = _identity_blocks(id_codes, len(counts))
+        return cls(off, pos, neg, every_pos, np.count_nonzero(counts) >= 2, blocks)
 
 
 @dataclass(frozen=True)
@@ -193,9 +203,7 @@ class BatchStructure:
     @cached_property
     def blocks(self) -> np.ndarray:
         """P x 2k: each identity's rows in row order, identities in code order."""
-        blocks = np.argsort(self.id_codes, kind="stable").reshape(len(self.identities), -1)
-        _read_only(blocks)
-        return blocks
+        return _identity_blocks(self.id_codes, len(self.identities))
 
     @cached_property
     def block_pairs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,13 @@ METRICS = ("euclid", "cosine")
 #: Euclid ``pairwise_distances`` is built in ``_BLOCK``-row blocks over the
 #: upper triangle.
 _BLOCK = 32
+#: Unit roundoff of float64.
+_U = 2.0**-53
+#: Squared scale ``(|a_i| + max_j |b_j|)^2`` a certified row must lie in: far
+#: enough above the subnormal range that underflow is negligible against the
+#: bound, and far enough below the overflow threshold that no intermediate
+#: overflows.
+_SCALE_RANGE = (2.0**-960, 2.0**1020)
 
 
 def as_vector(values) -> np.ndarray:
@@ -67,6 +74,78 @@ def _euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     diff = a[..., :, None, :] - b[..., None, :, :]
     return np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff))
+
+
+def _matmul_form(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matmul-form squared euclid distances less ``|a_i|^2``, and each row's squared scale.
+
+    ``m[i, j] = fl(fl(a_i . (-2 b_j)) + fl(|b_j|^2))``, from one BLAS call;
+    ``|a_i|^2`` is left out because it shifts the whole row.
+    ``scale[i] = (|a_i| + max_j |b_j|)^2``. Overflow is not reported:
+    :func:`_certified` proves nothing for a row it reaches.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        b2 = np.einsum("ij,ij->i", b, b)
+        scale = (np.sqrt(np.einsum("ij,ij->i", a, a)) + np.sqrt(b2.max())) ** 2
+        m = a @ (-2.0 * b).T
+        m += b2
+    return m, scale
+
+
+def _certified(gap: np.ndarray, scale: np.ndarray, d: int) -> np.ndarray:
+    """Per row, whether a gap in its matmul form proves a strict difference-form order.
+
+    Row i of ``m`` (:func:`_matmul_form`) stands for the difference-form
+    distances ``D_j = fl(sqrt(s_j))``, ``s_j = fl(sum_k fl(fl(a_ik - b_jk)^2))``
+    in any summation order (:func:`_euclid`). Let ``gap[i]`` be a computed
+    ``fl(m_ib - m_ia)``. If it exceeds ``tau = c(d) * R^2``, with
+    ``R^2 = scale[i]`` inside ``_SCALE_RANGE``, ``c(d) = (8d + 24) u`` and
+    ``u = 2^-53``, then ``D_a < D_b``. So a row whose every adjacent gap of
+    its sorted ``m`` passes is strictly increasing in ``D`` along its ``m``
+    order (``evalkit.rank``); a row whose runner-up passes against its
+    smallest entry has that entry as its unique smallest ``D``, since every
+    other entry is at least the runner-up (the batch-hard miner in
+    ``losses``). Callers send every other row to the difference form.
+
+    Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., section 3.1; ``gamma_k = k u / (1 - k u)``). Write ``q = a_i``.
+    Let ``S_j = |q - b_j|^2`` and ``T_j = S_j - |q|^2``, so
+    ``T_b - T_a = S_b - S_a``, ``S_j <= R^2`` and
+    ``2 |q| |b_j| + |b_j|^2 <= R^2``. Scaling by -2 is exact, and a length-d
+    dot product in any summation order, fused multiply-adds included, is off
+    by at most ``gamma_d`` times the dot product of the absolute values; so
+    are ``q . (-2 b_j)`` and ``|b_j|^2``. With one more rounding for the add,
+
+    (1) ``|m_j - T_j| <= gamma_{d+1} (2 |q| |b_j| + |b_j|^2) <= gamma_{d+1} R^2``.
+
+    ``s_j`` sums d nonnegative terms, each rounded at most d + 1 times (the
+    difference, the square, the additions):
+
+    (2) ``|s_j - S_j| <= gamma_{d+2} S_j <= gamma_{d+2} R^2``.
+
+    The root is correctly rounded, so ``fl(sqrt(s_a)) < fl(sqrt(s_b))`` when
+    ``sqrt(s_b) (1 - u) > sqrt(s_a) (1 + u)``, which holds when
+
+    (3) ``s_b - s_a > u (sqrt(s_a) + sqrt(s_b))^2``, and
+    ``(sqrt(s_a) + sqrt(s_b))^2 <= 4 (1 + gamma_{d+2}) R^2``.
+
+    Rounding is monotone, so a computed gap ``fl(m_b - m_a)`` above the
+    computed ``tau`` means ``m_b - m_a > tau``; by (1)
+    ``S_b - S_a > tau - 2 gamma_{d+1} R^2``, by (2)
+    ``s_b - s_a > tau - (2 gamma_{d+1} + 2 gamma_{d+2}) R^2``, and by (3)
+    ``D_a < D_b`` once
+    ``tau >= (2 gamma_{d+1} + 2 gamma_{d+2} + 4 u (1 + gamma_{d+2})) R^2``.
+    For ``(d + 2) u <= 0.01`` that factor is below ``1.011 (4d + 10) u``.
+    ``c(d)`` is twice ``(4d + 12) u``. The margin of more than
+    ``(3.9d + 13) u R^2`` covers computing ``tau`` itself (relative error
+    below ``(2d + 8) u``) and underflow: each of the at most ``8d`` products
+    behind one comparison and its ``tau`` loses at most ``2^-1075``, together
+    under ``d 2^-111 R^2`` once ``R^2 >= 2^-960``. With ``R^2 <= 2^1020``
+    no intermediate (``m``, its gaps, ``s_j``, ``tau``) overflows. A NaN gap
+    or scale proves nothing.
+    """
+    lo, hi = _SCALE_RANGE
+    return (gap > (8 * d + 24) * _U * scale) & (scale >= lo) & (scale <= hi)
 
 
 def pairwise_distances(batch, metric: str = "euclid") -> np.ndarray:

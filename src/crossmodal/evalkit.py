@@ -17,19 +17,20 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import NORM_EPS, as_matrix, cross_distances, pairwise_distances
+from .core import (
+    NORM_EPS,
+    _certified,
+    _matmul_form,
+    as_matrix,
+    cross_distances,
+    pairwise_distances,
+)
 from .errors import ConfigError, DegenerateError, DimensionError, NumericError
 
 RANK_KS = (1, 5, 10, 20)
 #: Rows per ranking and similarity block: the live matmul-form and similarity
 #: blocks are _BLOCK x m.
 _BLOCK = 64
-#: Unit roundoff of float64.
-_U = 2.0**-53
-#: Squared scale ``(|q| + max |g|)^2`` a certified row must lie in: far enough
-#: above the subnormal range that underflow is negligible against the bound,
-#: and far enough below the overflow threshold that no intermediate overflows.
-_SCALE_RANGE = (2.0**-960, 2.0**1020)
 
 
 @dataclass
@@ -92,17 +93,12 @@ def _exact_order(qf: np.ndarray, gf: np.ndarray) -> np.ndarray:
 
 def _certified_order(qf: np.ndarray, gf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matmul-form euclid order per query row, and whether each row's order is proved."""
-    d = qf.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        g2 = np.einsum("ij,ij->i", gf, gf)
-        scale = (np.sqrt(np.einsum("ij,ij->i", qf, qf)) + np.sqrt(g2.max())) ** 2
-        m = qf @ (-2.0 * gf).T
-        m += g2
-        order = np.argsort(m, axis=1)
-        m.sort(axis=1)
-        certified = np.diff(m, axis=1).min(axis=1, initial=np.inf) > (8 * d + 24) * _U * scale
-    lo, hi = _SCALE_RANGE
-    return order, certified & (scale >= lo) & (scale <= hi)
+    m, scale = _matmul_form(qf, gf)
+    order = np.argsort(m, axis=1)
+    m.sort(axis=1)
+    with np.errstate(invalid="ignore"):
+        gaps = np.diff(m, axis=1).min(axis=1, initial=np.inf)
+    return order, _certified(gaps, scale, qf.shape[1])
 
 
 def rank(query_feats, gallery_feats, query_ids, gallery_ids) -> RankingResult:
@@ -118,53 +114,14 @@ def rank(query_feats, gallery_feats, query_ids, gallery_ids) -> RankingResult:
     A row without such a tie has a single ascending order, which any sort
     returns.
 
-    Rows are first ordered by the matmul form
-    ``m_j = fl(fl(q . (-2 g_j)) + fl(|g_j|^2))``, one BLAS call per query
-    block; ``|q|^2`` is left out because it shifts the whole row. A row keeps
-    that order when every adjacent gap of its sorted ``m`` exceeds
-    ``tau = c(d) * R^2``, with ``R = |q| + max_j |g_j|`` and
-    ``c(d) = (8d + 24) u``, ``u = 2^-53``, and ``R^2`` lies in
-    ``_SCALE_RANGE``. Every other row goes through the difference form above,
-    so exact ties, duplicated rows, exact zeros and ulp-close pairs keep its
-    values and its tie rule.
-
-    Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., section 3.1; ``gamma_k = k u / (1 - k u)``). Let
-    ``S_j = |q - g_j|^2`` and ``T_j = S_j - |q|^2``, so
-    ``T_b - T_a = S_b - S_a``, ``S_j <= R^2`` and
-    ``2 |q| |g_j| + |g_j|^2 <= R^2``. Scaling by -2 is exact, and a length-d
-    dot product in any summation order, fused multiply-adds included, is off
-    by at most ``gamma_d`` times the dot product of the absolute values; so
-    are ``q . (-2 g_j)`` and ``|g_j|^2``. With one more rounding for the add,
-
-    (1) ``|m_j - T_j| <= gamma_{d+1} (2 |q| |g_j| + |g_j|^2) <= gamma_{d+1} R^2``.
-
-    ``s_j`` sums d nonnegative terms, each rounded at most d + 1 times (the
-    difference, the square, the additions):
-
-    (2) ``|s_j - S_j| <= gamma_{d+2} S_j <= gamma_{d+2} R^2``.
-
-    The root is correctly rounded, so ``fl(sqrt(s_a)) < fl(sqrt(s_b))`` when
-    ``sqrt(s_b) (1 - u) > sqrt(s_a) (1 + u)``, which holds when
-
-    (3) ``s_b - s_a > u (sqrt(s_a) + sqrt(s_b))^2``, and
-    ``(sqrt(s_a) + sqrt(s_b))^2 <= 4 (1 + gamma_{d+2}) R^2``.
-
-    Rounding is monotone, so a computed gap ``fl(m_b - m_a)`` above the
-    computed ``tau`` means ``m_b - m_a > tau``; by (1)
-    ``S_b - S_a > tau - 2 gamma_{d+1} R^2``, by (2)
-    ``s_b - s_a > tau - (2 gamma_{d+1} + 2 gamma_{d+2}) R^2``, and by (3)
-    ``D_a < D_b`` once
-    ``tau >= (2 gamma_{d+1} + 2 gamma_{d+2} + 4 u (1 + gamma_{d+2})) R^2``.
-    For ``(d + 2) u <= 0.01`` that factor is below ``1.011 (4d + 10) u``.
-    ``c(d)`` is twice ``(4d + 12) u``. The margin of more than
-    ``(3.9d + 13) u R^2`` covers computing ``tau`` itself (relative error
-    below ``(2d + 8) u``) and underflow: each of the at most ``8d`` products
-    behind one comparison and its ``tau`` loses at most ``2^-1075``, together
-    under ``d 2^-111 R^2`` once ``R^2 >= 2^-960``. With ``R^2 <= 2^1020``
-    no intermediate (``m``, its gaps, ``s_j``, ``tau``) overflows. A
-    certified row is thus strictly increasing in ``D`` along its ``m``
-    order, so it holds no tie and the difference form sorts it the same way.
+    Rows are first ordered by the matmul form of the squared distances,
+    one BLAS call per query block (``core._matmul_form``). A row keeps that
+    order when every adjacent gap of its sorted values passes
+    ``core._certified``: that proves the row strictly increasing in the
+    difference-form distances, so it holds no tie and the difference form
+    sorts it the same way. Every other row goes through the difference form
+    above, so exact ties, duplicated rows, exact zeros and ulp-close pairs
+    keep its values and its tie rule.
     """
     qf = as_matrix(query_feats)
     gf = as_matrix(gallery_feats)

@@ -30,13 +30,23 @@ the lowest index before weights are placed, and a pair at distance 0 gets
 coefficient 0. The masks these losses read (pairs per identity, identity
 blocks, memberships) are derived once per batch structure.
 
+The batch-hard triplet mines on the dense difference-form matrix up to
+``core._BLOCK`` rows. Above that it builds no n x n distance matrix: hardest
+positives come exactly from the identity blocks, and hardest negatives from
+the matmul form of the squared distances wherever ``core._certified`` (the
+bound ``evalkit.rank`` uses) proves a row's choice. Every other row is mined
+on its difference-form distances, which keeps exact ties, zeros and the
+lowest-index rule, so both routes choose the same pairs bit for bit.
+
 Each loss built on euclidean distances returns a :class:`Mining` record of its
-decisions, made of references to arrays it built anyway; a stage objective
-merges its terms' records. :meth:`Mining.gap` is the smallest distance from
-the inputs to a kink: a coincident pair, a zero hinge, a hardest pair tied
-with its runner-up, or a ``dcl`` dyn candidate on its threshold (the dyn
-empty-set fallback is not tracked). Training never calls it; the gradient
-checker does, to reject instances near a tie.
+decisions, made of references to arrays it built anyway (the batch-hard
+triplet keeps its input rows, and its record builds the distances from them
+when read); a stage objective merges its terms' records. :meth:`Mining.gap`
+is the smallest distance from the inputs to a kink: a coincident pair, a
+zero hinge, a hardest pair tied with its runner-up, or a ``dcl`` dyn
+candidate on its threshold (the dyn empty-set fallback is not tracked).
+Training never calls it; the gradient checker does, to reject instances near
+a tie.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch import LabeledBatch, PairMasks, Stage
-from .core import _euclid, as_matrix, pairwise_distances
+from .core import _BLOCK, _certified, _euclid, _matmul_form, as_matrix, pairwise_distances
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -70,14 +80,18 @@ DCL_EPS = 1e-12
 class Mining:
     """A loss's discrete decisions, as references to arrays it built; read by :meth:`gap`.
 
-    ``dist``: distances; ``off``: its entries that pair distinct points (``None``:
-    all); ``hinge``: hinge arguments; ``pos`` / ``neg``: the masks each row's
-    largest / smallest entry was mined from; ``pool``: entries compared with
-    their row's ``threshold``; ``parts``: merged records. A loss that returns
-    no record (``None``) made no mining decision.
+    ``dist``: distances; ``feats``: rows whose ``pairwise_distances`` stand in
+    for ``dist``, built only when :meth:`gap` is called (the batch-hard
+    triplet mines without the dense matrix); ``off``: the entries that pair
+    distinct points (``None``: all); ``hinge``: hinge arguments; ``pos`` /
+    ``neg``: the masks each row's largest / smallest entry was mined from;
+    ``pool``: entries compared with their row's ``threshold``; ``parts``:
+    merged records. A loss that returns no record (``None``) made no mining
+    decision.
     """
 
     dist: np.ndarray | None = None
+    feats: np.ndarray | None = None
     off: np.ndarray | None = None
     hinge: np.ndarray | None = None
     pos: np.ndarray | None = None
@@ -89,16 +103,17 @@ class Mining:
     def gap(self) -> float:
         """Smallest distance from the inputs to a kink of the loss (inf if none)."""
         gaps = [part.gap() for part in self.parts if part is not None]
-        if self.dist is not None:
-            gaps.append((self.dist if self.off is None else self.dist[self.off]).min())
+        dist = self.dist if self.feats is None else pairwise_distances(self.feats)
+        if dist is not None:
+            gaps.append((dist if self.off is None else dist[self.off]).min())
         if self.hinge is not None:
             gaps.append(np.abs(self.hinge).min())
         for mask, sign in ((self.pos, -1.0), (self.neg, 1.0)):  # hardest vs runner-up
             if mask is not None:
-                two = np.sort(np.where(mask, sign * self.dist, np.inf), axis=1)[:, :2]
+                two = np.sort(np.where(mask, sign * dist, np.inf), axis=1)[:, :2]
                 gaps.append((two[:, 1] - two[:, 0]).min())
         if self.threshold is not None:
-            slack = np.where(self.pool, self.dist, np.inf) - self.threshold[:, None]
+            slack = np.where(self.pool, dist, np.inf) - self.threshold[:, None]
             gaps.append(np.abs(slack).min())
         return float(np.min(gaps, initial=np.inf))
 
@@ -194,27 +209,42 @@ def _pair_weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutput:
     """Summed hinge over anchors, each mined against its hardest positive/negative.
 
-    ``masks`` are the pair masks of the rows' identities. Each anchor's pair
-    weights are +1 at its hardest positive and -1 at its hardest negative when
-    its hinge is active, and 0 otherwise, so the symmetric weights and their
-    quotients by distance are written at those 2n entries and their mirrors
-    only; every other entry of the dense quotient matrix is 0.
+    ``masks`` are the pair masks of the rows' identities. Up to ``_BLOCK``
+    rows, mining reads the dense difference-form matrix (one ``_euclid``
+    call). Above that, :func:`_hardest_positives` and the certified
+    :func:`_hardest_negatives` mine without it, and the 2n mined distances
+    are recomputed in the difference form. Both routes make the same
+    choices and read the same distances, bit for bit.
+
+    Each anchor's pair weights are +1 at its hardest positive and -1 at its
+    hardest negative when its hinge is active, and 0 otherwise, so the
+    symmetric weights and their quotients by distance are written at those
+    2n entries and their mirrors only; every other entry of the dense
+    quotient matrix is 0.
     """
+    feats = as_matrix(feats)
     if not masks.every_pos:
         raise SamplingError("every anchor needs at least one other row of its identity")
     if not masks.every_neg:
         raise SamplingError("batch needs at least two identities")
     n = feats.shape[0]
-    dist = pairwise_distances(feats, "euclid")
-    mined = np.array(  # 2 x n: each anchor's hardest positive and hardest negative
-        (
-            np.where(masks.pos, dist, -np.inf).argmax(axis=1),
-            np.where(masks.neg, dist, np.inf).argmin(axis=1),
-        )
-    )
     rows = np.arange(n)
+    # mined, 2 x n: each anchor's hardest positive and hardest negative; d: their distances
+    if n <= _BLOCK:
+        dist = _euclid(feats, feats)
+        mined = np.array(
+            (
+                np.where(masks.pos, dist, -np.inf).argmax(axis=1),
+                np.where(masks.neg, dist, np.inf).argmin(axis=1),
+            )
+        )
+        d = dist.take(rows * n + mined)
+    else:
+        mined = np.array(
+            (_hardest_positives(feats, masks.blocks), _hardest_negatives(feats, masks))
+        )
+        d = _euclid(feats[:, None], feats[mined.T])[:, 0].T
     there, back = rows * n + mined, mined * n + rows  # flat indices of (a, j) and (j, a)
-    d = dist.take(there)
     hinge = d[0] - d[1] + margin
     active = hinge > 0
     g = np.zeros((n, n))
@@ -223,8 +253,50 @@ def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutpu
     sym = w + g.take(back)
     g.put(there, np.divide(sym, d, out=np.zeros_like(sym), where=d > 0))
     g.put(back, g.take(there))
-    mining = Mining(dist=dist, off=masks.off, hinge=hinge, pos=masks.pos, neg=masks.neg)
+    mining = Mining(feats=feats, off=masks.off, hinge=hinge, pos=masks.pos, neg=masks.neg)
     return LossOutput(float(hinge[active].sum()), _pair_weight_grad(g, feats), mining)
+
+
+def _hardest_positives(feats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Each row's farthest other row of its identity, lowest row index on ties.
+
+    ``blocks`` hold each identity's rows in ascending order, so the first
+    largest entry of a block row is the lowest row index.
+    """
+    x = feats[blocks]
+    dist = _euclid(x, x)
+    diag = np.arange(blocks.shape[1])
+    dist[:, diag, diag] = -np.inf
+    far = np.empty(len(feats), dtype=np.intp)
+    far[blocks] = np.take_along_axis(blocks, dist.argmax(axis=2), axis=1)
+    return far
+
+
+def _hardest_negatives(feats: np.ndarray, masks: PairMasks) -> np.ndarray:
+    """Each row's nearest row of another identity, lowest row index on ties.
+
+    The matmul form, with every same-identity entry at +inf, gives each row
+    its smallest entry and, with that entry masked, its runner-up. A row
+    keeps its smallest entry when ``core._certified`` proves it the unique
+    nearest negative in the difference form. Every other row (exact ties,
+    duplicated rows, ulp-close pairs, scales outside ``_SCALE_RANGE``) is
+    mined on its difference-form distances, ``_BLOCK`` rows at a time.
+    """
+    m, scale = _matmul_form(feats, feats)
+    b = masks.blocks
+    m[b[:, :, None], b[:, None, :]] = np.inf
+    rows = np.arange(len(feats))
+    near = m.argmin(axis=1)
+    first = m[rows, near]
+    m[rows, near] = np.inf
+    with np.errstate(invalid="ignore"):
+        gap = m.min(axis=1) - first
+    bad = np.flatnonzero(~_certified(gap, scale, feats.shape[1]))
+    for a in range(0, bad.size, _BLOCK):
+        part = bad[a : a + _BLOCK]
+        dist = _euclid(feats[part], feats)
+        near[part] = np.where(masks.neg[part], dist, np.inf).argmin(axis=1)
+    return near
 
 
 def hard_triplet_global(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:

@@ -77,13 +77,14 @@ def step(state: OptimState, params: ModelParams, grads: ModelGrads, lr: float | 
     c1 = 1.0 - state.beta1**state.step_count
     c2 = 1.0 - state.beta2**state.step_count
     g, m, v, p = grads.flat, state.m.flat, state.v.flat, params.flat
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    if state.weight_decay != 0.0:
-        p -= lr * state.weight_decay * p
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the tensor
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        if state.weight_decay != 0.0:
+            p -= lr * state.weight_decay * p
     if not np.isfinite(p).all():
         name = _first_nonfinite(params)
         raise NumericError(f"non-finite parameter {name} after step {state.step_count}")

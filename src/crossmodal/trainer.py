@@ -245,7 +245,7 @@ def train(
                 raise type(exc)(f"epoch {epoch}, batch {b}: {exc}") from exc
             for key, val in out.terms.items():
                 sums[key] += val
-            del out  # its mining record holds this step's distance matrices
+            del out  # its mining record holds this step's block and center distances
         terms = {key: val / n_steps for key, val in sums.items()}
         report = None
         last = epoch == cfg.epochs - 1

@@ -101,6 +101,38 @@ def batch_hard_triplet_grad(feats, labels, margin):
     return grad
 
 
+def dense_batch_hard(feats, labels, margin):
+    """Batch-hard ``(value, grad)`` mined on the whole ``pairwise_distances`` matrix.
+
+    Another exception to the loop style: the library's former dense form, kept
+    as the bitwise reference for its certified miner. It mines on the n x n
+    difference-form matrix and places the pair weights as the library does.
+    """
+    from crossmodal.core import pairwise_distances
+
+    x = np.asarray(feats, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = len(x)
+    dist = pairwise_distances(x)
+    same = labels[:, None] == labels[None, :]
+    pos, neg = same & ~np.eye(n, dtype=bool), ~same
+    mined = np.array(
+        (np.where(pos, dist, -np.inf).argmax(axis=1), np.where(neg, dist, np.inf).argmin(axis=1))
+    )
+    rows = np.arange(n)
+    there, back = rows * n + mined, mined * n + rows
+    d = dist.take(there)
+    hinge = d[0] - d[1] + margin
+    active = hinge > 0
+    g = np.zeros((n, n))
+    w = np.array([[1.0], [-1.0]]) * active
+    g.put(there, w)
+    sym = w + g.take(back)
+    g.put(there, np.divide(sym, d, out=np.zeros_like(sym), where=d > 0))
+    g.put(back, g.take(there))
+    return float(hinge[active].sum()), g.sum(axis=-1)[:, None] * x - g @ x
+
+
 def _runner_up_margin(values):
     """Distance from the smallest value to the next one (inf with fewer than two)."""
     best = second = math.inf

@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import make_pk_batch
 from crossmodal.batch import LabeledBatch
-from crossmodal.core import RngStream, pairwise_distances
+from crossmodal import losses
+from crossmodal.core import _BLOCK, RngStream, _certified, pairwise_distances
 from crossmodal.errors import (
     ConfigError,
     DegenerateError,
     LabelError,
+    NumericError,
     SamplingError,
     StageError,
 )
@@ -274,6 +278,133 @@ def test_stage2_objective_merges_its_terms_mining(rng):
     assert msel(batch, "cosine").mining is None  # no mining decision to report
 
 
+# ---------------------------------------------------------------- certified mining route
+# Above core._BLOCK rows the batch-hard miner takes each hardest negative from
+# the matmul form only where core._certified proves the choice, and mines
+# every other row on the difference form. These batches send rows down that
+# fallback on purpose: tiled tie batches (duplicated rows and exact ties
+# across copies), unit rows scaled below and above core._SCALE_RANGE (so no
+# row is certified, yet every distance stays finite), near ties that the
+# matmul form's rounding error hides (so its own argmin is often wrong), and
+# a tiled tie batch beside general-position rows (some rows certified, some
+# not).
+
+
+def _tiled(name, copies):
+    """``copies`` of a tie batch stacked, each copy under its own labels."""
+    batch = TIE_BATCHES[name]
+    offset = batch.labels.max() + 1
+    return LabeledBatch(
+        np.tile(batch.features, (copies, 1)),
+        np.concatenate([batch.labels + c * offset for c in range(copies)]),
+        np.tile(batch.modalities, copies),
+    )
+
+
+def _unit_rows(scale, p=9, k=2, dim=4):
+    batch = make_pk_batch(RngStream(p * k), p, k, dim)
+    feats = batch.features / np.sqrt((batch.features**2).sum(axis=1, keepdims=True))
+    return LabeledBatch(feats * scale, batch.labels, batch.modalities)
+
+
+def _near_ties():
+    """Distinct points of an integer grid, 2^8 from the origin, moved by ~1e-12.
+
+    Grid distances tie often; the moves break the ties by far less than the
+    matmul form's rounding error there (~1e-10), and far more than the
+    difference form's.
+    """
+    r = RngStream(7)
+    cells = r.permutation(64)[:40]
+    grid = np.stack([cells // 8, cells % 8], axis=1) + 2.0**8
+    batch = make_pk_batch(r, 10, 2, 2)
+    return LabeledBatch(grid + 1e-12 * batch.features, batch.labels, batch.modalities)
+
+
+def _mixed():
+    ties, free = _tiled("equidistant", 3), make_pk_batch(RngStream(5), 4, 2, 1)
+    return LabeledBatch(
+        np.vstack([ties.features, free.features]),
+        np.concatenate([ties.labels, free.labels + ties.labels.max() + 1]),
+        np.concatenate([ties.modalities, free.modalities]),
+    )
+
+
+#: name -> (batch, scale of its features, whether every row must fall back)
+FALLBACK_BATCHES = {
+    "duplicates": (_tiled("duplicates", 6), 1.0, True),  # 72 rows; 36 per modality
+    "equidistant": (_tiled("equidistant", 9), 1.0, True),
+    "zero_hinge": (_tiled("zero_hinge", 9), 1.0, True),
+    "on_center": (_tiled("on_center", 9), 1.0, True),
+    "below_range": (_unit_rows(2.0**-490), 2.0**-490, True),
+    "above_range": (_unit_rows(2.0**510), 2.0**510, True),
+    "near_ties": (_near_ties(), 1.0, False),
+    "mixed": (_mixed(), 1.0, False),  # 40 rows, 24 of them tied
+}
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Per certified-route call: the number of rows it sent to the difference form."""
+    counts = []
+
+    def spy(gap, scale, d):
+        proved = _certified(gap, scale, d)
+        counts.append((len(proved), int((~proved).sum())))
+        return proved
+
+    monkeypatch.setattr(losses, "_certified", spy)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_BATCHES))
+def test_fallback_mining_is_the_dense_form_bit_for_bit(name, fallback_rows):
+    batch, scale, every_row = FALLBACK_BATCHES[name]
+    for margin in (0.1 * scale, scale):
+        out = hard_triplet_global(batch, margin)
+        value, grad = oracles.dense_batch_hard(batch.features, batch.labels, margin)
+        assert out.value == value and np.array_equal(out.grad, grad)
+        intra, total = hard_triplet_intra(batch, margin), 0.0
+        for rows, _ in batch.structure.modality_pairs:
+            value, grad = oracles.dense_batch_hard(batch.features[rows], batch.labels[rows], margin)
+            total += value
+            assert np.array_equal(intra.grad[rows], grad)
+        assert intra.value == total
+    assert all(n > _BLOCK for n, _ in fallback_rows)
+    assert all(0 < bad for _, bad in fallback_rows)
+    assert every_row == all(bad == n for n, bad in fallback_rows)
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_BATCHES))
+def test_fallback_mining_matches_loop_oracles(name):
+    batch, scale, _ = FALLBACK_BATCHES[name]
+    feats, labels = batch.features.tolist(), batch.labels.tolist()
+    close = dict(rel=0, abs=1e-12)
+    for margin in (0.1 * scale, scale):
+        out = hard_triplet_global(batch, margin)
+        expected = oracles.batch_hard_triplet(feats, labels, margin)
+        assert out.value / scale == pytest.approx(expected / scale, **close)
+        expected = oracles.batch_hard_triplet_grad(feats, labels, margin)
+        assert np.allclose(out.grad, expected, rtol=0, atol=1e-12)
+        expected = oracles.batch_hard_gap(feats, labels, margin)
+        assert out.mining.gap() / scale == pytest.approx(expected / scale, **close)
+
+
+@pytest.mark.parametrize("p", [16, 17])  # 32 rows: the dense route; 34 rows: the certified one
+def test_mining_routes_meet_at_the_block_size(p, fallback_rows):
+    batch = make_pk_batch(RngStream(p), p, 1, 5)
+    feats, labels = batch.features.tolist(), batch.labels.tolist()
+    for margin in (0.1, 1.0):
+        out = hard_triplet_global(batch, margin)
+        value, grad = oracles.dense_batch_hard(batch.features, batch.labels, margin)
+        assert out.value == value and np.array_equal(out.grad, grad)
+        expected = oracles.batch_hard_triplet_grad(feats, labels, margin)
+        assert np.allclose(out.grad, expected, rtol=0, atol=1e-12)
+        expected = oracles.batch_hard_gap(feats, labels, margin)
+        assert out.mining.gap() == pytest.approx(expected, rel=0, abs=1e-12)
+    assert len(fallback_rows) == (2 if len(batch) > _BLOCK else 0)
+
+
 # ---------------------------------------------------------------- invariances
 
 
@@ -367,6 +498,23 @@ def test_triplet_needs_positives_and_negatives():
     one_id = LabeledBatch(np.zeros((4, 2)), [0] * 4, ["vis", "ir", "vis", "ir"])
     with pytest.raises(SamplingError):
         hard_triplet_global(one_id, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("p, k, dim", [(3, 3, 4), (32, 8, 16)])  # 18 and 512 rows
+def test_batch_hard_refuses_non_finite_features(rng, p, k, dim, bad):
+    batch = make_pk_batch(rng, p, k, dim).validate()
+    feats = batch.features.copy()
+    feats[5, 1] = bad
+    broken = replace(batch, features=feats)  # keeps the structure: no re-validation
+    logits = np.zeros((len(batch), p))
+    for loss_fn in (
+        lambda b: hard_triplet_global(b, 0.1),
+        lambda b: hard_triplet_intra(b, 0.1),
+        lambda b: stage2_objective(b, logits, b.labels, LossConfig()),
+    ):
+        with pytest.raises(NumericError, match="matrix contains NaN or Inf"):
+            loss_fn(broken)
 
 
 def test_msel_needs_k_at_least_two():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,15 @@ def test_overflowing_step_names_parameter_and_step():
         with pytest.raises(NumericError, match="^non-finite parameter w1 after step 1$"):
             step(state, params, grads)
     assert state.step_count == 1
+
+
+def test_overflowing_step_raises_without_a_numpy_warning():
+    params, grads = make_setup()
+    state = init_optim_state(params, base_lr=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="^non-finite parameter w1 after step 1$"):
+            step(state, params, grads)
 
 
 def test_cosine_lr_endpoints_and_midpoint():
