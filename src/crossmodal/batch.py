@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -106,18 +106,23 @@ class BatchSpec:
 
 def coerce_rows(features, labels, modalities):
     """Coerce to 2-D float64 features with one int64 label and one known tag per row."""
-    features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     modalities = np.asarray(modalities, dtype=np.str_)
+    features = _coerce_features(features, labels, modalities)
+    unknown = modalities[~np.logical_or.reduce([modalities == c for c in MODALITY_CODES])]
+    if unknown.size:
+        raise ConfigError(f"unknown modality tag {np.unique(unknown)[0]!r}")
+    return features, labels, modalities
+
+
+def _coerce_features(features, labels: np.ndarray, modalities: np.ndarray) -> np.ndarray:
+    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise DimensionError(f"features must be 2-D, got shape {features.shape}")
     n = features.shape[0]
     if labels.shape != (n,) or modalities.shape != (n,):
         raise DimensionError("features, labels, and modalities disagree on row count")
-    unknown = modalities[~np.logical_or.reduce([modalities == c for c in MODALITY_CODES])]
-    if unknown.size:
-        raise ConfigError(f"unknown modality tag {np.unique(unknown)[0]!r}")
-    return features, labels, modalities
+    return features
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -133,40 +138,120 @@ def _identity_blocks(id_codes: np.ndarray, p: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _DenseMasks:
+    """The n x n masks of :class:`PairMasks`, derived from identity codes on first read."""
+
+    id_codes: np.ndarray
+
+    @cached_property
+    def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        same = self.id_codes[:, None] == self.id_codes[None, :]
+        off = ~np.eye(len(self.id_codes), dtype=bool)
+        pos, neg = same & off, ~same
+        _read_only(off, pos, neg)
+        return off, pos, neg
+
+
+@dataclass(frozen=True)
 class PairMasks:
     """Pairs over a row set: distinct rows (``off``), same identity (``pos``), other (``neg``).
 
     ``every_pos`` / ``every_neg``: whether each row has at least one such partner.
     ``blocks``: the rows of each identity, as in :attr:`BatchStructure.blocks`.
+    The three n x n masks are derived on first read and shared with every
+    :meth:`reordered` copy; mining above ``core._BLOCK`` rows reads none of
+    them (:meth:`neg_rows` gives the rows it mines on the dense distances).
     """
 
-    off: np.ndarray
-    pos: np.ndarray
-    neg: np.ndarray
     every_pos: bool
     every_neg: bool
     blocks: np.ndarray
+    dense: _DenseMasks = field(repr=False, compare=False)
 
     @classmethod
     def of(cls, id_codes: np.ndarray) -> "PairMasks":
         """Masks over rows with these identity codes: 0 to P - 1, each on equally many rows."""
-        same = id_codes[:, None] == id_codes[None, :]
-        off = ~np.eye(len(id_codes), dtype=bool)
-        pos, neg = same & off, ~same
-        _read_only(off, pos, neg)
         counts = np.bincount(id_codes)
         every_pos = bool(counts[id_codes].min() >= 2)
         blocks = _identity_blocks(id_codes, len(counts))
-        return cls(off, pos, neg, every_pos, np.count_nonzero(counts) >= 2, blocks)
+        return cls(every_pos, bool(np.count_nonzero(counts) >= 2), blocks, _DenseMasks(id_codes))
+
+    def reordered(self, order: np.ndarray) -> "PairMasks":
+        """The same pairs, with the identity blocks taken in ``order``."""
+        blocks = self.blocks[order]
+        _read_only(blocks)
+        return PairMasks(self.every_pos, self.every_neg, blocks, self.dense)
+
+    def neg_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``neg[rows]``, without deriving ``neg``."""
+        codes = self.dense.id_codes
+        return codes[rows, None] != codes
+
+    @property
+    def off(self) -> np.ndarray:
+        return self.dense.masks[0]
+
+    @property
+    def pos(self) -> np.ndarray:
+        return self.dense.masks[1]
+
+    @property
+    def neg(self) -> np.ndarray:
+        return self.dense.masks[2]
+
+
+@dataclass(frozen=True)
+class RowLayout:
+    """Which rows share an identity (codes 0 to P - 1) and each row's modality code.
+
+    Everything here is derived on first use and read-only. A batch whose
+    identity codes relabel ``id_codes`` by a permutation has the same pairs;
+    only its identity blocks and membership rows come in another order
+    (:attr:`BatchStructure.order`). ``block_pairs`` is shared as it is, so
+    a layout used that way gives every identity block one modality pattern.
+    """
+
+    id_codes: np.ndarray
+    mod_codes: np.ndarray
+
+    @cached_property
+    def pairs(self) -> PairMasks:
+        return PairMasks.of(self.id_codes)
+
+    @cached_property
+    def modality_pairs(self) -> tuple[tuple[np.ndarray, PairMasks], ...]:
+        rows = [np.flatnonzero(self.mod_codes == code) for code in (0, 1)]  # two modalities
+        _read_only(*rows)
+        return tuple((r, PairMasks.of(self.id_codes[r])) for r in rows)
+
+    @cached_property
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        own = self.id_codes[None, :] == np.arange(len(self.pairs.blocks))[:, None]
+        count = own.sum(axis=1)
+        _read_only(own, count)
+        return own, count
+
+    @cached_property
+    def block_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _positive_pairs(self.mod_codes[self.pairs.blocks])
+
+    @cached_property
+    def batch_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        ids = self.id_codes[None]
+        return _positive_pairs(self.mod_codes[None], ids[:, :, None] == ids[:, None, :])
 
 
 @dataclass(frozen=True)
 class BatchStructure:
     """Sorted distinct identities and modalities, per-row codes into them, and cell size k.
 
-    ``labels`` and ``tags`` are the (now read-only) arrays it was derived from.
-    The pair masks and identity blocks below are derived from it once, on
-    first use, and are read-only.
+    ``labels`` and ``tags`` are the (now read-only) arrays it was derived
+    from. The pair masks, identity blocks and memberships below come from
+    ``layout`` on first use, with identity blocks and membership rows taken
+    in ``order`` (code c's rows are ``layout``'s identity ``order[c]``); all
+    are read-only. :meth:`LabeledBatch.validate` builds a layout from the
+    batch's own codes (``order`` is the identity); :func:`sample_batch`
+    shares one layout among all its batches of one stage and shape.
     """
 
     labels: np.ndarray
@@ -176,45 +261,41 @@ class BatchStructure:
     modalities: tuple[str, ...]
     mod_codes: np.ndarray
     k: int
+    layout: RowLayout = field(repr=False, compare=False)
+    order: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def pairs(self) -> PairMasks:
         """Pair masks over all rows."""
-        return PairMasks.of(self.id_codes)
+        return self.layout.pairs.reordered(self.order)
 
     @cached_property
     def modality_pairs(self) -> tuple[tuple[np.ndarray, PairMasks], ...]:
         """Per modality code: its row indices and the pair masks over those rows."""
-        out = []
-        for code in range(len(self.modalities)):
-            rows = np.flatnonzero(self.mod_codes == code)
-            _read_only(rows)
-            out.append((rows, PairMasks.of(self.id_codes[rows])))
-        return tuple(out)
+        return tuple((rows, m.reordered(self.order)) for rows, m in self.layout.modality_pairs)
 
     @cached_property
     def members(self) -> tuple[np.ndarray, np.ndarray]:
         """``(own, count)``: P x n whether row r has identity code c, and each code's row count."""
-        own = self.id_codes[None, :] == np.arange(len(self.identities))[:, None]
-        count = own.sum(axis=1)
+        own, count = self.layout.members
+        own, count = own[self.order], count[self.order]
         _read_only(own, count)
         return own, count
 
-    @cached_property
+    @property
     def blocks(self) -> np.ndarray:
         """P x 2k: each identity's rows in row order, identities in code order."""
-        return _identity_blocks(self.id_codes, len(self.identities))
+        return self.pairs.blocks
 
-    @cached_property
+    @property
     def block_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """P x 2k x 2k ``(intra, cross)`` positive pairs inside each identity block."""
-        return _positive_pairs(self.mod_codes[self.blocks])
+        return self.layout.block_pairs
 
-    @cached_property
+    @property
     def batch_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """1 x n x n ``(intra, cross)`` positive pairs over all rows as one block, in row order."""
-        ids = self.id_codes[None]
-        return _positive_pairs(self.mod_codes[None], ids[:, :, None] == ids[:, None, :])
+        return self.layout.batch_pairs
 
 
 def _positive_pairs(mods: np.ndarray, same_id: np.ndarray | None = None):
@@ -238,7 +319,8 @@ def _positive_pairs(mods: np.ndarray, same_id: np.ndarray | None = None):
 class LabeledBatch:
     """Feature rows with a per-row identity label and modality tag.
 
-    Validation derives a :class:`BatchStructure` once and keeps it.
+    Validation derives a :class:`BatchStructure` once and keeps it;
+    :func:`sample_batch` builds its batches with theirs.
     ``dataclasses.replace(batch, features=...)`` carries it over, because the
     labels and tags are the same arrays; a batch given other label or tag
     arrays drops it and is validated again on first use.
@@ -250,12 +332,15 @@ class LabeledBatch:
     _structure: BatchStructure | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        s = self._structure
+        if s is not None and s.labels is self.labels and s.tags is self.modalities:
+            # the labels and tags were checked when the structure was derived
+            self.features = _coerce_features(self.features, self.labels, self.modalities)
+            return
+        self._structure = None
         self.features, self.labels, self.modalities = coerce_rows(
             self.features, self.labels, self.modalities
         )
-        s = self._structure
-        if s is not None and (s.labels is not self.labels or s.tags is not self.modalities):
-            self._structure = None
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -277,8 +362,7 @@ class LabeledBatch:
 
     def validate(self) -> "LabeledBatch":
         """Check batch invariants: finite rows, exactly two modalities, even cells."""
-        if not np.isfinite(self.features).all():
-            raise NumericError("batch features contain NaN or Inf")
+        _check_finite(self.features)
         if self._structure is not None:
             return self
         # One np.unique per column and one bincount over the cells.
@@ -290,11 +374,41 @@ class LabeledBatch:
         sizes = sorted(set(np.bincount(2 * id_codes + mod_codes, minlength=2 * len(ids)).tolist()))
         if len(sizes) != 1:
             raise ConfigError(f"uneven (identity, modality) cells: sizes {sizes}")
-        _read_only(self.labels, self.modalities)
+        order = np.arange(len(ids))
+        _read_only(self.labels, self.modalities, ids, id_codes, mod_codes, order)
         self._structure = BatchStructure(
-            self.labels, self.modalities, ids, id_codes, mods, mod_codes, sizes[0]
+            self.labels,
+            self.modalities,
+            ids,
+            id_codes,
+            mods,
+            mod_codes,
+            sizes[0],
+            RowLayout(id_codes, mod_codes),
+            order,
         )
         return self
+
+
+def _check_finite(features: np.ndarray) -> None:
+    if not np.isfinite(features).all():
+        raise NumericError("batch features contain NaN or Inf")
+
+
+@lru_cache(maxsize=None)
+def _sampled_layout(stage: Stage, p: int, k: int) -> RowLayout:
+    """The layout every :func:`sample_batch` batch of this stage and P x K shares.
+
+    Drawn identity j holds rows ``[2kj, 2k(j + 1))``: k rows of the stage's
+    first modality, then k of its second; modality codes follow sorted tags.
+    """
+    first = int(stage.modality_pair[0] > stage.modality_pair[1])
+    layout = RowLayout(
+        np.repeat(np.arange(p), 2 * k),
+        np.tile(np.repeat(np.array([first, 1 - first]), k), p),
+    )
+    _read_only(layout.id_codes, layout.mod_codes)
+    return layout
 
 
 def sample_batch(
@@ -304,6 +418,12 @@ def sample_batch(
 
     Stage 1 draws grayscale+infrared rows, stage 2 visible+infrared. Identity
     choice is uniform; the same stream always reproduces the same batch.
+
+    The batch carries its structure: the rows of the j-th drawn identity are
+    block j of the layout shared by every batch of this stage and shape
+    (``_sampled_layout``), so the only per-batch derivation is the order of
+    the P drawn identities. The batch is not validated again; its features
+    are checked to be finite.
     """
     pair = stage.modality_pair
     ids = dataset.identities
@@ -317,13 +437,30 @@ def sample_batch(
                 f"batch needs {spec.k}"
             )
     chosen = rng.choice(len(ids), size=spec.p, replace=False)
-    picks: list[np.ndarray] = []
-    for ci in chosen:
-        ident = ids[int(ci)]
-        for mod in pair:
-            rows = dataset.rows_of(ident, mod)
+    cells = dataset.cells(pair)
+    picks = []
+    for i in chosen:
+        for rows in cells[i]:
             picks.append(rows[rng.choice(len(rows), size=spec.k, replace=False)])
     idx = np.concatenate(picks)
-    return LabeledBatch(
-        dataset.features[idx], dataset.labels[idx], dataset.modalities[idx]
-    ).validate()
+    features, labels, tags = dataset.features[idx], dataset.labels[idx], dataset.modalities[idx]
+    _check_finite(features)
+    p, k = int(spec.p), int(spec.k)
+    layout = _sampled_layout(stage, p, k)
+    order = np.argsort(chosen)  # identity code c is the drawn identity order[c]
+    codes = np.empty(p, dtype=np.intp)
+    codes[order] = np.arange(p)
+    identities, id_codes = ids[chosen[order]], np.repeat(codes, 2 * k)
+    _read_only(labels, tags, identities, id_codes, order)
+    structure = BatchStructure(
+        labels,
+        tags,
+        identities,
+        id_codes,
+        tuple(sorted(pair)),
+        layout.mod_codes,
+        k,
+        layout,
+        order,
+    )
+    return LabeledBatch(features, labels, tags, structure)

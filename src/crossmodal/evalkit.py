@@ -158,11 +158,21 @@ def cmc(result: RankingResult, max_k: int) -> np.ndarray:
 
 
 def _query_scores(relevant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-query first-hit rank, average precision and inverse negative penalty."""
-    hits = np.cumsum(relevant, axis=1)
-    ap = np.where(relevant, hits / np.arange(1, relevant.shape[1] + 1), 0.0).sum(axis=1)
-    last = relevant.shape[1] - relevant[:, ::-1].argmax(axis=1)
-    return relevant.argmax(axis=1) + 1, ap / hits[:, -1], hits[:, -1] / last
+    """Per-query first-hit rank, average precision and inverse negative penalty.
+
+    Every row holds at least one hit (``rank`` drops the others). Works on the
+    hit positions: the k-th hit of a row, at column c, has precision
+    k / (c + 1). Each row's precisions are written into a row of zeros and
+    summed, the same array and sum a cumulative count over the whole row
+    gives, so the scores are the same bit for bit.
+    """
+    rows, cols = np.nonzero(relevant)
+    count = np.bincount(rows, minlength=relevant.shape[0])
+    end = np.cumsum(count)
+    start = end - count
+    prec = np.zeros(relevant.shape)
+    prec[rows, cols] = (np.arange(1, rows.size + 1) - np.repeat(start, count)) / (cols + 1)
+    return cols[start] + 1, prec.sum(axis=1) / count, count / (cols[end - 1] + 1)
 
 
 def mean_ap(result: RankingResult) -> float:

@@ -28,7 +28,9 @@ weights can be non-zero:
 The conventions hold there: an inactive hinge places no weight, mining picks
 the lowest index before weights are placed, and a pair at distance 0 gets
 coefficient 0. The masks these losses read (pairs per identity, identity
-blocks, memberships) are derived once per batch structure.
+blocks, memberships) come from the batch structure: derived once per
+validated batch, and shared by every sampled batch of one stage and shape
+(``batch.sample_batch``). The n x n pair masks are derived only when read.
 
 The batch-hard triplet mines on the dense difference-form matrix up to
 ``core._BLOCK`` rows. Above that it builds no n x n distance matrix: hardest
@@ -51,6 +53,7 @@ a tie.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +65,7 @@ from .errors import (
     DegenerateError,
     DimensionError,
     LabelError,
+    NumericError,
     SamplingError,
     StageError,
 )
@@ -85,9 +89,10 @@ class Mining:
     triplet mines without the dense matrix); ``off``: the entries that pair
     distinct points (``None``: all); ``hinge``: hinge arguments; ``pos`` /
     ``neg``: the masks each row's largest / smallest entry was mined from;
-    ``pool``: entries compared with their row's ``threshold``; ``parts``:
-    merged records. A loss that returns no record (``None``) made no mining
-    decision.
+    ``pairs``: :class:`PairMasks` whose ``off`` / ``pos`` / ``neg`` stand in
+    for those three, read only when :meth:`gap` is called; ``pool``: entries
+    compared with their row's ``threshold``; ``parts``: merged records. A
+    loss that returns no record (``None``) made no mining decision.
     """
 
     dist: np.ndarray | None = None
@@ -96,6 +101,7 @@ class Mining:
     hinge: np.ndarray | None = None
     pos: np.ndarray | None = None
     neg: np.ndarray | None = None
+    pairs: PairMasks | None = None
     pool: np.ndarray | None = None
     threshold: np.ndarray | None = None
     parts: tuple["Mining", ...] = ()
@@ -104,11 +110,14 @@ class Mining:
         """Smallest distance from the inputs to a kink of the loss (inf if none)."""
         gaps = [part.gap() for part in self.parts if part is not None]
         dist = self.dist if self.feats is None else pairwise_distances(self.feats)
+        off, pos, neg = self.off, self.pos, self.neg
+        if self.pairs is not None:
+            off, pos, neg = self.pairs.off, self.pairs.pos, self.pairs.neg
         if dist is not None:
-            gaps.append((dist if self.off is None else dist[self.off]).min())
+            gaps.append((dist if off is None else dist[off]).min())
         if self.hinge is not None:
             gaps.append(np.abs(self.hinge).min())
-        for mask, sign in ((self.pos, -1.0), (self.neg, 1.0)):  # hardest vs runner-up
+        for mask, sign in ((pos, -1.0), (neg, 1.0)):  # hardest vs runner-up
             if mask is not None:
                 two = np.sort(np.where(mask, sign * dist, np.inf), axis=1)[:, :2]
                 gaps.append((two[:, 1] - two[:, 0]).min())
@@ -253,7 +262,7 @@ def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutpu
     sym = w + g.take(back)
     g.put(there, np.divide(sym, d, out=np.zeros_like(sym), where=d > 0))
     g.put(back, g.take(there))
-    mining = Mining(feats=feats, off=masks.off, hinge=hinge, pos=masks.pos, neg=masks.neg)
+    mining = Mining(feats=feats, hinge=hinge, pairs=masks)
     return LossOutput(float(hinge[active].sum()), _pair_weight_grad(g, feats), mining)
 
 
@@ -295,7 +304,7 @@ def _hardest_negatives(feats: np.ndarray, masks: PairMasks) -> np.ndarray:
     for a in range(0, bad.size, _BLOCK):
         part = bad[a : a + _BLOCK]
         dist = _euclid(feats[part], feats)
-        near[part] = np.where(masks.neg[part], dist, np.inf).argmin(axis=1)
+        near[part] = np.where(masks.neg_rows(part), dist, np.inf).argmin(axis=1)
     return near
 
 
@@ -443,14 +452,24 @@ def _check_stage(batch: LabeledBatch, stage: Stage) -> None:
         )
 
 
+def _finite(term: str, part: LossOutput) -> LossOutput:
+    """``part`` if its value and gradient are finite, else ``NumericError`` naming ``term``."""
+    if not (math.isfinite(part.value) and np.isfinite(part.grad).all()):
+        raise NumericError(f"non-finite {term} loss term")
+    return part
+
+
 def stage1_objective(
     batch: LabeledBatch, logits, labels, cfg: LossConfig
 ) -> ObjectiveOutput:
-    """Stage-1 total: within-modality hard triplet plus identity cross-entropy."""
+    """Stage-1 total: within-modality hard triplet plus identity cross-entropy.
+
+    A term whose value or gradient is not finite raises ``NumericError`` naming it.
+    """
     cfg.validate()
     _check_stage(batch, Stage.STAGE1)
-    tri = hard_triplet_intra(batch, cfg.margin)
-    ce = identity_loss(logits, labels)
+    tri = _finite("intra", hard_triplet_intra(batch, cfg.margin))
+    ce = _finite("id", identity_loss(logits, labels))
     return ObjectiveOutput(
         value=tri.value + ce.value,
         grad_embeddings=tri.grad,
@@ -467,30 +486,31 @@ def stage2_objective(
 
     The identity term is off by default here and can be re-enabled through
     ``cfg.include_id_stage2``; with both lambdas at zero the result equals
-    the global hard-triplet loss exactly.
+    the global hard-triplet loss exactly. A term whose value or gradient is
+    not finite raises ``NumericError`` naming it.
     """
     cfg.validate()
     _check_stage(batch, Stage.STAGE2)
-    tri = hard_triplet_global(batch, cfg.margin)
+    tri = _finite("global", hard_triplet_global(batch, cfg.margin))
     value = tri.value
     grad = tri.grad.copy()
     terms = {"global": tri.value}
     mined = [tri.mining]
     if cfg.lambda1 > 0:
-        part = msel(batch, cfg.msel_metric)
+        part = _finite("msel", msel(batch, cfg.msel_metric))
         value += cfg.lambda1 * part.value
         grad += cfg.lambda1 * part.grad
         terms["msel"] = part.value
         mined.append(part.mining)
     if cfg.lambda2 > 0:
-        part = dcl(batch, cfg.dcl_mode)
+        part = _finite("dcl", dcl(batch, cfg.dcl_mode))
         value += cfg.lambda2 * part.value
         grad += cfg.lambda2 * part.grad
         terms["dcl"] = part.value
         mined.append(part.mining)
     logits_arr = as_matrix(logits)
     if cfg.include_id_stage2:
-        ce = identity_loss(logits_arr, labels)
+        ce = _finite("id", identity_loss(logits_arr, labels))
         value += ce.value
         grad_logits = ce.grad
         terms["id"] = ce.value

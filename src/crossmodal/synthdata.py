@@ -44,6 +44,7 @@ class SynthDataset:
     _index: dict = field(init=False, repr=False, default_factory=dict)
     _min_count: dict = field(init=False, repr=False, default_factory=dict)
     _identities: np.ndarray = field(init=False, repr=False, default=None)
+    _cells: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.features, self.labels, self.modalities = coerce_rows(
@@ -77,6 +78,15 @@ class SynthDataset:
         """Row indices of one (identity, modality) cell, in dataset order."""
         mod = modality.value if isinstance(modality, Modality) else str(modality)
         return self._index.get((int(identity), mod), np.empty(0, dtype=np.int64))
+
+    def cells(self, pair: tuple[str, str]) -> list[tuple[np.ndarray, ...]]:
+        """Per identity, in ``identities`` order, its :meth:`rows_of` each tag in ``pair``.
+
+        Built on the first call for a pair and kept: the batch sampler reads it every step.
+        """
+        if pair not in self._cells:
+            self._cells[pair] = [tuple(self.rows_of(i, m) for m in pair) for i in self.identities]
+        return self._cells[pair]
 
     def count_of(self, identity: int, modality: str | Modality) -> int:
         return int(self.rows_of(identity, modality).size)

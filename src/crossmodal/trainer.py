@@ -18,7 +18,7 @@ import numpy as np
 
 from .batch import BatchSpec, LabeledBatch, Modality, Stage, sample_batch
 from .core import RngStream
-from .errors import ConfigError, CrossmodalError
+from .errors import ConfigError, CrossmodalError, NumericError
 from .evalkit import EvalReport, evaluate
 from .losses import LossConfig, ObjectiveOutput, stage1_objective, stage2_objective
 from .model import (
@@ -190,10 +190,19 @@ def loss_and_grads(
     (keeping its validated structure) before the stage objective runs.
     ``targets`` are the rows' classifier indices. Returns the objective, the
     parameter gradients and the forward trace for the batch-norm update.
+
+    The forward pass and the objective run with numpy's floating-point
+    warnings off, because each result is checked next: a non-finite batch
+    mean or variance raises ``NumericError`` naming it, and the objective
+    names its first non-finite term.
     """
-    emb, _, logits, trace = forward(params, batch.features)
-    objective = stage1_objective if stage is Stage.STAGE1 else stage2_objective
-    out = objective(replace(batch, features=emb), logits, targets, cfg)
+    with np.errstate(all="ignore"):
+        emb, _, logits, trace = forward(params, batch.features)
+        for name, stat in (("mean", trace.mean), ("variance", trace.var)):
+            if not np.isfinite(stat).all():
+                raise NumericError(f"non-finite batch-norm {name} in the forward pass")
+        objective = stage1_objective if stage is Stage.STAGE1 else stage2_objective
+        out = objective(replace(batch, features=emb), logits, targets, cfg)
     grads = backward(trace, params, d_embeddings=out.grad_embeddings, d_logits=out.grad_logits)
     return out, grads, trace
 

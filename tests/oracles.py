@@ -404,6 +404,14 @@ def inverse_negative_penalty(order, gallery_ids, query_id):
     return count / last
 
 
+def dense_query_scores(relevant):
+    """``evalkit._query_scores`` as one cumulative count over every whole row."""
+    hits = np.cumsum(relevant, axis=1)
+    ap = np.where(relevant, hits / np.arange(1, relevant.shape[1] + 1), 0.0).sum(axis=1)
+    last = relevant.shape[1] - relevant[:, ::-1].argmax(axis=1)
+    return relevant.argmax(axis=1) + 1, ap / hits[:, -1], hits[:, -1] / last
+
+
 def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, weight_decay):
     """One update on flat scalar lists; returns new (param, m, v)."""
     new_p, new_m, new_v = [], [], []

@@ -1,22 +1,29 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_pk_batch
 
+from crossmodal import batch as batch_module
 from crossmodal.batch import (
     BatchSpec,
     FeatureLayout,
     LabeledBatch,
     Modality,
+    PairMasks,
     Stage,
     grayscale_of,
     sample_batch,
 )
+from crossmodal.config import parse_config_file
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, DimensionError, NumericError, SamplingError
 from crossmodal.losses import compute_centers, hard_triplet_global, hard_triplet_intra, msel
-from crossmodal.synthdata import SynthDataset, make_benchmark
+from crossmodal.synthdata import SynthDataset, load_features, make_benchmark
+from crossmodal.trainer import train
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_feature_layout_slices():
@@ -142,3 +149,101 @@ def test_sample_batch_names_the_short_identity():
     with pytest.raises(SamplingError, match="identity 1 has 2 'ir' rows, batch needs 3"):
         sample_batch(ds, BatchSpec(2, 3), Stage.STAGE2, RngStream(0))
     assert len(sample_batch(ds, BatchSpec(2, 2), Stage.STAGE2, RngStream(0))) == 8
+
+
+def _scrambled_dataset() -> SynthDataset:
+    """40 identities with scattered labels, 9 rows per modality, rows in shuffled order."""
+    rng = RngStream(3)
+    ids = np.sort(rng.choice(10**6, size=40, replace=False))
+    labels = np.repeat(ids, 27)
+    tags = np.tile(np.repeat(["vis", "gray", "ir"], 9), 40)
+    perm = rng.permutation(labels.size)
+    return SynthDataset(rng.normal(size=(labels.size, 5)), labels[perm], tags[perm])
+
+
+_STRUCTURE_FIELDS = ("labels", "tags", "identities", "id_codes", "modalities", "mod_codes", "k")
+_MASK_FIELDS = ("every_pos", "every_neg", "blocks", "off", "pos", "neg")
+
+
+def _derived(s) -> dict:
+    """Every field of a structure and every array it derives, by name."""
+    out = {name: getattr(s, name) for name in _STRUCTURE_FIELDS}
+    named = [("pairs", s.pairs)]
+    for code, (rows, masks) in enumerate(s.modality_pairs):
+        out[f"modality_pairs[{code}].rows"] = rows
+        named.append((f"modality_pairs[{code}]", masks))
+    for prefix, masks in named:
+        out.update({f"{prefix}.{name}": getattr(masks, name) for name in _MASK_FIELDS})
+    out["members.own"], out["members.count"] = s.members
+    out["blocks"] = s.blocks
+    out["block_pairs.intra"], out["block_pairs.cross"] = s.block_pairs
+    out["batch_pairs.intra"], out["batch_pairs.cross"] = s.batch_pairs
+    return out
+
+
+@pytest.mark.parametrize("stage", list(Stage))
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 3), (8, 4), (32, 8)])
+def test_sampled_structure_equals_the_validated_one(stage, p, k):
+    ds = _scrambled_dataset()
+    ascending = []
+    for seed in range(4):
+        batch = sample_batch(ds, BatchSpec(p, k), stage, RngStream(seed, (p, k)))
+        fresh = LabeledBatch(batch.features, batch.labels.copy(), batch.modalities.copy())
+        ours, ref = _derived(batch.structure), _derived(fresh.validate().structure)
+        assert list(ours) == list(ref)
+        for name, value in ours.items():
+            expect = ref[name]
+            if isinstance(expect, np.ndarray):
+                assert value.dtype == expect.dtype, name
+                assert np.array_equal(value, expect), name
+                assert not value.flags.writeable and not expect.flags.writeable, name
+            else:
+                assert type(value) is type(expect) and value == expect, name
+        ascending.append(bool((np.diff(batch.labels[:: 2 * k]) > 0).all()))
+    assert not all(ascending)  # identities are not drawn in label order
+
+
+def test_sampled_batches_share_one_layout_per_stage_and_shape():
+    ds = _scrambled_dataset()
+    spec = BatchSpec(8, 4)
+    a, b = (sample_batch(ds, spec, Stage.STAGE2, RngStream(s)).structure for s in (0, 1))
+    assert a.layout is b.layout
+    assert a.pairs.dense is b.pairs.dense  # the n x n masks, built once for both
+    assert a.block_pairs is b.block_pairs and a.mod_codes is b.mod_codes
+    rows = np.arange(0, spec.rows, 3)
+    assert np.array_equal(a.pairs.neg_rows(rows), a.pairs.neg[rows])
+    assert sample_batch(ds, spec, Stage.STAGE1, RngStream(0)).structure.layout is not a.layout
+    narrow = sample_batch(ds, BatchSpec(8, 3), Stage.STAGE2, RngStream(0))
+    assert narrow.structure.layout is not a.layout
+
+
+def test_certified_mining_reads_no_dense_mask():
+    batch_module._sampled_layout.cache_clear()
+    batch = sample_batch(_scrambled_dataset(), BatchSpec(32, 8), Stage.STAGE2, RngStream(0))
+    hard_triplet_global(batch)
+    hard_triplet_intra(batch)
+    s = batch.structure
+    for masks in (s.pairs, *(m for _, m in s.modality_pairs)):
+        assert "masks" not in vars(masks.dense)
+
+
+def test_training_validates_no_batch_and_derives_masks_once_per_layout(monkeypatch):
+    calls = {"validate": 0, "PairMasks.of": 0}
+    validate, of = LabeledBatch.validate, PairMasks.of.__func__
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        return validate(self)
+
+    def counted_of(cls, id_codes):
+        calls["PairMasks.of"] += 1
+        return of(cls, id_codes)
+
+    monkeypatch.setattr(LabeledBatch, "validate", counted_validate)
+    monkeypatch.setattr(PairMasks, "of", classmethod(counted_of))
+    batch_module._sampled_layout.cache_clear()
+    cfg = parse_config_file(ROOT / "configs" / "default.cfg").train
+    _, logs = train(load_features(ROOT / "data" / "benchmark_train.csv"), cfg)
+    assert sum(log.n_batches for log in logs) == 224
+    # one layout per stage: stage 1 reads its pairs within each modality, stage 2 over all rows
+    assert calls == {"validate": 0, "PairMasks.of": 3}

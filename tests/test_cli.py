@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,27 @@ def test_failed_run_records_status(small_data, tmp_path, capsys, override, exit_
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["status"] == f"failed: {message}"
     assert not (run_dir / "checkpoint.npz").exists()
+
+
+def test_overflowing_features_name_the_forward_statistics(tmp_path, capsys):
+    root = Path(__file__).resolve().parent.parent
+    data = load_features(root / "data" / "benchmark_train.csv")
+    huge = tmp_path / "huge.csv"
+    synthdata.save_features(
+        synthdata.SynthDataset(data.features * 1e300, data.labels, data.modalities), huge
+    )
+    run_dir = tmp_path / "run"
+    argv = ["train", "--config", str(root / "configs" / "default.cfg"), "--out", str(run_dir)]
+    argv += ["--set", f"data.path={huge}"]
+    argv += ["--set", f"data.eval_path={root / 'data' / 'benchmark_test.csv'}"]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: epoch 0, batch 0: non-finite batch-norm variance in the forward pass\n"
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "failed: " + err.strip().removeprefix("error: ")
 
 
 def test_failed_checkpoint_write_records_status(small_data, tmp_path, capsys, monkeypatch):

@@ -270,6 +270,22 @@ def test_rank_validation_and_degenerate():
         cmc(_worked_example(), 0)
 
 
+@pytest.mark.parametrize("density", [0.002, 0.01, 0.1, 0.5])
+def test_query_scores_match_the_dense_form_bitwise(density):
+    rng = RngStream(int(density * 1000))
+    relevant = rng.integers(0, 10**6, size=(64, 2048)) < density * 10**6
+    relevant[~relevant.any(axis=1), 7] = True  # every row keeps a hit, as ``rank`` guarantees
+    relevant[0] = False
+    relevant[0, 0] = True  # a single hit at the first rank
+    relevant[1] = False
+    relevant[1, -1] = True  # a single hit at the last rank
+    relevant[2] = True  # every gallery row relevant
+    relevant[3, -1] = True  # the last column among others
+    for ours, dense in zip(evalkit._query_scores(relevant), oracles.dense_query_scores(relevant)):
+        assert ours.dtype == dense.dtype
+        assert np.array_equal(ours, dense)
+
+
 # ---------------------------------------------------------------- similarity diagnostics
 
 

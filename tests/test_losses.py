@@ -646,3 +646,22 @@ def test_loss_config_rejects_a_lambda1_that_is_not_finite_and_nonnegative(value)
 def test_loss_config_rejects_a_lambda2_that_is_not_finite_and_nonnegative(value):
     with pytest.raises(ConfigError, match="^lambda2 must be finite and >= 0$"):
         LossConfig(lambda2=value).validate()
+
+
+def test_objectives_name_their_first_nonfinite_term():
+    stage1 = make_pk_batch(RngStream(0), 3, 2, 4, pair=("gray", "ir")).validate()
+    stage2 = make_pk_batch(RngStream(1), 3, 2, 4).validate()
+    logits = np.zeros((12, 3))
+    spread = np.tile([1.7e308, -1.7e308, 0.0], (12, 1))  # label-1 rows: infinite cross-entropy
+    cfg = LossConfig(include_id_stage2=True)
+    cases = [
+        (stage1_objective, replace(stage1, features=stage1.features * 1e300), logits, "intra"),
+        (stage1_objective, stage1, spread, "id"),
+        (stage2_objective, replace(stage2, features=stage2.features * 1e300), logits, "global"),
+        (stage2_objective, stage2, spread, "id"),
+    ]
+    for objective, batch, z, term in cases:
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=f"^non-finite {term} loss term$"
+        ):
+            objective(batch, z, batch.labels, cfg)

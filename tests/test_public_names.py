@@ -5,7 +5,9 @@ renamed function in its ``TRACED`` table would break ``bench/run.py --trace 1``
 only at benchmark time; this test catches it with the unit tests. So would a
 renamed, added or removed gradient-check component: the traced result names
 one ``gradcheck.<component>.ms`` metric per component, and it must name
-exactly the ``per_layer`` metrics that ``BENCHMARK.json`` declares.
+exactly the ``per_layer`` metrics that ``BENCHMARK.json`` declares. A short
+traced ``train_default`` run checks the same end to end: its last line must
+be a strict-JSON result.
 """
 
 import functools
@@ -13,6 +15,8 @@ import importlib
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import crossmodal
 from crossmodal import gradcheck
@@ -45,3 +49,23 @@ def test_traced_metrics_are_the_declared_per_layer_metrics():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     units = _tracing().metric_units(gradcheck.COMPONENTS)
     assert list(units.items()) == [(m["name"], m["unit"]) for m in declared]
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def test_traced_train_default_run_ends_in_a_strict_json_result():
+    argv = ["--workload", "train_default", "--seed", "0", "--seconds", "0.5", "--trace", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), *argv],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_refuse)
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert list(result["metrics"]) == [m["name"] for m in declared]

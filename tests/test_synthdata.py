@@ -101,6 +101,16 @@ def test_rows_of_missing_cell_is_empty():
     assert ds.count_of(99, "ir") == 0
 
 
+def test_cells_list_each_identity_rows_per_tag():
+    ds = small()
+    pair = ("gray", "ir")
+    cells = ds.cells(pair)
+    assert ds.cells(pair) is cells  # built once per pair
+    assert len(cells) == len(ds.identities)
+    for ident, rows in zip(ds.identities, cells):
+        assert [r.tolist() for r in rows] == [ds.rows_of(ident, m).tolist() for m in pair]
+
+
 def test_save_load_roundtrip_is_bitwise(tmp_path):
     ds = small(seed=3)
     path = tmp_path / "feats.csv"
