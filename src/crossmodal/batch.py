@@ -130,85 +130,68 @@ def _read_only(*arrays: np.ndarray) -> None:
         arr.flags.writeable = False
 
 
-def _identity_blocks(id_codes: np.ndarray, p: int) -> np.ndarray:
-    """p x (n / p): each identity code's rows in row order, codes ascending; read-only."""
-    blocks = np.argsort(id_codes, kind="stable").reshape(p, -1)
-    _read_only(blocks)
-    return blocks
-
-
-@dataclass(frozen=True)
-class _DenseMasks:
-    """The n x n masks of :class:`PairMasks`, derived from identity codes on first read."""
-
-    id_codes: np.ndarray
-
-    @cached_property
-    def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        same = self.id_codes[:, None] == self.id_codes[None, :]
-        off = ~np.eye(len(self.id_codes), dtype=bool)
-        pos, neg = same & off, ~same
-        _read_only(off, pos, neg)
-        return off, pos, neg
-
-
 @dataclass(frozen=True)
 class PairMasks:
     """Pairs over a row set: distinct rows (``off``), same identity (``pos``), other (``neg``).
 
     ``every_pos`` / ``every_neg``: whether each row has at least one such partner.
-    ``blocks``: the rows of each identity, as in :attr:`BatchStructure.blocks`.
-    The three n x n masks are derived on first read and shared with every
-    :meth:`reordered` copy; mining above ``core._BLOCK`` rows reads none of
-    them (:meth:`neg_rows` gives the rows it mines on the dense distances).
+    ``blocks``: P x (n / P), each identity code's rows in row order, codes
+    ascending; read-only. The three n x n masks are derived from ``id_codes``
+    on first read; mining above ``core._BLOCK`` rows reads none of them
+    (:meth:`neg_rows` gives the rows it mines on the dense distances).
     """
 
     every_pos: bool
     every_neg: bool
     blocks: np.ndarray
-    dense: _DenseMasks = field(repr=False, compare=False)
+    id_codes: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def of(cls, id_codes: np.ndarray) -> "PairMasks":
         """Masks over rows with these identity codes: 0 to P - 1, each on equally many rows."""
         counts = np.bincount(id_codes)
         every_pos = bool(counts[id_codes].min() >= 2)
-        blocks = _identity_blocks(id_codes, len(counts))
-        return cls(every_pos, bool(np.count_nonzero(counts) >= 2), blocks, _DenseMasks(id_codes))
-
-    def reordered(self, order: np.ndarray) -> "PairMasks":
-        """The same pairs, with the identity blocks taken in ``order``."""
-        blocks = self.blocks[order]
+        blocks = np.argsort(id_codes, kind="stable").reshape(len(counts), -1)
         _read_only(blocks)
-        return PairMasks(self.every_pos, self.every_neg, blocks, self.dense)
+        return cls(every_pos, bool(np.count_nonzero(counts) >= 2), blocks, id_codes)
 
     def neg_rows(self, rows: np.ndarray) -> np.ndarray:
         """``neg[rows]``, without deriving ``neg``."""
-        codes = self.dense.id_codes
-        return codes[rows, None] != codes
+        return self.id_codes[rows, None] != self.id_codes
+
+    @cached_property
+    def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(off, pos, neg)``."""
+        same = self.id_codes[:, None] == self.id_codes[None, :]
+        off = ~np.eye(len(self.id_codes), dtype=bool)
+        pos, neg = same & off, ~same
+        _read_only(off, pos, neg)
+        return off, pos, neg
 
     @property
     def off(self) -> np.ndarray:
-        return self.dense.masks[0]
+        return self.masks[0]
 
     @property
     def pos(self) -> np.ndarray:
-        return self.dense.masks[1]
+        return self.masks[1]
 
     @property
     def neg(self) -> np.ndarray:
-        return self.dense.masks[2]
+        return self.masks[2]
 
 
 @dataclass(frozen=True)
 class RowLayout:
     """Which rows share an identity (codes 0 to P - 1) and each row's modality code.
 
-    Everything here is derived on first use and read-only. A batch whose
-    identity codes relabel ``id_codes`` by a permutation has the same pairs;
-    only its identity blocks and membership rows come in another order
-    (:attr:`BatchStructure.order`). ``block_pairs`` is shared as it is, so
-    a layout used that way gives every identity block one modality pattern.
+    Everything here is derived on first use and read-only, with identity
+    blocks in this layout's own code order. Every kernel that reads the
+    blocks treats each block on its own, so a batch whose identity codes
+    relabel ``id_codes`` by a permutation reads the layout as it is; only
+    its memberships come in code order (:attr:`BatchStructure.members`).
+    ``block_pairs`` gives every identity block of a layout shared that way
+    one modality pattern.
     """
 
     id_codes: np.ndarray
@@ -216,10 +199,12 @@ class RowLayout:
 
     @cached_property
     def pairs(self) -> PairMasks:
+        """Pair masks over all rows."""
         return PairMasks.of(self.id_codes)
 
     @cached_property
     def modality_pairs(self) -> tuple[tuple[np.ndarray, PairMasks], ...]:
+        """Per modality code: its row indices and the pair masks over those rows."""
         rows = [np.flatnonzero(self.mod_codes == code) for code in (0, 1)]  # two modalities
         _read_only(*rows)
         return tuple((r, PairMasks.of(self.id_codes[r])) for r in rows)
@@ -233,23 +218,23 @@ class RowLayout:
 
     @cached_property
     def block_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """P x 2k x 2k ``(intra, cross)`` positive pairs inside each identity block."""
         return _positive_pairs(self.mod_codes[self.pairs.blocks])
 
     @cached_property
     def batch_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """1 x n x n ``(intra, cross)`` positive pairs over all rows as one block, in row order."""
         ids = self.id_codes[None]
         return _positive_pairs(self.mod_codes[None], ids[:, :, None] == ids[:, None, :])
 
 
 @dataclass(frozen=True)
 class BatchStructure:
-    """Sorted distinct identities and modalities, per-row codes into them, and cell size k.
+    """Sorted distinct identities and modalities, the batch's row layout, and cell size k.
 
     ``labels`` and ``tags`` are the (now read-only) arrays it was derived
-    from. The pair masks, identity blocks and memberships below come from
-    ``layout`` on first use, with identity blocks and membership rows taken
-    in ``order`` (code c's rows are ``layout``'s identity ``order[c]``); all
-    are read-only. :meth:`LabeledBatch.validate` builds a layout from the
+    from. Code c is ``identities[c]``; its rows are ``layout``'s identity
+    ``order[c]``. :meth:`LabeledBatch.validate` builds a layout from the
     batch's own codes (``order`` is the identity); :func:`sample_batch`
     shares one layout among all its batches of one stage and shape.
     """
@@ -257,22 +242,10 @@ class BatchStructure:
     labels: np.ndarray
     tags: np.ndarray
     identities: np.ndarray
-    id_codes: np.ndarray
     modalities: tuple[str, ...]
-    mod_codes: np.ndarray
     k: int
     layout: RowLayout = field(repr=False, compare=False)
     order: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def pairs(self) -> PairMasks:
-        """Pair masks over all rows."""
-        return self.layout.pairs.reordered(self.order)
-
-    @cached_property
-    def modality_pairs(self) -> tuple[tuple[np.ndarray, PairMasks], ...]:
-        """Per modality code: its row indices and the pair masks over those rows."""
-        return tuple((rows, m.reordered(self.order)) for rows, m in self.layout.modality_pairs)
 
     @cached_property
     def members(self) -> tuple[np.ndarray, np.ndarray]:
@@ -281,21 +254,6 @@ class BatchStructure:
         own, count = own[self.order], count[self.order]
         _read_only(own, count)
         return own, count
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """P x 2k: each identity's rows in row order, identities in code order."""
-        return self.pairs.blocks
-
-    @property
-    def block_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """P x 2k x 2k ``(intra, cross)`` positive pairs inside each identity block."""
-        return self.layout.block_pairs
-
-    @property
-    def batch_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """1 x n x n ``(intra, cross)`` positive pairs over all rows as one block, in row order."""
-        return self.layout.batch_pairs
 
 
 def _positive_pairs(mods: np.ndarray, same_id: np.ndarray | None = None):
@@ -377,15 +335,7 @@ class LabeledBatch:
         order = np.arange(len(ids))
         _read_only(self.labels, self.modalities, ids, id_codes, mod_codes, order)
         self._structure = BatchStructure(
-            self.labels,
-            self.modalities,
-            ids,
-            id_codes,
-            mods,
-            mod_codes,
-            sizes[0],
-            RowLayout(id_codes, mod_codes),
-            order,
+            self.labels, self.modalities, ids, mods, sizes[0], RowLayout(id_codes, mod_codes), order
         )
         return self
 
@@ -448,19 +398,7 @@ def sample_batch(
     p, k = int(spec.p), int(spec.k)
     layout = _sampled_layout(stage, p, k)
     order = np.argsort(chosen)  # identity code c is the drawn identity order[c]
-    codes = np.empty(p, dtype=np.intp)
-    codes[order] = np.arange(p)
-    identities, id_codes = ids[chosen[order]], np.repeat(codes, 2 * k)
-    _read_only(labels, tags, identities, id_codes, order)
-    structure = BatchStructure(
-        labels,
-        tags,
-        identities,
-        id_codes,
-        tuple(sorted(pair)),
-        layout.mod_codes,
-        k,
-        layout,
-        order,
-    )
+    identities = ids[chosen[order]]
+    _read_only(labels, tags, identities, order)
+    structure = BatchStructure(labels, tags, identities, tuple(sorted(pair)), k, layout, order)
     return LabeledBatch(features, labels, tags, structure)

@@ -230,16 +230,15 @@ def cmd_eval(args) -> int:
 
 def _parse_variants_file(path) -> list[tuple[str, dict[str, str]]]:
     variants = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if ":" not in text:
-                raise ParseError("expected 'name: key=value ...'", line=lineno)
-            name, _, rest = text.partition(":")
-            delta = dict(config.parse_assignment(tok) for tok in rest.split())
-            variants.append((name.strip(), delta))
+    for lineno, line in enumerate(synthdata.read_ascii_lines(path), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if ":" not in text:
+            raise ParseError("expected 'name: key=value ...'", line=lineno)
+        name, _, rest = text.partition(":")
+        delta = dict(config.parse_assignment(tok) for tok in rest.split())
+        variants.append((name.strip(), delta))
     return variants
 
 

@@ -6,6 +6,7 @@ import copy
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .synthdata import read_ascii_lines
 from .trainer import TrainConfig
 
 
@@ -109,18 +110,20 @@ def parse_assignment(text: str) -> tuple[str, str]:
 
 
 def parse_config_file(path) -> RunConfig:
-    """Read a key=value file (``#`` comments and blank lines allowed)."""
+    """Read a key=value file (``#`` comments and blank lines allowed).
+
+    A non-ASCII byte anywhere, comments included, raises :class:`ParseError`.
+    """
     cfg = RunConfig()
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                key, value = parse_assignment(text)
-                set_key(cfg, key, value)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(read_ascii_lines(path), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            key, value = parse_assignment(text)
+            set_key(cfg, key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 

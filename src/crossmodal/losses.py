@@ -20,17 +20,22 @@ weights can be non-zero:
 * the batch-hard triplet at each anchor's two mined pairs and their mirrors,
   inside an n x n matrix of zeros;
 * euclid ``msel`` inside each identity's 2K x 2K block, stacked P deep, on
-  the block rows (``BatchStructure.blocks``); it builds only within-block
+  the block rows (``RowLayout.pairs.blocks``); it builds only within-block
   distances and scatters its gradient back to the batch rows;
 * ``dcl`` in the two rows x centers blocks of the rows stacked with their
   centers, from one centers x rows divide.
 
 The conventions hold there: an inactive hinge places no weight, mining picks
 the lowest index before weights are placed, and a pair at distance 0 gets
-coefficient 0. The masks these losses read (pairs per identity, identity
-blocks, memberships) come from the batch structure: derived once per
-validated batch, and shared by every sampled batch of one stage and shape
-(``batch.sample_batch``). The n x n pair masks are derived only when read.
+coefficient 0. The pair masks, identity blocks and block pairs these losses
+read come from the batch's row layout (``BatchStructure.layout``), in the
+layout's own identity order: derived once per validated batch, and shared as
+they are by every sampled batch of one stage and shape
+(``batch.sample_batch``). Every kernel that reads the blocks treats each
+block on its own, so their order changes no bit. Only the center statistics
+(``compute_centers``, ``dcl``) sum over identities; they read the
+memberships, which come in identity code order (sorted labels). The n x n
+pair masks are derived only when read.
 
 The batch-hard triplet mines on the dense difference-form matrix up to
 ``core._BLOCK`` rows. Above that it builds no n x n distance matrix: hardest
@@ -310,7 +315,7 @@ def _hardest_negatives(feats: np.ndarray, masks: PairMasks) -> np.ndarray:
 
 def hard_triplet_global(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
     """Batch-hard triplet loss mined over all rows, ignoring modality tags."""
-    return _batch_hard(batch.features, margin, batch.structure.pairs)
+    return _batch_hard(batch.features, margin, batch.structure.layout.pairs)
 
 
 def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
@@ -318,7 +323,7 @@ def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
     value = 0.0
     grad = np.zeros_like(batch.features)
     parts = []
-    for idx, masks in batch.structure.modality_pairs:
+    for idx, masks in batch.structure.layout.modality_pairs:
         part = _batch_hard(batch.features[idx], margin, masks)
         value += part.value
         grad[idx] += part.grad
@@ -336,7 +341,7 @@ def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
     same whether or not they cross the modality boundary.
 
     Every pair it reads lies inside one identity, so the euclid metric works
-    on the P identity blocks of 2K rows (``BatchStructure.blocks``), builds
+    on the P identity blocks of 2K rows (``RowLayout.pairs.blocks``), builds
     only their within-block distances, and scatters the gradient back to the
     rows. Its anchor sums then run over a block row instead of a batch row
     that is zero outside the block. numpy sums a row pairwise, in 8
@@ -356,11 +361,11 @@ def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
         raise ConfigError("msel needs k >= 2 rows per (identity, modality) cell")
     n = len(batch)
     if metric == "euclid":
-        blocks, (intra, cross) = s.blocks, s.block_pairs
+        blocks, (intra, cross) = s.layout.pairs.blocks, s.layout.block_pairs
         x = batch.features[blocks]
         dist = _euclid(x, x)
     else:
-        blocks, (intra, cross) = np.arange(n)[None], s.batch_pairs
+        blocks, (intra, cross) = np.arange(n)[None], s.layout.batch_pairs
         x = batch.features[blocks]
         dist = pairwise_distances(batch.features, "cosine")[None]
     diff = (dist * intra).sum(axis=-1) / (k - 1) - (dist * cross).sum(axis=-1) / k
@@ -452,8 +457,16 @@ def _check_stage(batch: LabeledBatch, stage: Stage) -> None:
         )
 
 
-def _finite(term: str, part: LossOutput) -> LossOutput:
-    """``part`` if its value and gradient are finite, else ``NumericError`` naming ``term``."""
+def _finite(term: str, loss, *args) -> LossOutput:
+    """``loss(*args)`` if its value and gradient are finite, else ``NumericError`` naming ``term``.
+
+    A ``NumericError`` that ``loss`` raises itself (a non-finite input) is
+    raised again naming ``term``, with its own message after it.
+    """
+    try:
+        part = loss(*args)
+    except NumericError as exc:
+        raise NumericError(f"non-finite {term} loss term: {exc}") from exc
     if not (math.isfinite(part.value) and np.isfinite(part.grad).all()):
         raise NumericError(f"non-finite {term} loss term")
     return part
@@ -464,12 +477,12 @@ def stage1_objective(
 ) -> ObjectiveOutput:
     """Stage-1 total: within-modality hard triplet plus identity cross-entropy.
 
-    A term whose value or gradient is not finite raises ``NumericError`` naming it.
+    A term whose input, value or gradient is not finite raises ``NumericError`` naming it.
     """
     cfg.validate()
     _check_stage(batch, Stage.STAGE1)
-    tri = _finite("intra", hard_triplet_intra(batch, cfg.margin))
-    ce = _finite("id", identity_loss(logits, labels))
+    tri = _finite("intra", hard_triplet_intra, batch, cfg.margin)
+    ce = _finite("id", identity_loss, logits, labels)
     return ObjectiveOutput(
         value=tri.value + ce.value,
         grad_embeddings=tri.grad,
@@ -486,34 +499,33 @@ def stage2_objective(
 
     The identity term is off by default here and can be re-enabled through
     ``cfg.include_id_stage2``; with both lambdas at zero the result equals
-    the global hard-triplet loss exactly. A term whose value or gradient is
-    not finite raises ``NumericError`` naming it.
+    the global hard-triplet loss exactly. A term whose input, value or
+    gradient is not finite raises ``NumericError`` naming it.
     """
     cfg.validate()
     _check_stage(batch, Stage.STAGE2)
-    tri = _finite("global", hard_triplet_global(batch, cfg.margin))
+    tri = _finite("global", hard_triplet_global, batch, cfg.margin)
     value = tri.value
     grad = tri.grad.copy()
     terms = {"global": tri.value}
     mined = [tri.mining]
     if cfg.lambda1 > 0:
-        part = _finite("msel", msel(batch, cfg.msel_metric))
+        part = _finite("msel", msel, batch, cfg.msel_metric)
         value += cfg.lambda1 * part.value
         grad += cfg.lambda1 * part.grad
         terms["msel"] = part.value
         mined.append(part.mining)
     if cfg.lambda2 > 0:
-        part = _finite("dcl", dcl(batch, cfg.dcl_mode))
+        part = _finite("dcl", dcl, batch, cfg.dcl_mode)
         value += cfg.lambda2 * part.value
         grad += cfg.lambda2 * part.grad
         terms["dcl"] = part.value
         mined.append(part.mining)
-    logits_arr = as_matrix(logits)
     if cfg.include_id_stage2:
-        ce = _finite("id", identity_loss(logits_arr, labels))
+        ce = _finite("id", identity_loss, logits, labels)
         value += ce.value
         grad_logits = ce.grad
         terms["id"] = ce.value
     else:
-        grad_logits = np.zeros_like(logits_arr)
+        grad_logits = np.zeros_like(as_matrix(logits))
     return ObjectiveOutput(value, grad, grad_logits, terms, Mining(parts=tuple(mined)))

@@ -190,6 +190,17 @@ def save_features(dataset: SynthDataset, path) -> None:
             fh.write(f"{int(dataset.labels[row])},{dataset.modalities[row]},{values}\n")
 
 
+def read_ascii_lines(path) -> list[str]:
+    """The lines of an ASCII text file; a non-ASCII byte raises :class:`ParseError` naming it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"non-ASCII byte {raw[exc.start]:#04x}", line=line) from None
+
+
 def load_features(path) -> SynthDataset:
     """Parse a feature file written by :func:`save_features`.
 
@@ -197,13 +208,7 @@ def load_features(path) -> SynthDataset:
     header, row, token, non-ASCII byte (a byte-order mark included), identity
     outside int64, or non-finite value. Blank lines are skipped.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        lines = raw.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"non-ASCII byte {raw[exc.start]:#04x}", line=line) from None
+    lines = read_ascii_lines(path)
     if not lines:
         raise ParseError("empty feature file", line=1)
     header = lines[0].split(",")

@@ -19,7 +19,17 @@ from crossmodal.batch import (
 from crossmodal.config import parse_config_file
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, DimensionError, NumericError, SamplingError
-from crossmodal.losses import compute_centers, hard_triplet_global, hard_triplet_intra, msel
+from crossmodal.losses import (
+    DCL_MODES,
+    MSEL_METRICS,
+    LossConfig,
+    compute_centers,
+    hard_triplet_global,
+    hard_triplet_intra,
+    msel,
+    stage1_objective,
+    stage2_objective,
+)
 from crossmodal.synthdata import SynthDataset, load_features, make_benchmark
 from crossmodal.trainer import train
 
@@ -161,24 +171,38 @@ def _scrambled_dataset() -> SynthDataset:
     return SynthDataset(rng.normal(size=(labels.size, 5)), labels[perm], tags[perm])
 
 
-_STRUCTURE_FIELDS = ("labels", "tags", "identities", "id_codes", "modalities", "mod_codes", "k")
-_MASK_FIELDS = ("every_pos", "every_neg", "blocks", "off", "pos", "neg")
+_STRUCTURE_FIELDS = ("labels", "tags", "identities", "modalities", "k")
+_MASK_FIELDS = ("every_pos", "every_neg", "off", "pos", "neg")
 
 
-def _derived(s) -> dict:
-    """Every field of a structure and every array it derives, by name."""
-    out = {name: getattr(s, name) for name in _STRUCTURE_FIELDS}
-    named = [("pairs", s.pairs)]
-    for code, (rows, masks) in enumerate(s.modality_pairs):
-        out[f"modality_pairs[{code}].rows"] = rows
+def _derived(s) -> tuple[dict, dict]:
+    """Every field of a structure and every array it derives, by name: ``(exact, by_block)``.
+
+    ``by_block`` holds the arrays with one entry per identity block, blocks
+    in the layout's own identity order.
+    """
+    layout = s.layout
+    exact = {name: getattr(s, name) for name in _STRUCTURE_FIELDS}
+    exact["mod_codes"] = layout.mod_codes
+    exact["members.own"], exact["members.count"] = s.members
+    exact["batch_pairs.intra"], exact["batch_pairs.cross"] = layout.batch_pairs
+    by_block = dict(zip(("block_pairs.intra", "block_pairs.cross"), layout.block_pairs))
+    named = [("pairs", layout.pairs)]
+    for code, (rows, masks) in enumerate(layout.modality_pairs):
+        exact[f"modality_pairs[{code}].rows"] = rows
         named.append((f"modality_pairs[{code}]", masks))
     for prefix, masks in named:
-        out.update({f"{prefix}.{name}": getattr(masks, name) for name in _MASK_FIELDS})
-    out["members.own"], out["members.count"] = s.members
-    out["blocks"] = s.blocks
-    out["block_pairs.intra"], out["block_pairs.cross"] = s.block_pairs
-    out["batch_pairs.intra"], out["batch_pairs.cross"] = s.batch_pairs
-    return out
+        exact.update({f"{prefix}.{name}": getattr(masks, name) for name in _MASK_FIELDS})
+        by_block[f"{prefix}.blocks"] = masks.blocks
+    return exact, by_block
+
+
+def _assert_same(name, value, expect):
+    if isinstance(expect, np.ndarray):
+        assert value.dtype == expect.dtype, name
+        assert np.array_equal(value, expect), name
+    else:
+        assert type(value) is type(expect) and value == expect, name
 
 
 @pytest.mark.parametrize("stage", list(Stage))
@@ -190,17 +214,54 @@ def test_sampled_structure_equals_the_validated_one(stage, p, k):
         batch = sample_batch(ds, BatchSpec(p, k), stage, RngStream(seed, (p, k)))
         fresh = LabeledBatch(batch.features, batch.labels.copy(), batch.modalities.copy())
         ours, ref = _derived(batch.structure), _derived(fresh.validate().structure)
-        assert list(ours) == list(ref)
-        for name, value in ours.items():
-            expect = ref[name]
-            if isinstance(expect, np.ndarray):
-                assert value.dtype == expect.dtype, name
-                assert np.array_equal(value, expect), name
-                assert not value.flags.writeable and not expect.flags.writeable, name
-            else:
-                assert type(value) is type(expect) and value == expect, name
+        for got, want in zip(ours, ref):
+            assert list(got) == list(want)
+            for name, value in got.items():
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable and not want[name].flags.writeable, name
+        for name, value in ours[0].items():
+            _assert_same(name, value, ref[0][name])
+        # the sampled layout keeps the drawn order: identity code c is its block order[c]
+        order = batch.structure.order
+        for name, value in ours[1].items():
+            _assert_same(name, value[order], ref[1][name])
         ascending.append(bool((np.diff(batch.labels[:: 2 * k]) > 0).all()))
     assert not all(ascending)  # identities are not drawn in label order
+
+
+_STAGE_OBJECTIVES = {
+    Stage.STAGE1: (stage1_objective, [LossConfig()]),
+    Stage.STAGE2: (
+        stage2_objective,
+        [
+            LossConfig(msel_metric=metric, dcl_mode=mode, include_id_stage2=with_id)
+            for metric in MSEL_METRICS
+            for mode in DCL_MODES
+            for with_id in (False, True)
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", list(Stage))
+@pytest.mark.parametrize("p, k", [(8, 4), (32, 8)])
+def test_sampled_objectives_equal_the_validated_ones_bit_for_bit(stage, p, k):
+    """Blocks in the drawn order give every objective the same bits as blocks in code order."""
+    ds = _scrambled_dataset()
+    objective, configs = _STAGE_OBJECTIVES[stage]
+    for seed in range(2):
+        rng = RngStream(seed, (p, k))
+        batch = sample_batch(ds, BatchSpec(p, k), stage, rng)
+        fresh = LabeledBatch(batch.features, batch.labels.copy(), batch.modalities.copy())
+        assert not np.array_equal(batch.structure.order, np.arange(p))
+        logits = rng.normal(size=(len(batch), len(ds.identities)))
+        labels = np.searchsorted(ds.identities, batch.labels)
+        for cfg in configs:
+            ours = objective(batch, logits, labels, cfg)
+            ref = objective(fresh.validate(), logits, labels, cfg)
+            assert ours.value == ref.value and ours.terms == ref.terms, cfg
+            assert np.array_equal(ours.grad_embeddings, ref.grad_embeddings), cfg
+            assert np.array_equal(ours.grad_logits, ref.grad_logits), cfg
 
 
 def test_sampled_batches_share_one_layout_per_stage_and_shape():
@@ -208,10 +269,10 @@ def test_sampled_batches_share_one_layout_per_stage_and_shape():
     spec = BatchSpec(8, 4)
     a, b = (sample_batch(ds, spec, Stage.STAGE2, RngStream(s)).structure for s in (0, 1))
     assert a.layout is b.layout
-    assert a.pairs.dense is b.pairs.dense  # the n x n masks, built once for both
-    assert a.block_pairs is b.block_pairs and a.mod_codes is b.mod_codes
+    assert a.layout.pairs is b.layout.pairs  # the n x n masks, built once for both
+    pairs = a.layout.pairs
     rows = np.arange(0, spec.rows, 3)
-    assert np.array_equal(a.pairs.neg_rows(rows), a.pairs.neg[rows])
+    assert np.array_equal(pairs.neg_rows(rows), pairs.neg[rows])
     assert sample_batch(ds, spec, Stage.STAGE1, RngStream(0)).structure.layout is not a.layout
     narrow = sample_batch(ds, BatchSpec(8, 3), Stage.STAGE2, RngStream(0))
     assert narrow.structure.layout is not a.layout
@@ -222,9 +283,9 @@ def test_certified_mining_reads_no_dense_mask():
     batch = sample_batch(_scrambled_dataset(), BatchSpec(32, 8), Stage.STAGE2, RngStream(0))
     hard_triplet_global(batch)
     hard_triplet_intra(batch)
-    s = batch.structure
-    for masks in (s.pairs, *(m for _, m in s.modality_pairs)):
-        assert "masks" not in vars(masks.dense)
+    layout = batch.structure.layout
+    for masks in (layout.pairs, *(m for _, m in layout.modality_pairs)):
+        assert "masks" not in vars(masks)
 
 
 def test_training_validates_no_batch_and_derives_masks_once_per_layout(monkeypatch):

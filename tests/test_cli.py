@@ -355,6 +355,30 @@ def test_unreadable_feature_file_exits_1_naming_the_line(tmp_path, capsys, conte
     assert err.startswith("error: ") and needle in err and "Traceback" not in err
 
 
+def test_non_ascii_config_file_exits_1_naming_the_byte_and_line(small_data, tmp_path, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_bytes(f"data.path = {small_data}\n# caf\u00e9\n".encode("utf-8"))
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--out", str(run_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 2: non-ASCII byte 0xc3\n"
+    assert not run_dir.exists()
+
+
+def test_non_ascii_variants_file_exits_1_naming_the_byte_and_line(small_data, tmp_path, capsys):
+    cfg = write_small_config(tmp_path, small_data)
+    variants = tmp_path / "variants.txt"
+    variants.write_bytes("base:\n\n# r\u00e9sum\u00e9 of the grid\n".encode("utf-8"))
+    out_dir = tmp_path / "ab"
+    argv = ["ablate", "--config", str(cfg), "--data", str(small_data)]
+    rc = main([*argv, "--variants", str(variants), "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 3: non-ASCII byte 0xc3\n"
+    assert not out_dir.exists()
+
+
 def test_run_directory_holds_no_temporary_files(small_data, tmp_path, capsys):
     cfg = write_small_config(tmp_path, small_data)
     run_dir = tmp_path / "run"

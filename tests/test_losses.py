@@ -365,7 +365,7 @@ def test_fallback_mining_is_the_dense_form_bit_for_bit(name, fallback_rows):
         value, grad = oracles.dense_batch_hard(batch.features, batch.labels, margin)
         assert out.value == value and np.array_equal(out.grad, grad)
         intra, total = hard_triplet_intra(batch, margin), 0.0
-        for rows, _ in batch.structure.modality_pairs:
+        for rows, _ in batch.structure.layout.modality_pairs:
             value, grad = oracles.dense_batch_hard(batch.features[rows], batch.labels[rows], margin)
             total += value
             assert np.array_equal(intra.grad[rows], grad)
@@ -663,5 +663,28 @@ def test_objectives_name_their_first_nonfinite_term():
     for objective, batch, z, term in cases:
         with np.errstate(all="ignore"), pytest.raises(
             NumericError, match=f"^non-finite {term} loss term$"
+        ):
+            objective(batch, z, batch.labels, cfg)
+
+
+def test_objectives_name_the_term_whose_input_is_not_finite():
+    stage1 = make_pk_batch(RngStream(0), 3, 2, 4, pair=("gray", "ir")).validate()
+    stage2 = make_pk_batch(RngStream(1), 3, 2, 4).validate()
+    logits = np.zeros((12, 3))
+    bad_logits = logits.copy()
+    bad_logits[4, 1] = np.inf
+    cfg = LossConfig(include_id_stage2=True)
+    cases = [
+        (stage1_objective, stage1, bad_logits, "id"),
+        (stage2_objective, stage2, bad_logits, "id"),
+    ]
+    by_features = ((stage1_objective, stage1, "intra"), (stage2_objective, stage2, "global"))
+    for objective, batch, term in by_features:
+        feats = batch.features.copy()
+        feats[5, 1] = np.inf
+        cases.append((objective, replace(batch, features=feats), logits, term))
+    for objective, batch, z, term in cases:
+        with pytest.raises(
+            NumericError, match=f"^non-finite {term} loss term: matrix contains NaN or Inf$"
         ):
             objective(batch, z, batch.labels, cfg)
