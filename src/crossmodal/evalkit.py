@@ -6,9 +6,15 @@ matmul form of the squared distances and keeps that order only where a
 rounding-error bound proves it is the strict order of the difference-form
 distances. Every other row is sorted on ``cross_distances`` with the default
 sort, and stable-sorted again if it holds an exact tie.
-``evaluate`` memory is O(_BLOCK * m) on certified blocks; fallback rows keep
-the O(rows * m * d) difference form. The gap ratio adds the largest identity's
-n_i^2 * d.
+
+``evaluate`` never builds a gallery order for a certified row. It needs only
+where each relevant gallery row lands: it sorts the row's matmul-form values,
+and in a certified row (every value distinct) the position of a relevant row
+is the ``searchsorted`` index of its own value. Rows that fail the
+certificate read their positions off ``_exact_order``. A certified block
+holds its _BLOCK x m values, sorted in place, and a _BLOCK x m row of
+precisions; fallback rows keep the O(rows * m * d) difference form. The gap
+ratio adds the largest identity's n_i^2 * d.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .core import (
     cross_distances,
     pairwise_distances,
 )
-from .errors import ConfigError, DegenerateError, DimensionError, NumericError
+from .errors import ConfigError, DegenerateError, DimensionError, LabelError, NumericError
 
 RANK_KS = (1, 5, 10, 20)
 #: Rows per ranking and similarity block: the live matmul-form and similarity
@@ -91,14 +97,41 @@ def _exact_order(qf: np.ndarray, gf: np.ndarray) -> np.ndarray:
     return order
 
 
-def _certified_order(qf: np.ndarray, gf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matmul-form euclid order per query row, and whether each row's order is proved."""
-    m, scale = _matmul_form(qf, gf)
-    order = np.argsort(m, axis=1)
+def _sort_certified(m: np.ndarray, scale: np.ndarray, d: int) -> np.ndarray:
+    """Sort the matmul form ``m`` along its rows in place; whether each row's order is proved."""
     m.sort(axis=1)
     with np.errstate(invalid="ignore"):
         gaps = np.diff(m, axis=1).min(axis=1, initial=np.inf)
-    return order, _certified(gaps, scale, qf.shape[1])
+    return _certified(gaps, scale, d)
+
+
+def _as_ids(values, name: str) -> np.ndarray:
+    """Identities as int64; ``LabelError`` naming ``name`` unless every one is a finite integer.
+
+    Integer arrays pass as they are; float arrays pass when every value is
+    integral and below 2^63 in magnitude.
+    """
+    ids = np.asarray(values)
+    if ids.dtype.kind not in "iuf":
+        raise LabelError(f"{name} must hold integer identities, got dtype {ids.dtype}")
+    if ids.dtype.kind == "f":
+        bad = ~(np.abs(ids) < 2.0**63) | (ids != np.trunc(ids))
+    else:
+        bad = ids > np.iinfo(np.int64).max
+    if bad.any():
+        raise LabelError(f"{name} must hold integer identities, got {ids[bad].flat[0].item()!r}")
+    return ids.astype(np.int64, copy=False)
+
+
+def _ranking_inputs(query_feats, gallery_feats, query_ids, gallery_ids):
+    """Checked ``(qf, gf, qid, gid)`` for ranking a gallery per query."""
+    qf, gf = as_matrix(query_feats), as_matrix(gallery_feats)
+    qid, gid = _as_ids(query_ids, "query_ids"), _as_ids(gallery_ids, "gallery_ids")
+    if qid.shape != (qf.shape[0],) or gid.shape != (gf.shape[0],):
+        raise DimensionError("id arrays must match the feature row counts")
+    if qf.shape[1] != gf.shape[1]:
+        raise DimensionError(f"dimension mismatch: {qf.shape[1]} vs {gf.shape[1]}")
+    return qf, gf, qid, gid
 
 
 def rank(query_feats, gallery_feats, query_ids, gallery_ids) -> RankingResult:
@@ -123,15 +156,10 @@ def rank(query_feats, gallery_feats, query_ids, gallery_ids) -> RankingResult:
     above, so exact ties, duplicated rows, exact zeros and ulp-close pairs
     keep its values and its tie rule.
     """
-    qf = as_matrix(query_feats)
-    gf = as_matrix(gallery_feats)
-    qid = np.asarray(query_ids, dtype=np.int64)
-    gid = np.asarray(gallery_ids, dtype=np.int64)
-    if qid.shape != (qf.shape[0],) or gid.shape != (gf.shape[0],):
-        raise DimensionError("id arrays must match the feature row counts")
-    if qf.shape[1] != gf.shape[1]:
-        raise DimensionError(f"dimension mismatch: {qf.shape[1]} vs {gf.shape[1]}")
-    order, certified = _certified_order(qf, gf)
+    qf, gf, qid, gid = _ranking_inputs(query_feats, gallery_feats, query_ids, gallery_ids)
+    m, scale = _matmul_form(qf, gf)
+    order = np.argsort(m, axis=1)
+    certified = _sort_certified(m, scale, qf.shape[1])
     if not certified.all():
         order[~certified] = _exact_order(qf[~certified], gf)
     relevant = gid[order] == qid[:, None]
@@ -157,22 +185,28 @@ def cmc(result: RankingResult, max_k: int) -> np.ndarray:
     return (first[:, None] <= ks[None, :]).mean(axis=0)
 
 
-def _query_scores(relevant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hit_scores(
+    rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-query first-hit rank, average precision and inverse negative penalty.
 
-    Every row holds at least one hit (``rank`` drops the others). Works on the
-    hit positions: the k-th hit of a row, at column c, has precision
-    k / (c + 1). Each row's precisions are written into a row of zeros and
-    summed, the same array and sum a cumulative count over the whole row
-    gives, so the scores are the same bit for bit.
+    ``(rows, cols)`` are the hit positions of a ``shape`` relevance matrix in
+    row-major order, every row holding at least one. The k-th hit of a row,
+    at column c, has precision k / (c + 1). Each row's precisions are written
+    into a row of zeros and summed, the same array and sum a cumulative count
+    over the whole row gives, so the scores are the same bit for bit.
     """
-    rows, cols = np.nonzero(relevant)
-    count = np.bincount(rows, minlength=relevant.shape[0])
+    count = np.bincount(rows, minlength=shape[0])
     end = np.cumsum(count)
     start = end - count
-    prec = np.zeros(relevant.shape)
+    prec = np.zeros(shape)
     prec[rows, cols] = (np.arange(1, rows.size + 1) - np.repeat(start, count)) / (cols + 1)
     return cols[start] + 1, prec.sum(axis=1) / count, count / (cols[end - 1] + 1)
+
+
+def _query_scores(relevant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_hit_scores`` of a relevance matrix; ``rank`` leaves every row a hit."""
+    return _hit_scores(*np.nonzero(relevant), relevant.shape)
 
 
 def mean_ap(result: RankingResult) -> float:
@@ -188,7 +222,7 @@ def minp(result: RankingResult) -> float:
 def _similarity_stats(feats, ids, tags, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Clipped cosine counts and sums over cross-tag pairs: row 0 same identity, row 1 not."""
     x = as_matrix(feats)
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _as_ids(ids, "ids")
     tags = np.asarray(tags, dtype=np.str_)
     if bins < 2:
         raise ConfigError("bins must be >= 2")
@@ -225,7 +259,7 @@ def similarity_histogram(
 def modality_gap_ratio(feats, ids, tags) -> float:
     """Mean cross-modality over mean within-modality same-identity distance, per identity group."""
     x = as_matrix(feats)
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _as_ids(ids, "ids")
     tags = np.asarray(tags, dtype=np.str_)
     if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
         raise DimensionError("ids/tags must match the feature row count")
@@ -243,6 +277,36 @@ def modality_gap_ratio(feats, ids, tags) -> float:
     return float(dist[crossed].mean()) / denom
 
 
+def _hit_positions(
+    qf: np.ndarray, gf: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Positions of the relevant gallery rows ``cols`` of queries ``rows`` in ``rank``'s order.
+
+    ``rows`` is ascending; the positions come back ascending within each row,
+    paired with ``rows`` as ``np.nonzero`` of ``rank``'s relevance would pair
+    them. A certified row's values are distinct, so a hit's position is the
+    ``searchsorted`` index of its own value in the sorted row; every other
+    row reads its positions off ``_exact_order``, the rows and call ``rank``
+    uses.
+    """
+    m, scale = _matmul_form(qf, gf)
+    values = m[rows, cols]
+    certified = _sort_certified(m, scale, qf.shape[1])
+    if not certified.all():
+        exact = _exact_order(qf[~certified], gf)
+        slot = np.cumsum(~certified) - 1
+    count = np.bincount(rows, minlength=qf.shape[0])
+    end = np.cumsum(count)
+    pos = np.empty_like(cols)
+    for r, (a, b) in enumerate(zip(end - count, end)):
+        if certified[r]:
+            pos[a:b] = np.searchsorted(m[r], values[a:b])
+        else:
+            pos[a:b] = np.flatnonzero(np.isin(exact[slot[r]], cols[a:b]))
+    key = rows * gf.shape[0]
+    return np.sort(key + pos) - key
+
+
 def evaluate(
     query_feats,
     query_ids,
@@ -252,25 +316,35 @@ def evaluate(
     gallery_tag: str = "vis",
     bins: int = 30,
 ) -> EvalReport:
-    """Rank the gallery per query, ``_BLOCK`` query rows at a time, and report.
+    """Score the gallery per query, ``_BLOCK`` query rows at a time, and report.
 
-    Histograms and similarity means cover every query-gallery pair, dropped
-    queries included; the gap ratio covers the union of query and gallery rows.
+    The metrics equal ``rank`` then ``cmc`` / ``mean_ap`` / ``minp`` bit for
+    bit, block by block, but are scored from the positions of each query's
+    relevant gallery rows (``_hit_positions``) without building any order a
+    certificate proves. Histograms and similarity means cover every
+    query-gallery pair, dropped queries included; the gap ratio covers the
+    union of query and gallery rows.
     """
-    qf, gf = as_matrix(query_feats), as_matrix(gallery_feats)
-    qid = np.asarray(query_ids, dtype=np.int64)
-    gid = np.asarray(gallery_ids, dtype=np.int64)
-    if qid.shape != (qf.shape[0],) or gid.shape != (gf.shape[0],):
-        raise DimensionError("id arrays must match the feature row counts")
-    kept = np.flatnonzero(np.isin(qid, gid))
-    if kept.size == 0:
-        raise DegenerateError("no query has a relevant gallery row")
-    blocks = np.split(kept, range(_BLOCK, kept.size, _BLOCK))
-    scores = [_query_scores(rank(qf[r], gf, qid[r], gid).relevant) for r in blocks]
-    first, ap, inp = map(np.concatenate, zip(*scores))
+    qf, gf, qid, gid = _ranking_inputs(query_feats, gallery_feats, query_ids, gallery_ids)
     feats, ids = np.concatenate([qf, gf]), np.concatenate([qid, gid])
     tags = np.repeat([query_tag, gallery_tag], [qf.shape[0], gf.shape[0]])
     counts, sums = _similarity_stats(feats, ids, tags, bins)
+    kept = np.flatnonzero(np.isin(qid, gid))
+    if kept.size == 0:
+        raise DegenerateError("no query has a relevant gallery row")
+    by_id = np.argsort(gid, kind="stable")
+    grouped = gid[by_id]
+    first_of = np.searchsorted(grouped, qid[kept])
+    count = np.searchsorted(grouped, qid[kept], side="right") - first_of
+    scores = []
+    for a in range(0, kept.size, _BLOCK):
+        n = count[a : a + _BLOCK]
+        rows = np.repeat(np.arange(n.size), n)
+        starts = np.cumsum(n) - n
+        cols = by_id[np.arange(rows.size) + np.repeat(first_of[a : a + _BLOCK] - starts, n)]
+        pos = _hit_positions(qf[kept[a : a + _BLOCK]], gf, rows, cols)
+        scores.append(_hit_scores(rows, pos, (n.size, gf.shape[0])))
+    first, ap, inp = map(np.concatenate, zip(*scores))
     return EvalReport(
         **{f"rank{k}": float((first <= k).mean()) for k in RANK_KS},
         mean_ap=float(ap.mean()),

@@ -527,5 +527,5 @@ def stage2_objective(
         grad_logits = ce.grad
         terms["id"] = ce.value
     else:
-        grad_logits = np.zeros_like(as_matrix(logits))
+        grad_logits = np.zeros(np.shape(logits))
     return ObjectiveOutput(value, grad, grad_logits, terms, Mining(parts=tuple(mined)))

@@ -4,7 +4,9 @@ Everything here is written with explicit Python loops and scalar arithmetic:
 deliberately slow, and deliberately sharing no code with the vectorized
 library paths it checks. Tie-breaking conventions match the library on
 purpose (strict comparisons keep the first/lowest index), so equality holds
-exactly rather than just in distribution.
+exactly rather than just in distribution. The one exception is
+``ranked_block_scores``, which rebuilds ``evaluate``'s retrieval metrics from
+the library's own ``rank`` so they can be compared bit for bit.
 """
 
 import math
@@ -410,6 +412,26 @@ def dense_query_scores(relevant):
     ap = np.where(relevant, hits / np.arange(1, relevant.shape[1] + 1), 0.0).sum(axis=1)
     last = relevant.shape[1] - relevant[:, ::-1].argmax(axis=1)
     return relevant.argmax(axis=1) + 1, ap / hits[:, -1], hits[:, -1] / last
+
+
+def ranked_block_scores(qf, qid, gf, gid):
+    """``evaluate``'s retrieval fields: ``rank`` + ``_query_scores`` per ``_BLOCK`` kept queries."""
+    from crossmodal import evalkit
+
+    qid, gid = np.asarray(qid), np.asarray(gid)
+    kept = np.flatnonzero(np.isin(qid, gid))
+    scores = []
+    for a in range(0, kept.size, evalkit._BLOCK):
+        rows = kept[a : a + evalkit._BLOCK]
+        scores.append(evalkit._query_scores(evalkit.rank(qf[rows], gf, qid[rows], gid).relevant))
+    first, ap, inp = map(np.concatenate, zip(*scores))
+    return {
+        **{f"rank{k}": float((first <= k).mean()) for k in evalkit.RANK_KS},
+        "mean_ap": float(ap.mean()),
+        "minp": float(inp.mean()),
+        "dropped_queries": qid.size - kept.size,
+        "n_queries": first.size,
+    }
 
 
 def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, weight_decay):

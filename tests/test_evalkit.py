@@ -7,7 +7,13 @@ import pytest
 import oracles
 from crossmodal import evalkit
 from crossmodal.core import RngStream, cross_distances
-from crossmodal.errors import ConfigError, DegenerateError, DimensionError, NumericError
+from crossmodal.errors import (
+    ConfigError,
+    DegenerateError,
+    DimensionError,
+    LabelError,
+    NumericError,
+)
 from crossmodal.evalkit import (
     cmc,
     evaluate,
@@ -416,6 +422,143 @@ def test_evaluate_block_of_dropped_queries(monkeypatch):
     assert whole.dropped_queries == 3 and whole.n_queries == 7
     # histograms still cover every query row, dropped ones included
     assert whole.pos_hist.sum() + whole.neg_hist.sum() == 10 * 12
+
+
+# ---------------------------------------------------------------- evaluate against rank
+
+_SCALES = [1.0, 1e-160, 1e150, 1e153, 1e160]  # 1e153 and up: the matmul form overflows
+
+
+@pytest.fixture
+def ranking_only(monkeypatch):
+    """``evaluate`` with its similarity diagnostics stubbed out.
+
+    The adversarial galleries hold zero rows (cosine undefined) and rows whose
+    squared distances overflow; the tests that use this read only the
+    retrieval fields, which the diagnostics do not touch.
+    """
+    monkeypatch.setattr(
+        evalkit, "_similarity_stats", lambda f, i, t, bins: (np.ones((2, bins), int), np.ones(2))
+    )
+    monkeypatch.setattr(evalkit, "modality_gap_ratio", lambda f, i, t: 1.0)
+
+
+def _assert_evaluate_matches_rank(qf, qid, gf, gid, **tags):
+    """evaluate's retrieval fields equal ``rank`` + ``_query_scores`` block by block, exactly."""
+    report = evaluate(qf, qid, gf, gid, **tags)
+    want = oracles.ranked_block_scores(qf, qid, gf, gid)
+    assert {name: getattr(report, name) for name in want} == want
+    return report
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+@pytest.mark.parametrize("name", list(_ADVERSARIAL_GALLERIES))
+def test_evaluate_adversarial_galleries_match_rank(ranking_only, name, scale):
+    qf, gf = _ADVERSARIAL_GALLERIES[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for qid in (np.zeros(len(qf), dtype=int), np.arange(len(qf)) % 3):
+            _assert_evaluate_matches_rank(qf * scale, qid, gf * scale, np.arange(len(gf)) % 2)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_evaluate_tie_heavy_galleries_match_rank(ranking_only, monkeypatch, block):
+    # coordinates rounded to one decimal in 2-3 dims; the gallery repeats its
+    # first half (every other gallery) or a prefix of it, so exact ties and
+    # exact zeros fill most rows and the rows that certify share their blocks
+    monkeypatch.setattr(evalkit, "_BLOCK", block)
+    r = np.random.default_rng(block)
+    for t in range(20):
+        dim, n_g = int(r.integers(2, 4)), int(r.integers(3, 40))
+        half, ids = np.round(r.normal(size=(n_g, dim)), 1), r.integers(0, 6, size=n_g)
+        n_dup = n_g if t % 2 else int(r.integers(0, n_g))
+        gf, gid = np.concatenate([half, half[:n_dup]]), np.concatenate([ids, ids[:n_dup]])
+        n_q = int(r.integers(1, 150))
+        qf = np.concatenate([np.round(r.normal(size=(n_q, dim)), 1), gf[: n_q // 4]])
+        qid = r.integers(0, 9, size=len(qf))  # identities 6-8 never occur in the gallery
+        qid[0] = gid[0]
+        report = _assert_evaluate_matches_rank(qf, qid, gf, gid)
+        assert report.n_queries + report.dropped_queries == len(qf)
+
+
+def test_evaluate_block_mixing_certified_and_fallback_rows(rng, fallback_rows):
+    units = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+    gf = np.concatenate([rng.normal(size=(30, 4)), units])
+    qf = rng.normal(size=(12, 4))
+    qf[5] = [0.0, 0, 2, 0]  # at distance sqrt(5) from each unit point
+    qid, gid = np.arange(12) % 3, np.arange(33) % 3
+    report = evaluate(qf, qid, gf, gid)
+    sent = list(fallback_rows)
+    fallback_rows.clear()
+    want = oracles.ranked_block_scores(qf, qid, gf, gid)
+    assert {name: getattr(report, name) for name in want} == want
+    assert len(sent) == len(fallback_rows) == 1  # one 12-row block, one fallback row
+    assert np.array_equal(sent[0], qf[5:6]) and np.array_equal(fallback_rows[0], qf[5:6])
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_evaluate_v2t_roles_match_rank(monkeypatch, block):
+    monkeypatch.setattr(evalkit, "_BLOCK", block)
+    ds = generate(12, 6, BENCHMARK_LAYOUT, BENCHMARK_GAP, BENCHMARK_NOISE, RngStream(4))
+    vis, ir = ds.modality_rows("vis"), ds.modality_rows("ir")
+    report = _assert_evaluate_matches_rank(
+        ds.features[vis],
+        ds.labels[vis],
+        ds.features[ir],
+        ds.labels[ir],
+        query_tag="vis",
+        gallery_tag="ir",
+    )
+    assert report.n_queries == 72 and report.dropped_queries == 0
+
+
+def test_evaluate_gives_ranks_dimension_error():
+    with pytest.raises(DimensionError, match="^dimension mismatch: 2 vs 3$"):
+        evaluate(np.ones((1, 2)), [0], np.ones((2, 3)), [0, 1])
+
+
+def test_evaluate_checks_bins_before_ranking():
+    rngs = np.random.default_rng(5)
+    q, g = rngs.normal(size=(4, 3)), rngs.normal(size=(6, 3))
+    with pytest.raises(ConfigError, match="bins"):
+        evaluate(q, [5, 5, 6, 6], g, [0, 0, 0, 1, 1, 1], bins=1)  # no query would match
+
+
+_BAD_IDS = {
+    "fractional": ([0.5, 0.9, 1.2, 1.9], "0.5"),
+    "nan": ([0.0, np.nan, 1.0, 1.0], "nan"),
+    "infinite": ([0.0, 0.0, np.inf, 1.0], "inf"),
+    "beyond_int64": ([0.0, 0.0, 1.0, 2.0**63], "9.223372036854776e\\+18"),
+    "text": (["a", "a", "b", "b"], "dtype <U1"),
+    "objects": ([0, None, 1, 1], "dtype object"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_IDS))
+def test_identity_arrays_fail_by_name(kind):
+    bad, shown = _BAD_IDS[kind]
+    rngs = np.random.default_rng(5)
+    q, g = rngs.normal(size=(4, 3)), rngs.normal(size=(4, 3))
+    good, tags = [0, 0, 1, 1], ["ir", "ir", "vis", "vis"]
+    calls = [
+        ("query_ids", lambda: evaluate(q, bad, g, good)),
+        ("gallery_ids", lambda: evaluate(q, good, g, bad)),
+        ("query_ids", lambda: rank(q, g, bad, good)),
+        ("gallery_ids", lambda: rank(q, g, good, bad)),
+        ("ids", lambda: similarity_histogram(q, bad, tags)),
+        ("ids", lambda: modality_gap_ratio(q, bad, tags)),
+    ]
+    for name, call in calls:
+        with pytest.raises(LabelError, match=f"^{name} must hold integer identities, got {shown}$"):
+            call()
+
+
+def test_integer_identity_lists_and_arrays_keep_working():
+    rngs = np.random.default_rng(5)
+    q, g = rngs.normal(size=(4, 3)), rngs.normal(size=(6, 3))
+    gid = [0, 0, 0, 1, 1, 1]
+    want = evaluate(q, [0, 0, 1, 1], g, gid)
+    for qid in (np.array([0, 0, 1, 1], dtype=np.uint8), np.array([0.0, 0, 1, 1])):
+        assert report_text(evaluate(q, qid, g, gid)) == report_text(want)
 
 
 def test_evaluate_memory_is_bounded():

@@ -688,3 +688,15 @@ def test_objectives_name_the_term_whose_input_is_not_finite():
             NumericError, match=f"^non-finite {term} loss term: matrix contains NaN or Inf$"
         ):
             objective(batch, z, batch.labels, cfg)
+
+
+def test_stage2_objective_reads_the_logits_only_with_its_identity_term():
+    batch = make_pk_batch(RngStream(1), 3, 2, 4).validate()
+    logits = np.zeros((12, 3))
+    logits[0, 0] = np.inf
+    out = stage2_objective(batch, logits, batch.labels, LossConfig())
+    assert set(out.terms) == {"global", "msel", "dcl"}
+    assert np.array_equal(out.grad_logits, np.zeros((12, 3)))
+    assert out.value == stage2_objective(batch, np.zeros((12, 3)), batch.labels, LossConfig()).value
+    with pytest.raises(NumericError, match="^non-finite id loss term: matrix contains NaN or Inf$"):
+        stage2_objective(batch, logits, batch.labels, LossConfig(include_id_stage2=True))

@@ -5,9 +5,9 @@ renamed function in its ``TRACED`` table would break ``bench/run.py --trace 1``
 only at benchmark time; this test catches it with the unit tests. So would a
 renamed, added or removed gradient-check component: the traced result names
 one ``gradcheck.<component>.ms`` metric per component, and it must name
-exactly the ``per_layer`` metrics that ``BENCHMARK.json`` declares. A short
-traced ``train_default`` run checks the same end to end: its last line must
-be a strict-JSON result.
+exactly the ``per_layer`` metrics that ``BENCHMARK.json`` declares. Short
+traced ``train_default`` and ``eval_gallery`` runs check the same end to
+end: each last line must be a strict-JSON result.
 """
 
 import functools
@@ -57,6 +57,22 @@ def _refuse(constant):
 
 def test_traced_train_default_run_ends_in_a_strict_json_result():
     argv = ["--workload", "train_default", "--seed", "0", "--seconds", "0.5", "--trace", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), *argv],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_refuse)
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert list(result["metrics"]) == [m["name"] for m in declared]
+
+
+def test_traced_eval_gallery_run_ends_in_a_strict_json_result():
+    argv = ["--workload", "eval_gallery", "--seed", "0", "--seconds", "0.5", "--trace", "1"]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), *argv],
         capture_output=True,
