@@ -4,9 +4,11 @@ Everything here is written with explicit Python loops and scalar arithmetic:
 deliberately slow, and deliberately sharing no code with the vectorized
 library paths it checks. Tie-breaking conventions match the library on
 purpose (strict comparisons keep the first/lowest index), so equality holds
-exactly rather than just in distribution. The one exception is
+exactly rather than just in distribution. The exceptions are
 ``ranked_block_scores``, which rebuilds ``evaluate``'s retrieval metrics from
-the library's own ``rank`` so they can be compared bit for bit.
+the library's own ``rank`` so they can be compared bit for bit, and
+``similarity_stats`` and ``gap_ratio``, the library's former vectorized
+similarity diagnostics, kept verbatim as bitwise references.
 """
 
 import math
@@ -432,6 +434,65 @@ def ranked_block_scores(qf, qid, gf, gid):
         "dropped_queries": qid.size - kept.size,
         "n_queries": first.size,
     }
+
+
+def similarity_stats(feats, ids, tags, bins):
+    """``evalkit._similarity_stats`` in its former form: ``np.histogram`` per block.
+
+    The per-block product, row split and sums are the library's, at the
+    current ``evalkit._BLOCK``, so counts and sums compare bit for bit.
+    """
+    from crossmodal.core import NORM_EPS, as_matrix
+    from crossmodal.errors import ConfigError, DimensionError, NumericError
+    from crossmodal.evalkit import _as_ids
+    from crossmodal import evalkit
+
+    x = as_matrix(feats)
+    ids = _as_ids(ids, "ids")
+    tags = np.asarray(tags, dtype=np.str_)
+    if bins < 2:
+        raise ConfigError("bins must be >= 2")
+    if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
+        raise DimensionError("ids/tags must match the feature row count")
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    if (norms <= NORM_EPS).any():
+        raise NumericError("cosine similarity undefined for (near-)zero-norm rows")
+    xn = x / norms[:, None]
+    counts, sums = np.zeros((2, bins), dtype=np.int64), np.zeros(2)
+    for tag in np.unique(tags)[:-1]:
+        a, b = np.flatnonzero(tags == tag), tags > tag
+        for rows in np.split(a, range(evalkit._BLOCK, a.size, evalkit._BLOCK)):
+            sims = np.clip(xn[rows] @ xn[b].T, -1.0, 1.0)
+            same = ids[rows][:, None] == ids[b][None, :]
+            for row, vals in enumerate((sims[same], sims[~same])):
+                counts[row] += np.histogram(vals, bins=bins, range=(-1.0, 1.0))[0]
+                sums[row] += vals.sum()
+    return counts, sums
+
+
+def gap_ratio(feats, ids, tags):
+    """``evalkit.modality_gap_ratio`` in its former form: ``pairwise_distances`` per identity."""
+    from crossmodal.core import as_matrix, pairwise_distances
+    from crossmodal.errors import DegenerateError, DimensionError
+    from crossmodal.evalkit import _as_ids
+
+    x = as_matrix(feats)
+    ids = _as_ids(ids, "ids")
+    tags = np.asarray(tags, dtype=np.str_)
+    if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
+        raise DimensionError("ids/tags must match the feature row count")
+    order = np.argsort(ids, kind="stable")
+    pairs = []
+    for rows in np.split(order, np.flatnonzero(np.diff(ids[order])) + 1):
+        i, j = np.triu_indices(rows.size, 1)
+        pairs.append((pairwise_distances(x[rows])[i, j], tags[rows[i]] != tags[rows[j]]))
+    dist, crossed = map(np.concatenate, zip(*pairs))
+    if crossed.all() or not crossed.any():
+        raise DegenerateError("need both cross- and within-modality positive pairs")
+    denom = float(dist[~crossed].mean())
+    if denom <= 0:
+        raise DegenerateError("within-modality positives coincide; ratio undefined")
+    return float(dist[crossed].mean()) / denom
 
 
 def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, weight_decay):

@@ -1,3 +1,5 @@
+import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -25,7 +27,9 @@ from crossmodal.evalkit import (
     report_text,
     similarity_histogram,
 )
+from crossmodal.model import init_params
 from crossmodal.synthdata import BENCHMARK_GAP, BENCHMARK_LAYOUT, BENCHMARK_NOISE, generate
+from crossmodal.trainer import evaluate_params
 
 # ---------------------------------------------------------------- frozen examples
 
@@ -347,6 +351,94 @@ def test_gap_ratio_rejects_mismatched_rows():
         modality_gap_ratio(feats, [0, 0, 0, 0, 1, 1], tags[:5])
 
 
+@pytest.mark.parametrize("bins", [2, 3, 7, 30, 1000, 9000])  # 9000: finer than the lookup table
+def test_similarity_bins_match_np_histogram_at_every_edge(bins):
+    r = np.random.default_rng(bins)
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    cells = (np.arange(2 * evalkit._CELLS + 1) - evalkit._CELLS) / evalkit._CELLS
+    points = np.concatenate([edges, cells, [-1.0, 1.0, -0.0, 0.0, 5e-324, -5e-324, 1e-310]])
+    values = np.concatenate(
+        [points, np.nextafter(points, -2.0), np.nextafter(points, 2.0), r.uniform(-1, 1, 4000)]
+    )
+    values = np.clip(values, -1.0, 1.0)  # the range _similarity_stats bins
+    same = r.random(values.size) < 0.3
+    binned = evalkit._SimilarityBins(bins)
+    half = values.size // 2
+    for part in (slice(0, half), slice(half, None)):  # counts accumulate over blocks
+        binned.add(values[part].copy(), same[part])
+    counts = binned.counts()
+    assert np.array_equal(counts[0], np.histogram(values[same], bins, range=(-1.0, 1.0))[0])
+    assert np.array_equal(counts[1], np.histogram(values, bins, range=(-1.0, 1.0))[0])
+    if bins == 30:
+        assert binned.unresolved.mean() < 0.01  # the table settles almost every value
+
+
+def _random_diagnostic_inputs(r, dim, tie_heavy):
+    """Ragged identities (singletons, one above 32 rows) over three tags, optionally rounded."""
+    small = r.integers(1, 12, size=int(r.integers(2, 8)))
+    sizes = np.concatenate([small, [1, 33 + int(r.integers(0, 8))]])
+    ids = np.repeat(r.permutation(sizes.size) * 7 - 5, sizes)
+    x = r.normal(size=(ids.size, dim))
+    if tie_heavy:
+        x = np.round(x, 0)
+        x[~x.any(axis=1), 0] = 1.0  # cosine needs nonzero rows
+        x[1::3] = x[::3][: x[1::3].shape[0]]  # repeated rows: exact ties and exact 0 distances
+    tags = np.array(["gray", "ir", "vis"])[r.integers(0, 3, size=ids.size)]
+    perm = r.permutation(ids.size)
+    return x[perm], ids[perm], tags[perm]
+
+
+def _gap_outcome(fn, *args):
+    try:
+        return float.hex(fn(*args))
+    except DegenerateError as err:
+        return f"DegenerateError: {err}"
+
+
+@pytest.mark.parametrize("dim", [1, 3, 16, 64])
+def test_similarity_stats_match_the_histogram_form_bitwise(dim):
+    r = np.random.default_rng(100 + dim)
+    for t in range(12):
+        feats, ids, tags = _random_diagnostic_inputs(r, dim, tie_heavy=t % 2 == 1)
+        bins = [2, 3, 7, 30, 1000, 9000][t % 6]
+        counts, sums = evalkit._similarity_stats(feats, ids, tags, bins)
+        want_counts, want_sums = oracles.similarity_stats(feats, ids, tags, bins)
+        assert np.array_equal(counts, want_counts)
+        assert sums.tobytes() == want_sums.tobytes()
+
+
+@pytest.mark.parametrize("stack_bytes", [evalkit._STACK_BYTES, 1])  # 1: one group per call
+@pytest.mark.parametrize("dim", [1, 3, 16, 64])
+def test_gap_ratio_matches_the_per_identity_form_bitwise(monkeypatch, dim, stack_bytes):
+    monkeypatch.setattr(evalkit, "_STACK_BYTES", stack_bytes)
+    r = np.random.default_rng(200 + dim)
+    for t in range(12):
+        feats, ids, tags = _random_diagnostic_inputs(r, dim, tie_heavy=t % 2 == 1)
+        want = _gap_outcome(oracles.gap_ratio, feats, ids, tags)
+        assert _gap_outcome(modality_gap_ratio, feats, ids, tags) == want
+    # forty equal groups: one stacked call, or forty at one byte per call
+    ids = np.repeat(np.arange(40), 4)
+    feats = r.normal(size=(ids.size, dim))
+    tags = np.tile(["ir", "ir", "vis", "vis"], 40)
+    assert float.hex(modality_gap_ratio(feats, ids, tags)) == float.hex(
+        oracles.gap_ratio(feats, ids, tags)
+    )
+
+
+def test_gap_ratio_of_a_large_identity_builds_no_stacked_tensor():
+    # one 1024-row identity: its s x s x d difference tensor would be 128 MiB
+    x = np.random.default_rng(0).normal(size=(1024, 16))
+    ids, tags = np.zeros(1024, dtype=int), np.tile(["ir", "vis"], 512)
+    tracemalloc.start()
+    try:
+        ratio = modality_gap_ratio(x, ids, tags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert float.hex(ratio) == float.hex(oracles.gap_ratio(x, ids, tags))
+    assert peak < 40 * 2**20
+
+
 # ---------------------------------------------------------------- full report
 
 
@@ -384,6 +476,77 @@ def test_evaluate_edge_cases_raise():
         evaluate(q, [5, 5, 6, 6], g, gid)
     with pytest.raises(DimensionError):
         evaluate(q, np.zeros(5, dtype=int), g, gid)
+
+
+def test_evaluate_refuses_one_tag_before_ranking(monkeypatch):
+    calls = []
+    real = evalkit._hit_positions
+    monkeypatch.setattr(evalkit, "_hit_positions", lambda *args: calls.append(1) or real(*args))
+    rngs = np.random.default_rng(5)
+    q, g = rngs.normal(size=(4, 3)), rngs.normal(size=(6, 3))
+    with pytest.raises(DegenerateError, match="both 'vis'"):
+        evaluate(q, [0, 0, 1, 1], g, [0, 0, 0, 1, 1, 1], query_tag="vis", gallery_tag="vis")
+    assert calls == []
+
+
+@pytest.mark.parametrize("bins", [2.5, "30", 30.0, None, True, 1, np.int64(1)])
+def test_bins_other_than_an_integer_from_2_fail_by_name(bins):
+    rngs = np.random.default_rng(5)
+    q, g = rngs.normal(size=(4, 3)), rngs.normal(size=(6, 3))
+    message = f"^bins must be an integer >= 2, got {re.escape(repr(bins))}$"
+    with pytest.raises(ConfigError, match=message):
+        similarity_histogram(q, [0, 0, 1, 1], ["ir", "vis", "ir", "vis"], bins=bins)
+    with pytest.raises(ConfigError, match=message):
+        evaluate(q, [5, 5, 6, 6], g, [0, 0, 0, 1, 1, 1], bins=bins)  # no query would match
+
+
+def test_numpy_integer_bins_pass():
+    rngs = np.random.default_rng(5)
+    q, g = rngs.normal(size=(4, 3)), rngs.normal(size=(6, 3))
+    qid, gid = [0, 0, 1, 1], [0, 0, 0, 1, 1, 1]
+    want = evaluate(q, qid, g, gid, bins=255)
+    for bins in (np.int64(255), np.int32(255), np.uint8(255)):  # uint8: bins + 1 must not wrap
+        rep = evaluate(q, qid, g, gid, bins=bins)
+        assert report_text(rep) + report_table(rep) == report_text(want) + report_table(want)
+
+
+#: SHA-256 of ``evaluate_params`` on ``_pinned_gallery``: ``report_text`` +
+#: ``report_table`` + the ``float.hex`` of five scalars, taken from the
+#: ``np.histogram`` / per-identity form of the similarity diagnostics.
+EVALUATE_PINS = {
+    "t2v": "91f91c4c3b226bfd31f25d1245b308b1b76d303cfc673b9cf7c9efdeb60f94d5",
+    "v2t": "9fa723bc75d7ac734b18c8248f8630ab24c6f59c444ad93cc33c379743074543",
+}
+
+
+@pytest.mark.parametrize("direction", list(EVALUATE_PINS))
+def test_evaluate_full_precision_pin(direction):
+    ds = generate(24, 12, BENCHMARK_LAYOUT, BENCHMARK_GAP, BENCHMARK_NOISE, RngStream(20))
+    params = init_params(BENCHMARK_LAYOUT.total_dims, 32, 16, 24, RngStream(21))
+    rep = evaluate_params(params, ds, direction)
+    digest = hashlib.sha256((report_text(rep) + report_table(rep)).encode("ascii"))
+    for name in ("gap_ratio", "pos_sim_mean", "neg_sim_mean", "mean_ap", "minp"):
+        digest.update(float.hex(getattr(rep, name)).encode("ascii"))
+    assert digest.hexdigest() == EVALUATE_PINS[direction]
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@pytest.mark.parametrize("direction", ["t2v", "v2t"])
+def test_evaluate_diagnostics_match_the_former_forms_bitwise(monkeypatch, block, direction):
+    monkeypatch.setattr(evalkit, "_BLOCK", block)
+    ds = generate(12, 6, BENCHMARK_LAYOUT, BENCHMARK_GAP, BENCHMARK_NOISE, RngStream(4))
+    q_tag, g_tag = ("ir", "vis") if direction == "t2v" else ("vis", "ir")
+    q_rows, g_rows = ds.modality_rows(q_tag), ds.modality_rows(g_tag)
+    qf, gf = np.round(ds.features[q_rows], 1), np.round(ds.features[g_rows], 1)  # with ties
+    qid, gid = ds.labels[q_rows], ds.labels[g_rows]
+    rep = evaluate(qf, qid, gf, gid, query_tag=q_tag, gallery_tag=g_tag, bins=30)
+    feats, ids = np.concatenate([qf, gf]), np.concatenate([qid, gid])
+    tags = np.repeat([q_tag, g_tag], [len(qf), len(gf)])
+    counts, sums = oracles.similarity_stats(feats, ids, tags, 30)
+    assert np.array_equal(rep.pos_hist, counts[0]) and np.array_equal(rep.neg_hist, counts[1])
+    assert float.hex(rep.pos_sim_mean) == float.hex(float(sums[0] / counts[0].sum()))
+    assert float.hex(rep.neg_sim_mean) == float.hex(float(sums[1] / counts[1].sum()))
+    assert float.hex(rep.gap_ratio) == float.hex(oracles.gap_ratio(feats, ids, tags))
 
 
 def _assert_block_size_invariant(monkeypatch, q, qid, g, gid):
@@ -575,6 +738,26 @@ def test_evaluate_memory_is_bounded():
         tracemalloc.stop()
     assert rep.n_queries == 1024
     assert peak < 40 * 2**20
+
+
+#: ``tracemalloc`` peak of ``evaluate`` below on the ``np.histogram`` form of
+#: the similarity diagnostics (5.72 MB); the lookup table must not raise it.
+_HISTOGRAM_FORM_PEAK = 5_720_000
+
+
+def test_evaluate_peak_stays_within_the_histogram_forms():
+    ds = generate(128, 16, BENCHMARK_LAYOUT, BENCHMARK_GAP, BENCHMARK_NOISE, RngStream(3))
+    ir, vis = ds.modality_rows("ir"), ds.modality_rows("vis")
+    qf, qid, gf, gid = ds.features[ir], ds.labels[ir], ds.features[vis], ds.labels[vis]
+    assert qf.shape == gf.shape == (2048, 16)
+    tracemalloc.start()
+    try:
+        rep = evaluate(qf, qid, gf, gid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_queries == 2048
+    assert peak <= _HISTOGRAM_FORM_PEAK
 
 
 def test_report_text_format():
