@@ -115,11 +115,14 @@ def coerce_rows(features, labels, modalities):
     return features, labels, modalities
 
 
-def _coerce_features(features, labels: np.ndarray, modalities: np.ndarray) -> np.ndarray:
+def _coerce_features(
+    features, labels: np.ndarray, modalities: np.ndarray, stack: bool = False
+) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise DimensionError(f"features must be 2-D, got shape {features.shape}")
-    n = features.shape[0]
+    if features.ndim != 2 and not (stack and features.ndim == 3):
+        kind = "2-D or a 3-D stack" if stack else "2-D"
+        raise DimensionError(f"features must be {kind}, got shape {features.shape}")
+    n = features.shape[-2]
     if labels.shape != (n,) or modalities.shape != (n,):
         raise DimensionError("features, labels, and modalities disagree on row count")
     return features
@@ -282,6 +285,10 @@ class LabeledBatch:
     ``dataclasses.replace(batch, features=...)`` carries it over, because the
     labels and tags are the same arrays; a batch given other label or tag
     arrays drops it and is validated again on first use.
+
+    A batch that carries its structure may hold a stack of feature matrices,
+    ``(S, n, d)``, one per slice over the same rows; every loss then returns
+    one value per slice (see :mod:`crossmodal.losses`).
     """
 
     features: np.ndarray
@@ -293,7 +300,9 @@ class LabeledBatch:
         s = self._structure
         if s is not None and s.labels is self.labels and s.tags is self.modalities:
             # the labels and tags were checked when the structure was derived
-            self.features = _coerce_features(self.features, self.labels, self.modalities)
+            self.features = _coerce_features(
+                self.features, self.labels, self.modalities, stack=True
+            )
             return
         self._structure = None
         self.features, self.labels, self.modalities = coerce_rows(
@@ -301,11 +310,11 @@ class LabeledBatch:
         )
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[-1]
 
     @property
     def structure(self) -> BatchStructure:

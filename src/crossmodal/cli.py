@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, config, gradcheck, synthdata, trainer
+from . import __version__, config, gradcheck, machine, synthdata, trainer
 from .batch import FeatureLayout
 from .core import RngStream
 from .errors import ConfigError, CrossmodalError, ParseError
@@ -156,6 +156,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"run directory {out_dir!r} already exists and is not empty")
     os.makedirs(out_dir, exist_ok=True)
 
+    inputs = {"data": cfg.data_path, "eval_data": cfg.eval_path}
     manifest = {
         "tool": "crossmodal",
         "version": __version__,
@@ -163,10 +164,11 @@ def cmd_train(args) -> int:
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": cfg.train.seed,
         "config": dict(config.resolved_items(cfg)),
-        "inputs": {
-            "data": os.path.abspath(cfg.data_path),
-            "eval_data": os.path.abspath(cfg.eval_path) if cfg.eval_path else None,
-        },
+        "inputs": {key: os.path.abspath(p) if p else None for key, p in inputs.items()},
+        # with the machine record: enough to tell whether another machine
+        # should reproduce this run bit for bit
+        "input_sha256": {key: machine.file_sha256(p) if p else None for key, p in inputs.items()},
+        "machine": machine.machine_record(),
         "artifacts": {
             "resolved_config": "config.resolved.cfg",
             "epoch_log": "epochs.csv",

@@ -33,11 +33,12 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a finite, nonempty 2-D float64 array."""
+def as_matrix(values, stack: bool = False) -> np.ndarray:
+    """Coerce to a finite, nonempty 2-D float64 array; with ``stack``, a 3-D stack of them too."""
     m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {m.shape}")
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        kind = "a 2-D matrix or a 3-D stack" if stack else "a 2-D matrix"
+        raise DimensionError(f"expected {kind}, got shape {m.shape}")
     if m.size == 0:
         raise DimensionError("matrix must be nonempty")
     if not np.isfinite(m).all():
@@ -74,6 +75,21 @@ def _euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     diff = a[..., :, None, :] - b[..., None, :, :]
     return np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff))
+
+
+def _cosine(x: np.ndarray) -> np.ndarray:
+    """Cosine distances between the rows of ``x``, over stacked leading axes; exactly symmetric.
+
+    Each similarity is computed once per unordered pair and mirrored.
+    """
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", x, x))
+    if (norms <= NORM_EPS).any():
+        raise NumericError("cosine distance undefined for (near-)zero-norm rows")
+    xn = x / norms[..., None]
+    s = xn @ xn.swapaxes(-1, -2)
+    i, j = np.triu_indices(x.shape[-2], 1)
+    s.swapaxes(-1, -2)[..., i, j] = s[..., i, j]
+    return 1.0 - s
 
 
 def _matmul_form(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,14 +189,7 @@ def pairwise_distances(batch, metric: str = "euclid") -> np.ndarray:
             out[a:b, a:] = _euclid(x[a:b], x[a:])
             out[a:b, :a] = out[:a, a:b].T
         return out
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    if (norms <= NORM_EPS).any():
-        raise NumericError("cosine distance undefined for (near-)zero-norm rows")
-    xn = x / norms[:, None]
-    s = xn @ xn.T
-    iu = np.triu_indices(x.shape[0], 1)
-    s.T[iu] = s[iu]
-    return 1.0 - s
+    return _cosine(x)
 
 
 def cross_distances(a, b) -> np.ndarray:

@@ -54,6 +54,18 @@ zero hinge, a hardest pair tied with its runner-up, or a ``dcl`` dyn
 candidate on its threshold (the dyn empty-set fallback is not tracked).
 Training never calls it; the gradient checker does, to reject instances near
 a tie.
+
+Every public loss, ``compute_centers`` and both stage objectives also take
+stacks: a batch whose features are ``(S, n, d)``, one matrix per slice over
+the batch's one structure (:class:`~crossmodal.batch.LabeledBatch`), and
+logits ``(S, n, c)``. An output is stacked when an input it depends on is:
+its value is then an ``(S,)`` array, its gradient a stack, and slice s of
+each equals the 2-D call on slice s bit for bit. The kernels run over the
+leading axes (batched ``@`` and reductions along one slice's axes give each
+slice the 2-D result); each slice's hinge sum is one row of a packed array
+(:func:`_masked_sum`); the batch-hard triplet mines a stack above ``_BLOCK``
+rows one slice at a time, through its certified route. A stacked call
+returns no :class:`Mining` record: instances are judged regular in 2-D.
 """
 
 from __future__ import annotations
@@ -64,7 +76,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch import LabeledBatch, PairMasks, Stage
-from .core import _BLOCK, _certified, _euclid, _matmul_form, as_matrix, pairwise_distances
+from .core import (
+    _BLOCK,
+    _certified,
+    _cosine,
+    _euclid,
+    _matmul_form,
+    as_matrix,
+    pairwise_distances,
+)
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -96,8 +116,9 @@ class Mining:
     ``neg``: the masks each row's largest / smallest entry was mined from;
     ``pairs``: :class:`PairMasks` whose ``off`` / ``pos`` / ``neg`` stand in
     for those three, read only when :meth:`gap` is called; ``pool``: entries
-    compared with their row's ``threshold``; ``parts``: merged records. A
-    loss that returns no record (``None``) made no mining decision.
+    compared with their row's ``threshold``; ``parts``: merged records. A 2-D
+    call that returns no record (``None``) made no mining decision; a stacked
+    call returns none.
     """
 
     dist: np.ndarray | None = None
@@ -134,9 +155,9 @@ class Mining:
 
 @dataclass
 class LossOutput:
-    """Scalar loss value and its gradient with respect to the direct input rows."""
+    """Loss value (``(S,)`` for a stack) and its gradient with respect to the direct input rows."""
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
     mining: Mining | None = None
 
@@ -150,10 +171,10 @@ class ObjectiveOutput:
     ``mining`` the merged :class:`Mining` records of the terms.
     """
 
-    value: float
+    value: float | np.ndarray
     grad_embeddings: np.ndarray
     grad_logits: np.ndarray
-    terms: dict[str, float] = field(default_factory=dict)
+    terms: dict[str, float | np.ndarray] = field(default_factory=dict)
     mining: Mining | None = None
 
 
@@ -192,21 +213,45 @@ class CenterStats:
     distances: np.ndarray
 
 
+def _value(v) -> float | np.ndarray:
+    """A 2-D call's value as a float, a stacked call's as its ``(S,)`` array."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _masked_sum(values: np.ndarray, mask: np.ndarray) -> float | np.ndarray:
+    """``values[mask].sum()``, per row of a stacked ``(S, n)`` ``values``.
+
+    numpy sums a 1-D array pairwise. The rows with c selected entries are
+    packed into one ``(G, c)`` array and summed along its rows, the same
+    reduction, so each row's sum equals its 1-D sum bit for bit.
+    """
+    if values.ndim == 1:
+        return float(values[mask].sum())
+    counts = mask.sum(axis=-1)
+    out = np.empty(len(values))
+    for c in np.unique(counts):
+        group = counts == c
+        out[group] = values[group][mask[group]].reshape(np.count_nonzero(group), c).sum(axis=-1)
+    return out
+
+
 def identity_loss(logits, labels) -> LossOutput:
     """Mean softmax cross-entropy over the batch; gradient is w.r.t. the logits."""
-    z = as_matrix(logits)
+    z = as_matrix(logits, stack=True)
     y = np.asarray(labels, dtype=np.int64)
-    n, c = z.shape
+    n, c = z.shape[-2:]
     if y.shape != (n,):
         raise DimensionError(f"labels shape {y.shape} does not match {n} logit rows")
     if (y < 0).any() or (y >= c).any():
         raise LabelError(f"labels must lie in [0, {c})")
-    shifted = z - z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logsumexp
-    value = float(-logp[np.arange(n), y].mean())
+    rows = np.arange(n)
+    # a stack's picks come out column-major; its mean must run along each slice's row
+    value = _value(-np.ascontiguousarray(logp[..., rows, y]).mean(axis=-1))
     grad = np.exp(logp)
-    grad[np.arange(n), y] -= 1.0
+    grad[..., rows, y] -= 1.0
     grad /= n
     return LossOutput(value, grad)
 
@@ -235,40 +280,50 @@ def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutpu
     symmetric weights and their quotients by distance are written at those
     2n entries and their mirrors only; every other entry of the dense
     quotient matrix is 0.
+
+    A stack of up to ``_BLOCK`` rows per slice is mined in one pass over
+    its ``(S, n, n)`` distances; a larger stack goes one slice at a time.
     """
-    feats = as_matrix(feats)
+    feats = as_matrix(feats, stack=True)
     if not masks.every_pos:
         raise SamplingError("every anchor needs at least one other row of its identity")
     if not masks.every_neg:
         raise SamplingError("batch needs at least two identities")
-    n = feats.shape[0]
+    n = feats.shape[-2]
+    if feats.ndim == 3 and n > _BLOCK:
+        parts = [_batch_hard(f, margin, masks) for f in feats]
+        return LossOutput(np.array([p.value for p in parts]), np.stack([p.grad for p in parts]))
     rows = np.arange(n)
-    # mined, 2 x n: each anchor's hardest positive and hardest negative; d: their distances
+    # mined, 2 x (S x) n: each anchor's hardest positive and hardest negative
     if n <= _BLOCK:
         dist = _euclid(feats, feats)
         mined = np.array(
             (
-                np.where(masks.pos, dist, -np.inf).argmax(axis=1),
-                np.where(masks.neg, dist, np.inf).argmin(axis=1),
+                np.where(masks.pos, dist, -np.inf).argmax(axis=-1),
+                np.where(masks.neg, dist, np.inf).argmin(axis=-1),
             )
         )
-        d = dist.take(rows * n + mined)
     else:
         mined = np.array(
             (_hardest_positives(feats, masks.blocks), _hardest_negatives(feats, masks))
         )
-        d = _euclid(feats[:, None], feats[mined.T])[:, 0].T
     there, back = rows * n + mined, mined * n + rows  # flat indices of (a, j) and (j, a)
+    signs = _SIGNS
+    if feats.ndim == 3:  # slice s's entries lie in block s of the stacked matrices
+        base = (np.arange(len(feats)) * n * n)[:, None]
+        there, back, signs = there + base, back + base, _SIGNS[..., None]
+    # d: the mined distances
+    d = dist.take(there) if n <= _BLOCK else _euclid(feats[:, None], feats[mined.T])[:, 0].T
     hinge = d[0] - d[1] + margin
     active = hinge > 0
-    g = np.zeros((n, n))
-    w = _SIGNS * active
+    g = np.zeros(feats.shape[:-1] + (n,))
+    w = signs * active
     g.put(there, w)
     sym = w + g.take(back)
     g.put(there, np.divide(sym, d, out=np.zeros_like(sym), where=d > 0))
     g.put(back, g.take(there))
-    mining = Mining(feats=feats, hinge=hinge, pairs=masks)
-    return LossOutput(float(hinge[active].sum()), _pair_weight_grad(g, feats), mining)
+    mining = Mining(feats=feats, hinge=hinge, pairs=masks) if feats.ndim == 2 else None
+    return LossOutput(_masked_sum(hinge, active), _pair_weight_grad(g, feats), mining)
 
 
 def _hardest_positives(feats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -320,15 +375,16 @@ def hard_triplet_global(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
 
 def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
     """Batch-hard triplet loss mined separately inside each of the two modalities."""
+    feats = batch.features
     value = 0.0
-    grad = np.zeros_like(batch.features)
+    grad = np.zeros_like(feats)
     parts = []
     for idx, masks in batch.structure.layout.modality_pairs:
-        part = _batch_hard(batch.features[idx], margin, masks)
+        part = _batch_hard(feats.take(idx, axis=-2), margin, masks)
         value += part.value
-        grad[idx] += part.grad
+        grad[..., idx, :] += part.grad
         parts.append(part.mining)
-    return LossOutput(value, grad, Mining(parts=tuple(parts)))
+    return LossOutput(value, grad, Mining(parts=tuple(parts)) if feats.ndim == 2 else None)
 
 
 def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
@@ -359,33 +415,37 @@ def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
     k = s.k
     if k < 2:
         raise ConfigError("msel needs k >= 2 rows per (identity, modality) cell")
+    feats = batch.features
     n = len(batch)
     if metric == "euclid":
         blocks, (intra, cross) = s.layout.pairs.blocks, s.layout.block_pairs
-        x = batch.features[blocks]
-        dist = _euclid(x, x)
     else:
         blocks, (intra, cross) = np.arange(n)[None], s.layout.batch_pairs
-        x = batch.features[blocks]
-        dist = pairwise_distances(batch.features, "cosine")[None]
+    x = feats.take(blocks, axis=-2)  # C order, as the reductions below need
+    if metric == "euclid":
+        dist = _euclid(x, x)
+    else:
+        dist = _cosine(as_matrix(feats, stack=True))[..., None, :, :]
     diff = (dist * intra).sum(axis=-1) / (k - 1) - (dist * cross).sum(axis=-1) / k
-    by_row = np.empty(n)
-    by_row[blocks] = diff  # the mean sums in row order
-    value = float((by_row**2).mean())
+    by_row = np.empty(feats.shape[:-1])
+    by_row[..., blocks] = diff  # the mean sums in row order
+    value = _value((by_row**2).mean(axis=-1))
 
     # d(value)/d(dist[a, i]) for each anchor a and partner i, then chain through
     # the metric. Each unordered pair appears twice in the anchor sum, once per
     # role, so the per-pair weight is symmetrized before the chain rule.
     w = (2.0 * diff / n)[..., None] * (intra / (k - 1.0) - cross / float(k))
-    sym = w + w.transpose(0, 2, 1)
-    grad = np.empty_like(batch.features)
+    sym = w + w.swapaxes(-1, -2)
+    grad = np.empty_like(feats)
     if metric == "euclid":
         g = np.divide(sym, dist, out=np.zeros_like(sym), where=dist > 0)
-        grad[blocks] = _pair_weight_grad(g, x)
-        return LossOutput(value, grad, Mining(dist=dist, off=intra | cross))
-    norms = np.sqrt(np.einsum("pij,pij->pi", x, x))
+        grad[..., blocks, :] = _pair_weight_grad(g, x)
+        mining = Mining(dist=dist, off=intra | cross) if feats.ndim == 2 else None
+        return LossOutput(value, grad, mining)
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", x, x))
     coef = (sym * (1.0 - dist)).sum(axis=-1) / norms**2
-    grad[blocks] = coef[..., None] * x - (sym / (norms[..., None] * norms[:, None, :])) @ x
+    outer = norms[..., None] * norms[..., None, :]
+    grad[..., blocks, :] = coef[..., None] * x - (sym / outer) @ x
     return LossOutput(value, grad)
 
 
@@ -394,11 +454,11 @@ def compute_centers(batch: LabeledBatch) -> CenterStats:
     s = batch.structure
     if len(s.identities) < 2:
         raise ConfigError("center statistics need at least two identities")
-    feats = as_matrix(batch.features)
+    feats = as_matrix(batch.features, stack=True)
     own, count = s.members
     centers = (own @ feats) / count[:, None]
     dist = _euclid(centers, feats)
-    neg_margins = (dist * ~own).sum(axis=1) / (len(feats) - count)
+    neg_margins = (dist * ~own).sum(axis=-1) / (feats.shape[-2] - count)
     return CenterStats(s.identities, centers, neg_margins, own, dist)
 
 
@@ -411,7 +471,8 @@ def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
     (``hard``), or those strictly closer than the identity's mean negative
     distance (``dyn``, falling back to the closest negative when that set is
     empty). Centers are treated as functions of the embeddings, so the
-    gradient includes the chain-rule path through every center.
+    gradient includes the chain-rule path through every center. The
+    empty-set fallback is taken per (slice, center).
     """
     if mode not in DCL_MODES:
         raise ConfigError(f"dcl mode must be one of {DCL_MODES}")
@@ -422,30 +483,39 @@ def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
     if mode == "all":
         sel, mining = other, Mining(dist=dist)
     elif mode == "dyn":
-        sel = other & (dist < stats.neg_margins[:, None])
+        sel = other & (dist < stats.neg_margins[..., None])
         mining = Mining(dist=dist, pool=other, threshold=stats.neg_margins)
     else:
-        sel, mining = np.zeros_like(own), Mining(dist=dist, neg=other)
+        sel, mining = np.zeros(dist.shape, dtype=bool), Mining(dist=dist, neg=other)
     if mode != "all":
-        empty = np.flatnonzero(~sel.any(axis=1))
-        sel[empty, np.where(other, dist, np.inf)[empty].argmin(axis=1)] = True
+        empty = np.nonzero(~sel.any(axis=-1))
+        sel[(*empty, np.where(other, dist, np.inf)[empty].argmin(axis=-1))] = True
     own_w = own / batch.structure.members[1][:, None]
-    sel_w = sel / sel.sum(axis=1, keepdims=True)
-    num = float((own_w * dist).sum())
-    den = float((sel_w * dist).sum())
-    if den < DCL_EPS:
+    sel_w = sel / sel.sum(axis=-1, keepdims=True)
+    stacked = feats.ndim == 3
+    if stacked:  # each slice's P x n products summed whole, as a 2-D call sums them
+        num = (own_w * dist).reshape(len(feats), -1).sum(axis=-1)
+        den = (sel_w * dist).reshape(len(feats), -1).sum(axis=-1)
+    else:
+        num, den = float((own_w * dist).sum()), float((sel_w * dist).sum())
+    if (den.min() if stacked else den) < DCL_EPS:
         raise DegenerateError("all selected negatives coincide with their centers")
+    if stacked:
+        # slice by slice in floats: a float's ``**`` is the C library's pow, an array's is not
+        ratio = np.array([a / b**2 for a, b in zip(num.tolist(), den.tolist())])
+        w = own_w / den[:, None, None] - ratio[:, None, None] * sel_w
+    else:
+        w = own_w / den - (num / den**2) * sel_w
     # d(num/den)/d(dist[c, r]) goes through the pair kernel over the rows
     # stacked with the centers; the centers' gradient is then pushed back
     # through own_w, the averaging matrix that produced them.
-    w = own_w / den - (num / den**2) * sel_w
-    n = len(feats)
-    g = np.zeros((n + len(w),) * 2)
-    g[n:, :n] = np.divide(w, dist, out=np.zeros_like(w), where=dist > 0)
-    g[:n, n:] = g[n:, :n].T
-    g = _pair_weight_grad(g, np.vstack([feats, stats.centers]))
-    grad = g[:n] + own_w.T @ g[n:]
-    return LossOutput(num / den, grad, mining)
+    n, p = dist.shape[-1], dist.shape[-2]
+    g = np.zeros(feats.shape[:-2] + (n + p,) * 2)
+    g[..., n:, :n] = np.divide(w, dist, out=np.zeros_like(w), where=dist > 0)
+    g[..., :n, n:] = g[..., n:, :n].swapaxes(-1, -2)
+    g = _pair_weight_grad(g, np.concatenate([feats, stats.centers], axis=-2))
+    grad = g[..., :n, :] + own_w.T @ g[..., n:, :]
+    return LossOutput(num / den, grad, None if stacked else mining)
 
 
 def _check_stage(batch: LabeledBatch, stage: Stage) -> None:
@@ -467,7 +537,9 @@ def _finite(term: str, loss, *args) -> LossOutput:
         part = loss(*args)
     except NumericError as exc:
         raise NumericError(f"non-finite {term} loss term: {exc}") from exc
-    if not (math.isfinite(part.value) and np.isfinite(part.grad).all()):
+    value = part.value
+    finite = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
+    if not (finite and np.isfinite(part.grad).all()):
         raise NumericError(f"non-finite {term} loss term")
     return part
 
@@ -505,27 +577,28 @@ def stage2_objective(
     cfg.validate()
     _check_stage(batch, Stage.STAGE2)
     tri = _finite("global", hard_triplet_global, batch, cfg.margin)
-    value = tri.value
+    value = tri.value  # a stack's value array is also its term: never added to in place
     grad = tri.grad.copy()
     terms = {"global": tri.value}
     mined = [tri.mining]
     if cfg.lambda1 > 0:
         part = _finite("msel", msel, batch, cfg.msel_metric)
-        value += cfg.lambda1 * part.value
+        value = value + cfg.lambda1 * part.value
         grad += cfg.lambda1 * part.grad
         terms["msel"] = part.value
         mined.append(part.mining)
     if cfg.lambda2 > 0:
         part = _finite("dcl", dcl, batch, cfg.dcl_mode)
-        value += cfg.lambda2 * part.value
+        value = value + cfg.lambda2 * part.value
         grad += cfg.lambda2 * part.grad
         terms["dcl"] = part.value
         mined.append(part.mining)
     if cfg.include_id_stage2:
         ce = _finite("id", identity_loss, logits, labels)
-        value += ce.value
+        value = value + ce.value
         grad_logits = ce.grad
         terms["id"] = ce.value
     else:
         grad_logits = np.zeros(np.shape(logits))
-    return ObjectiveOutput(value, grad, grad_logits, terms, Mining(parts=tuple(mined)))
+    mining = Mining(parts=tuple(mined)) if np.ndim(batch.features) == 2 else None
+    return ObjectiveOutput(value, grad, grad_logits, terms, mining)

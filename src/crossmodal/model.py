@@ -10,6 +10,13 @@ running statistics, which only an explicit :func:`update_bn_stats` call changes.
 The ``TRAINABLE`` tensors of :class:`ModelParams` and :class:`ModelGrads` are
 views, in ``TRAINABLE`` order, of one contiguous float64 vector ``flat``; the
 batch-norm running statistics stay outside it.
+
+A stack of S models is one ``(S, F)`` buffer: ``ModelParams.adopt`` makes
+each tensor a view with a leading S axis. :func:`forward` and
+:func:`backward` take such a stack (the input rows may be shared or stacked
+too) and give each slice, bit for bit, what the 2-D call on that slice
+gives: batched ``@`` runs the 2-D product per slice, and the batch
+statistics reduce one slice's row axis in the 2-D order.
 """
 
 from __future__ import annotations
@@ -53,13 +60,26 @@ def _pack(obj) -> None:
 
 
 def _bind(obj, flat: np.ndarray, shapes) -> None:
-    """Make ``flat`` ``obj``'s buffer and each trainable tensor its view, in ``TRAINABLE`` order."""
+    """Make ``flat`` ``obj``'s buffer and each trainable tensor its view, in ``TRAINABLE`` order.
+
+    A leading stack axis of ``flat`` leads every view.
+    """
     obj.flat = flat
     start = 0
     for name, shape in zip(TRAINABLE, shapes):
         size = math.prod(shape)
-        setattr(obj, name, flat[start : start + size].reshape(shape))
+        setattr(obj, name, flat[..., start : start + size].reshape(flat.shape[:-1] + shape))
         start += size
+
+
+def _adopt(cls, flat: np.ndarray, like, **fields):
+    """A ``cls`` whose trainable tensors, shaped per slice as ``like``'s, are views of ``flat``."""
+    obj = cls.__new__(cls)
+    for name, value in fields.items():
+        setattr(obj, name, value)
+    lead = like.flat.ndim - 1
+    _bind(obj, flat, [getattr(like, name).shape[lead:] for name in TRAINABLE])
+    return obj
 
 
 @dataclass
@@ -80,21 +100,30 @@ class ModelParams:
     def __post_init__(self):
         _pack(self)
 
+    @classmethod
+    def adopt(cls, flat: np.ndarray, like: "ModelParams") -> "ModelParams":
+        """``like``'s tensors as views of ``flat``, ``(F,)`` or a stack ``(S, F)``.
+
+        The running statistics are ``like``'s own arrays.
+        """
+        stats = {"bn_running_mean": like.bn_running_mean, "bn_running_var": like.bn_running_var}
+        return _adopt(cls, flat, like, **stats)
+
     @property
     def in_dim(self) -> int:
-        return self.w1.shape[0]
+        return self.w1.shape[-2]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w1.shape[1]
+        return self.w1.shape[-1]
 
     @property
     def embed_dim(self) -> int:
-        return self.w2.shape[1]
+        return self.w2.shape[-1]
 
     @property
     def n_classes(self) -> int:
-        return self.wc.shape[1]
+        return self.wc.shape[-1]
 
     def copy(self) -> "ModelParams":
         # the trainable tensors are copied into the new instance's own ``flat``
@@ -124,9 +153,7 @@ class ModelGrads:
     @classmethod
     def adopt(cls, flat: np.ndarray, like: ModelParams) -> "ModelGrads":
         """Tensors shaped like ``like``'s that are views of ``flat`` itself, not a copy."""
-        grads = cls.__new__(cls)
-        _bind(grads, flat, [getattr(like, name).shape for name in TRAINABLE])
-        return grads
+        return _adopt(cls, flat, like)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return getattr(self, name)
@@ -171,31 +198,41 @@ def init_params(
     )
 
 
+def _rows(v: np.ndarray) -> np.ndarray:
+    """A per-column vector, or a stack of them, broadcastable over its matrices' rows."""
+    return v if v.ndim == 1 else v[..., None, :]
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix of a stack."""
+    return m.swapaxes(-1, -2)
+
+
 def _encode(params: ModelParams, x) -> tuple[np.ndarray, ...]:
     """``x -> linear -> relu -> linear``: the input matrix, ``z1``, ``a1`` and the embeddings."""
-    xm = as_matrix(x)
-    if xm.shape[1] != params.in_dim:
-        raise DimensionError(f"input has {xm.shape[1]} dims, model expects {params.in_dim}")
-    z1 = xm @ params.w1 + params.b1
+    xm = as_matrix(x, stack=True)
+    if xm.shape[-1] != params.in_dim:
+        raise DimensionError(f"input has {xm.shape[-1]} dims, model expects {params.in_dim}")
+    z1 = xm @ params.w1 + _rows(params.b1)
     a1 = np.maximum(z1, 0.0)
-    return xm, z1, a1, a1 @ params.w2 + params.b2
+    return xm, z1, a1, a1 @ params.w2 + _rows(params.b2)
 
 
 def _neck(params: ModelParams, emb, mean, var) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch-norm ``emb`` with the given statistics: ``istd``, ``xhat`` and the output."""
     istd = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (emb - mean) * istd
-    return istd, xhat, params.bn_gamma * xhat + params.bn_beta
+    xhat = (emb - _rows(mean)) * _rows(istd)
+    return istd, xhat, _rows(params.bn_gamma) * xhat + _rows(params.bn_beta)
 
 
 def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, ForwardTrace]:
     """Encoder, neck on batch statistics, classifier: ``(emb, bn_emb, logits, trace)``."""
     xm, z1, a1, emb = _encode(params, x)
-    if xm.shape[0] < 2:
+    if xm.shape[-2] < 2:
         raise ConfigError("batch norm on batch statistics needs at least 2 rows")
-    mean, var = emb.mean(axis=0), emb.var(axis=0)
+    mean, var = emb.mean(axis=-2), emb.var(axis=-2)
     istd, xhat, bn = _neck(params, emb, mean, var)
-    logits = bn @ params.wc + params.bc
+    logits = bn @ params.wc + _rows(params.bc)
     trace = ForwardTrace(xm, z1, a1, emb, mean, var, istd, xhat, bn, logits)
     return emb, bn, logits, trace
 
@@ -211,7 +248,7 @@ def backward(
     The optional upstreams are gradients with respect to the raw embeddings
     and the logits; a missing one is treated as zero.
     """
-    n = trace.x.shape[0]
+    n = trace.x.shape[-2]
     if d_logits is None:
         d_logits = np.zeros_like(trace.logits)
     else:
@@ -220,17 +257,17 @@ def backward(
             raise DimensionError("d_logits shape does not match the traced logits")
     # every gradient is written straight into its slice of one flat buffer
     grads = ModelGrads.adopt(np.empty_like(params.flat), params)
-    np.matmul(trace.bn_embeddings.T, d_logits, out=grads.wc)
-    d_logits.sum(axis=0, out=grads.bc)
+    np.matmul(_t(trace.bn_embeddings), d_logits, out=grads.wc)
+    d_logits.sum(axis=-2, out=grads.bc)
 
-    d_bn = d_logits @ params.wc.T
-    (d_bn * trace.xhat).sum(axis=0, out=grads.bn_gamma)
-    d_bn.sum(axis=0, out=grads.bn_beta)
-    dxhat = d_bn * params.bn_gamma
-    xmu = trace.embeddings - trace.mean
-    dvar = (dxhat * xmu).sum(axis=0) * (-0.5) * trace.istd**3
-    dmean = -dxhat.sum(axis=0) * trace.istd + dvar * (-2.0) * xmu.mean(axis=0)
-    d_emb = dxhat * trace.istd + dvar * 2.0 * xmu / n + dmean / n
+    d_bn = d_logits @ _t(params.wc)
+    (d_bn * trace.xhat).sum(axis=-2, out=grads.bn_gamma)
+    d_bn.sum(axis=-2, out=grads.bn_beta)
+    dxhat = d_bn * _rows(params.bn_gamma)
+    xmu = trace.embeddings - _rows(trace.mean)
+    dvar = (dxhat * xmu).sum(axis=-2) * (-0.5) * trace.istd**3
+    dmean = -dxhat.sum(axis=-2) * trace.istd + dvar * (-2.0) * xmu.mean(axis=-2)
+    d_emb = dxhat * _rows(trace.istd) + _rows(dvar) * 2.0 * xmu / n + _rows(dmean) / n
 
     if d_embeddings is not None:
         d_embeddings = np.asarray(d_embeddings, dtype=np.float64)
@@ -238,12 +275,12 @@ def backward(
             raise DimensionError("d_embeddings shape does not match the trace")
         d_emb = d_emb + d_embeddings
 
-    np.matmul(trace.a1.T, d_emb, out=grads.w2)
-    d_emb.sum(axis=0, out=grads.b2)
-    d_a1 = d_emb @ params.w2.T
+    np.matmul(_t(trace.a1), d_emb, out=grads.w2)
+    d_emb.sum(axis=-2, out=grads.b2)
+    d_a1 = d_emb @ _t(params.w2)
     d_z1 = d_a1 * (trace.z1 > 0)
-    np.matmul(trace.x.T, d_z1, out=grads.w1)
-    d_z1.sum(axis=0, out=grads.b1)
+    np.matmul(_t(trace.x), d_z1, out=grads.w1)
+    d_z1.sum(axis=-2, out=grads.b1)
     return grads
 
 

@@ -3,8 +3,19 @@ import pytest
 
 from crossmodal.batch import LabeledBatch
 from crossmodal.core import RngStream
+from crossmodal.machine import blas_kernel
 from crossmodal.model import init_params, save_checkpoint
 from crossmodal.optim import init_optim_state
+
+
+#: The OpenBLAS kernel the pinned digests were taken on. Another kernel sums
+#: matrix products in another order, so a pin may not hold there.
+PIN_KERNEL = "SkylakeX"
+
+
+def pin_note() -> str:
+    """A pinned digest's assertion message: the kernel this run is on and the pin's."""
+    return f"ran on OpenBLAS kernel {blas_kernel()}; the digest was taken on {PIN_KERNEL}"
 
 
 def make_pk_batch(rng: RngStream, p: int, k: int, dim: int, pair=("vis", "ir")):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -10,10 +12,10 @@ import numpy as np
 import pytest
 from conftest import CORRUPT_CHECKPOINT_KINDS, make_pk_batch, write_corrupt_checkpoints
 
-from crossmodal import __version__, cli, synthdata
+from crossmodal import __version__, cli, losses, machine, synthdata
 from crossmodal.cli import main
 from crossmodal.core import RngStream
-from crossmodal.losses import LossConfig, stage1_objective, stage2_objective
+from crossmodal.losses import LossConfig, LossOutput, stage1_objective, stage2_objective
 from crossmodal.model import load_checkpoint
 from crossmodal.synthdata import load_features
 
@@ -620,6 +622,49 @@ def test_gradcheck_single_component(capsys):
     out = capsys.readouterr().out
     assert out.startswith("PASS l_id:")
     assert "max_rel_error=" in out
+
+
+def test_train_manifest_records_the_machine_and_input_digests(small_data, tmp_path, capsys):
+    evalset = tmp_path / "eval.csv"
+    evalset.write_bytes(Path(small_data).read_bytes())
+    cfg = write_small_config(tmp_path, small_data, eval_path=evalset)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    digest = hashlib.sha256(Path(small_data).read_bytes()).hexdigest()
+    assert manifest["input_sha256"] == {"data": digest, "eval_data": digest}
+    record = manifest["machine"]
+    assert record["python"] == platform.python_version()
+    assert record["numpy"] == np.__version__
+    assert record["blas"] == machine.blas_record()
+    assert record["blas"]["kernel"] == machine.blas_kernel() != ""
+    assert record["threads"] == {var: os.environ.get(var) for var in machine.THREAD_VARS}
+    assert set(record["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
+
+@pytest.mark.parametrize(
+    "attr, value", [("_OPENBLAS", "libno_such_blas_*.so"), ("_CORENAME", "no_such_query")]
+)
+def test_blas_kernel_is_unknown_without_the_library_or_its_query(monkeypatch, attr, value):
+    monkeypatch.setattr(machine, attr, value)
+    assert machine.blas_kernel() == "unknown"
+
+
+def test_gradcheck_fails_on_a_nan_gradient(monkeypatch, capsys):
+    real = losses.msel
+
+    def planted(batch, metric="euclid"):
+        out = real(batch, metric)
+        grad = out.grad.copy()
+        grad[..., 0, 0] = np.nan
+        return LossOutput(out.value, grad, out.mining)
+
+    monkeypatch.setattr(losses, "msel", planted)
+    rc = main(["gradcheck", "--component", "msel_euclid", "--seeds", "1"])
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL msel_euclid: max_rel_error=nan")
+    assert rc == cli.RUNTIME_EXIT
 
 
 def test_gradcheck_rejects_unknown_component(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import pin_note
 from crossmodal import evalkit
 from crossmodal.core import RngStream, cross_distances
 from crossmodal.errors import (
@@ -527,7 +528,7 @@ def test_evaluate_full_precision_pin(direction):
     digest = hashlib.sha256((report_text(rep) + report_table(rep)).encode("ascii"))
     for name in ("gap_ratio", "pos_sim_mean", "neg_sim_mean", "mean_ap", "minp"):
         digest.update(float.hex(getattr(rep, name)).encode("ascii"))
-    assert digest.hexdigest() == EVALUATE_PINS[direction]
+    assert digest.hexdigest() == EVALUATE_PINS[direction], pin_note()
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])

@@ -12,6 +12,7 @@ import pathlib
 from dataclasses import fields
 
 import numpy as np
+from conftest import pin_note
 
 from crossmodal.config import parse_config_file
 from crossmodal.evalkit import report_text
@@ -42,4 +43,4 @@ def test_default_run_fingerprint_is_pinned():
     train_set = load_features(ROOT / "data" / "benchmark_train.csv")
     eval_set = load_features(ROOT / "data" / "benchmark_test.csv")
     params, logs = train(train_set, cfg, eval_set)
-    assert _fingerprint(params, logs[-1].eval) == DEFAULT_RUN_FINGERPRINT
+    assert _fingerprint(params, logs[-1].eval) == DEFAULT_RUN_FINGERPRINT, pin_note()

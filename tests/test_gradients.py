@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from crossmodal import gradcheck, losses
+from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError
 from crossmodal.gradcheck import (
     COMPONENTS,
@@ -11,6 +14,7 @@ from crossmodal.gradcheck import (
     run_suite,
 )
 from crossmodal.losses import LossOutput
+from conftest import pin_note
 from test_losses import TIE_BATCHES
 
 
@@ -87,7 +91,7 @@ def test_component_order_and_draws_are_pinned():
     results = run_suite(instances=1, seed=0)
     assert {r.name: repr(r.max_rel_error) for r in results} == {
         name: repr(err) for name, err in expected.items()
-    }
+    }, pin_note()
 
 
 def test_every_component_is_checkable():
@@ -129,6 +133,51 @@ def test_suite_catches_a_planted_gradient_bug(monkeypatch):
     results = run_suite(instances=2, seed=0, components=["msel_euclid"])
     assert not results[0].passed
     assert results[0].max_rel_error > 1.0
+
+
+def _plant_nan(monkeypatch, name):
+    """Patch loss ``name`` so one coordinate of its gradient is NaN."""
+    real = getattr(losses, name)
+
+    def planted(*args):
+        out = real(*args)
+        grad = out.grad.copy()
+        grad[..., 0, 0] = np.nan
+        return LossOutput(out.value, grad, out.mining)
+
+    monkeypatch.setattr(losses, name, planted)
+
+
+@pytest.mark.parametrize("loss, component", [("msel", "msel_euclid"), ("identity_loss", "l_id")])
+def test_a_nan_gradient_coordinate_fails(monkeypatch, loss, component):
+    # a NaN error must not read as 0: the component fails and reports NaN
+    _plant_nan(monkeypatch, loss)
+    (result,) = run_suite(instances=2, seed=0, components=[component])
+    assert not result.passed
+    assert np.isnan(result.max_rel_error)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", COMPONENTS)
+def test_stacked_differences_are_the_loop_oracle(name, seed):
+    # the same streams check_component draws from
+    draw = gradcheck._DRAWERS[name]
+    triples = draw(RngStream(seed).child(COMPONENTS.index(name)).child(0))
+    for _, value_fn, x in triples:
+        calls = []
+
+        def counting(stack):
+            calls.append(len(stack))
+            return value_fn(stack)
+
+        before = x.copy()
+        stacked = gradcheck._differences(counting, x)
+        assert x.tobytes() == before.tobytes()
+        # one call per chunk of perturbed copies, never one per coordinate
+        assert len(calls) == math.ceil(2 * x.size / gradcheck._CHUNK)
+        assert sum(calls) == 2 * x.size
+        oracle = finite_difference(value_fn, x)
+        assert stacked.tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("component", ["l_global", "dcl_hard"])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import pin_note
 from crossmodal.batch import LabeledBatch
 from crossmodal.core import RngStream
 from crossmodal.losses import (
@@ -70,7 +71,7 @@ def _objective_digest(name: str, p: int, k: int) -> str:
 
 @pytest.mark.parametrize("name, p, k", sorted(PINS))
 def test_loss_bytes_are_pinned(name, p, k):
-    assert _objective_digest(name, p, k) == PINS[name, p, k]
+    assert _objective_digest(name, p, k) == PINS[name, p, k], pin_note()
 
 
 def _oracle_batches():
