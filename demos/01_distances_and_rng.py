@@ -9,7 +9,6 @@ import numpy as np
 
 from crossmodal.core import (
     RngStream,
-    cosine_distance,
     cross_distances,
     euclidean_distance,
     pairwise_distances,
@@ -19,10 +18,9 @@ rng = RngStream(0)
 x = rng.normal(size=(4, 3))
 
 print("euclid, single pair:", euclidean_distance(x[0], x[1]))
-print("cosine, single pair:", cosine_distance(x[0], x[1]))
 
 # the matrix form agrees with the scalar form entry by entry
-d = pairwise_distances(x, "euclid")
+d = pairwise_distances(x)
 print("\npairwise euclid:\n", np.round(d, 4))
 assert abs(d[0, 1] - euclidean_distance(x[0], x[1])) < 1e-12
 assert np.allclose(d, d.T) and not d.diagonal().any()

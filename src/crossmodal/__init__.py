@@ -19,9 +19,7 @@ from .batch import (
     sample_batch,
 )
 from .core import (
-    METRICS,
     RngStream,
-    cosine_distance,
     cross_distances,
     euclidean_distance,
     pairwise_distances,
@@ -86,7 +84,6 @@ __all__ = [
     "LabeledBatch",
     "LossConfig",
     "LossOutput",
-    "METRICS",
     "Modality",
     "ModelGrads",
     "ModelParams",
@@ -106,7 +103,6 @@ __all__ = [
     "backward",
     "cmc",
     "compute_centers",
-    "cosine_distance",
     "cosine_lr",
     "cross_distances",
     "dcl",

@@ -48,7 +48,6 @@ KEY_SPECS: dict[str, tuple[tuple[str, ...], object]] = {
     "loss.margin": (("train", "loss", "margin"), float),
     "loss.lambda1": (("train", "loss", "lambda1"), float),
     "loss.lambda2": (("train", "loss", "lambda2"), float),
-    "loss.msel_metric": (("train", "loss", "msel_metric"), str),
     "loss.dcl_mode": (("train", "loss", "dcl_mode"), str),
     "loss.include_id_stage2": (("train", "loss", "include_id_stage2"), _parse_bool),
     "train.epochs": (("train", "epochs"), int),

@@ -1,4 +1,4 @@
-"""Dense float64 kernels: distance metrics, pairwise matrices, seeded RNG streams."""
+"""Dense float64 kernels: distances, pairwise matrices, seeded RNG streams."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from .errors import ConfigError, DimensionError, NumericError
 #: Norm threshold below which cosine distance is treated as undefined.
 NORM_EPS = 1e-12
 
-METRICS = ("euclid", "cosine")
-
-#: Euclid ``pairwise_distances`` is built in ``_BLOCK``-row blocks over the
+#: ``pairwise_distances`` is built in ``_BLOCK``-row blocks over the
 #: upper triangle.
 _BLOCK = 32
 #: Unit roundoff of float64.
@@ -53,18 +51,6 @@ def euclidean_distance(a, b) -> float:
         raise DimensionError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
     d = va - vb
     return float(np.sqrt(np.dot(d, d)))
-
-
-def cosine_distance(a, b) -> float:
-    """One minus the cosine similarity of a and b; range [0, 2] up to rounding."""
-    va, vb = as_vector(a), as_vector(b)
-    if va.shape != vb.shape:
-        raise DimensionError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    na = float(np.sqrt(np.dot(va, va)))
-    nb = float(np.sqrt(np.dot(vb, vb)))
-    if na <= NORM_EPS or nb <= NORM_EPS:
-        raise NumericError("cosine distance undefined for (near-)zero-norm vectors")
-    return float(1.0 - np.dot(va, vb) / (na * nb))
 
 
 def _euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,32 +150,27 @@ def _certified(gap: np.ndarray, scale: np.ndarray, d: int) -> np.ndarray:
     return (gap > (8 * d + 24) * _U * scale) & (scale >= lo) & (scale <= hi)
 
 
-def pairwise_distances(batch, metric: str = "euclid") -> np.ndarray:
-    """All-pairs distance matrix over the rows of ``batch``.
+def pairwise_distances(batch) -> np.ndarray:
+    """All-pairs euclid distance matrix over the rows of ``batch``.
 
-    The result is exactly symmetric: euclid entries are built from coordinate
-    differences (which negate exactly under row swap), and cosine similarities
-    are computed once per unordered pair and mirrored.
+    The result is exactly symmetric: entries are built from coordinate
+    differences, which negate exactly under row swap.
 
-    Euclid entries come from :func:`_euclid`, row block ``[a, a + _BLOCK)``
-    against rows ``[a, n)`` only, in increasing ``a``; the block's columns
-    ``[0, a)`` are mirrored from the blocks above it, and a batch of at most
-    ``_BLOCK`` rows is one block. So the matrix is bitwise equal to the
-    one-shot n x n x d form while the largest temporary shrinks from n*n*d to
+    Entries come from :func:`_euclid`, row block ``[a, a + _BLOCK)`` against
+    rows ``[a, n)`` only, in increasing ``a``; the block's columns ``[0, a)``
+    are mirrored from the blocks above it, and a batch of at most ``_BLOCK``
+    rows is one block. So the matrix is bitwise equal to the one-shot
+    n x n x d form while the largest temporary shrinks from n*n*d to
     _BLOCK*n*d floats.
     """
     x = as_matrix(batch)
-    if metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    if metric == "euclid":
-        n = x.shape[0]
-        out = np.empty((n, n))
-        for a in range(0, n, _BLOCK):
-            b = min(a + _BLOCK, n)
-            out[a:b, a:] = _euclid(x[a:b], x[a:])
-            out[a:b, :a] = out[:a, a:b].T
-        return out
-    return _cosine(x)
+    n = x.shape[0]
+    out = np.empty((n, n))
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        out[a:b, a:] = _euclid(x[a:b], x[a:])
+        out[a:b, :a] = out[:a, a:b].T
+    return out
 
 
 def cross_distances(a, b) -> np.ndarray:

@@ -185,17 +185,14 @@ class LossConfig:
     margin: float = 0.1
     lambda1: float = 0.5
     lambda2: float = 0.5
-    msel_metric: str = "euclid"
     dcl_mode: str = "dyn"
     include_id_stage2: bool = False
 
     def validate(self) -> "LossConfig":
-        """margin, lambda1 and lambda2 finite and >= 0 (NaN fails); known metric and mode."""
+        """margin, lambda1 and lambda2 finite and >= 0 (NaN fails); known center-loss mode."""
         for name in ("margin", "lambda1", "lambda2"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
-        if self.msel_metric not in MSEL_METRICS:
-            raise ConfigError(f"msel_metric must be one of {MSEL_METRICS}")
         if self.dcl_mode not in DCL_MODES:
             raise ConfigError(f"dcl_mode must be one of {DCL_MODES}")
         return self
@@ -582,7 +579,7 @@ def stage2_objective(
     terms = {"global": tri.value}
     mined = [tri.mining]
     if cfg.lambda1 > 0:
-        part = _finite("msel", msel, batch, cfg.msel_metric)
+        part = _finite("msel", msel, batch)
         value = value + cfg.lambda1 * part.value
         grad += cfg.lambda1 * part.grad
         terms["msel"] = part.value

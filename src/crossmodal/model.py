@@ -16,14 +16,16 @@ each tensor a view with a leading S axis. :func:`forward` and
 :func:`backward` take such a stack (the input rows may be shared or stacked
 too) and give each slice, bit for bit, what the 2-D call on that slice
 gives: batched ``@`` runs the 2-D product per slice, and the batch
-statistics reduce one slice's row axis in the 2-D order.
+statistics reduce one slice's row axis in the 2-D order. The functions that
+take one model (:func:`update_bn_stats`, :func:`save_checkpoint`,
+``optim.step``) refuse a stack by name before writing (:func:`check_single`).
 """
 
 from __future__ import annotations
 
 import math
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +52,16 @@ def check_momentum(momentum: float) -> None:
     """Batch-norm running-statistics momentum lies in (0, 1]."""
     if not 0.0 < momentum <= 1.0:
         raise ConfigError("momentum must lie in (0, 1]")
+
+
+def check_single(fn: str, **arrays: np.ndarray) -> None:
+    """Refuse, by name and before ``fn`` writes anything, an argument that is a stack of models.
+
+    Each array is 1-D for one model: a ``flat`` buffer or a traced batch mean.
+    """
+    for name, arr in arrays.items():
+        if arr.ndim != 1:
+            raise DimensionError(f"{fn} takes one model, not a stack: {name} has shape {arr.shape}")
 
 
 def _pack(obj) -> None:
@@ -126,12 +138,9 @@ class ModelParams:
         return self.wc.shape[-1]
 
     def copy(self) -> "ModelParams":
-        # the trainable tensors are copied into the new instance's own ``flat``
-        return replace(
-            self,
-            bn_running_mean=self.bn_running_mean.copy(),
-            bn_running_var=self.bn_running_var.copy(),
-        )
+        """A deep copy; a stack keeps its ``(S, F)`` layout."""
+        mean, var = self.bn_running_mean.copy(), self.bn_running_var.copy()
+        return _adopt(ModelParams, self.flat.copy(), self, bn_running_mean=mean, bn_running_var=var)
 
 
 @dataclass
@@ -291,6 +300,7 @@ def update_bn_stats(params: ModelParams, trace: ForwardTrace, momentum: float = 
     unbiased estimate feeds the running average.
     """
     check_momentum(momentum)
+    check_single("update_bn_stats", params=params.flat, trace=trace.mean)
     n = trace.x.shape[0]
     unbiased = trace.var * n / (n - 1) if n > 1 else trace.var
     params.bn_running_mean *= 1.0 - momentum
@@ -313,6 +323,8 @@ def save_checkpoint(path, params: ModelParams, optim_state=None) -> None:
 
     The format is a numpy ``.npz`` archive; float64 arrays round-trip exactly.
     """
+    moments = {} if optim_state is None else {"m": optim_state.m.flat, "v": optim_state.v.flat}
+    check_single("save_checkpoint", params=params.flat, **moments)
     arrays: dict[str, np.ndarray] = {
         "format_version": np.array(_CHECKPOINT_VERSION),
         "activation": np.array(_CHECKPOINT_ACTIVATION),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .model import TRAINABLE, ModelGrads, ModelParams
+from .model import TRAINABLE, ModelGrads, ModelParams, check_single
 
 
 @dataclass
@@ -67,6 +67,7 @@ def step(state: OptimState, params: ModelParams, grads: ModelGrads, lr: float | 
     after it, so an update that overflows fails on its own step, with a
     ``NumericError`` naming the tensor and the step count.
     """
+    check_single("step", params=params.flat, grads=grads.flat, m=state.m.flat, v=state.v.flat)
     if lr is None:
         lr = state.base_lr
     if lr < 0:

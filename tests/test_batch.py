@@ -21,7 +21,6 @@ from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, DimensionError, NumericError, SamplingError
 from crossmodal.losses import (
     DCL_MODES,
-    MSEL_METRICS,
     LossConfig,
     compute_centers,
     hard_triplet_global,
@@ -234,8 +233,7 @@ _STAGE_OBJECTIVES = {
     Stage.STAGE2: (
         stage2_objective,
         [
-            LossConfig(msel_metric=metric, dcl_mode=mode, include_id_stage2=with_id)
-            for metric in MSEL_METRICS
+            LossConfig(dcl_mode=mode, include_id_stage2=with_id)
             for mode in DCL_MODES
             for with_id in (False, True)
         ],

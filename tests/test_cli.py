@@ -295,6 +295,16 @@ def test_invalid_loss_value_exits_1_before_creating_the_run(small_data, tmp_path
     assert not run_dir.exists()
 
 
+def test_removed_msel_metric_key_exits_1_naming_its_line(small_data, tmp_path, capsys):
+    # msel is euclid only; a resolved config from an earlier version must drop this line
+    cfg = write_small_config(tmp_path, small_data, **{"loss.msel_metric": "euclid"})
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--out", str(run_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}:9: unknown config key 'loss.msel_metric'\n"
+    assert not run_dir.exists()
+
+
 def _rewritten(name, rewrite):
     """A copy of the data file holding its header and each row as ``rewrite`` returns it."""
 

@@ -4,7 +4,6 @@ import pytest
 import oracles
 from crossmodal.core import (
     RngStream,
-    cosine_distance,
     cross_distances,
     euclidean_distance,
     pairwise_distances,
@@ -17,12 +16,6 @@ def test_euclidean_distance_basics():
     assert euclidean_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
 
 
-def test_cosine_distance_basics():
-    assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-    assert cosine_distance([1.0, 0.0], [-2.0, 0.0]) == pytest.approx(2.0)
-    assert cosine_distance([1.0, 1.0], [2.0, 2.0]) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_distance_validation_errors():
     with pytest.raises(DimensionError):
         euclidean_distance([1.0, 2.0], [1.0])
@@ -30,25 +23,21 @@ def test_distance_validation_errors():
         euclidean_distance([[1.0]], [[1.0]])
     with pytest.raises(NumericError):
         euclidean_distance([np.nan], [0.0])
-    with pytest.raises(NumericError):
-        cosine_distance([0.0, 0.0], [1.0, 0.0])
 
 
 def test_pairwise_matches_scalar_oracle(rng):
     x = rng.normal(size=(7, 3))
-    for metric, dfun in (("euclid", oracles.euclid), ("cosine", oracles.cosine_dist)):
-        d = pairwise_distances(x, metric)
-        for i in range(7):
-            for j in range(7):
-                assert d[i, j] == pytest.approx(dfun(x[i], x[j]), abs=1e-12)
+    d = pairwise_distances(x)
+    for i in range(7):
+        for j in range(7):
+            assert d[i, j] == pytest.approx(oracles.euclid(x[i], x[j]), abs=1e-12)
 
 
 def test_pairwise_exactly_symmetric(rng):
-    for metric in ("euclid", "cosine"):
-        x = rng.normal(size=(9, 4))
-        d = pairwise_distances(x, metric)
-        assert np.array_equal(d, d.T)
-        assert np.all(np.abs(np.diag(d)) < 1e-15)
+    x = rng.normal(size=(9, 4))
+    d = pairwise_distances(x)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.abs(np.diag(d)) < 1e-15)
 
 
 @pytest.mark.parametrize("dim", [5, 16])
@@ -57,7 +46,7 @@ def test_pairwise_euclid_bitwise_equals_one_shot_form(rng, n, dim):
     x = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
     # Duplicated rows put exact zeros off the diagonal, some of them across blocks.
     x[n // 2 :: 7] = x[0]
-    dist = pairwise_distances(x, "euclid")
+    dist = pairwise_distances(x)
     assert np.array_equal(dist, oracles.pairwise_euclid_single(x))
     assert np.array_equal(dist, dist.T)
     assert np.array_equal(np.diag(dist), np.zeros(n))
@@ -66,14 +55,15 @@ def test_pairwise_euclid_bitwise_equals_one_shot_form(rng, n, dim):
 
 
 def test_pairwise_rejects_bad_metric(rng):
-    with pytest.raises(ConfigError):
-        pairwise_distances(rng.normal(size=(3, 2)), "manhattan")
+    # euclid is the only metric: pairwise_distances takes no metric argument
+    with pytest.raises(TypeError):
+        pairwise_distances(rng.normal(size=(3, 2)), "cosine")
 
 
 def test_cross_distances_match_pairwise_blocks(rng):
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(5, 3))
-    full = pairwise_distances(np.concatenate([a, b]), "euclid")
+    full = pairwise_distances(np.concatenate([a, b]))
     assert np.allclose(cross_distances(a, b), full[:4, 4:], atol=1e-12)
     with pytest.raises(DimensionError):
         cross_distances(a, rng.normal(size=(2, 7)))

@@ -33,8 +33,6 @@ DIM = 16
 PINS = {
     ("stage2_euclid", 8, 4): "ab08a3ec1ae099fb799b426424ebe72c9851509ff6b009ff997336046a792df9",
     ("stage2_euclid", 32, 8): "603b4001f31f85b80aa51fb46fa5b8bcbaa7f6ab85189e974c8986ca9752129f",
-    ("stage2_cosine", 8, 4): "cc958ff261503b554bffa74bf47c23962060930002ba9bff15c1f0e55e111954",
-    ("stage2_cosine", 32, 8): "7749d7bfa0f209c2c5394cb83219b62d7e7d5a24e26022b12f1cf413e0b008e9",
     ("intra", 8, 4): "472866267bbf56b8ec2b28da5e3bb9cb8241663d22b628a955077fa4ab8eaeb5",
     ("intra", 32, 8): "b022d13c41d986aced3d9a1923a2e7c0630466dff30dcce383c841ed44010479",
 }
@@ -61,10 +59,9 @@ def _objective_digest(name: str, p: int, k: int) -> str:
         batch = sampled_order_batch(p * k, p, k, pair=("gray", "ir"))
         out = hard_triplet_intra(batch, 0.1)
         return _digest(out.value, out.grad)
-    metric = name.split("_")[1]
     batch = sampled_order_batch(p * k, p, k)
     logits = RngStream(p * k).child(1).normal(size=(len(batch), p))
-    out = stage2_objective(batch, logits, batch.labels, LossConfig(msel_metric=metric))
+    out = stage2_objective(batch, logits, batch.labels, LossConfig())
     terms = [out.terms[key] for key in ("global", "msel", "dcl")]
     return _digest(out.value, terms, out.grad_embeddings, out.grad_logits)
 

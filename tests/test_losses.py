@@ -271,7 +271,7 @@ def test_stage2_objective_merges_its_terms_mining(rng):
     out = stage2_objective(batch, np.zeros((len(batch), 3)), batch.labels, cfg)
     parts = (
         hard_triplet_global(batch, cfg.margin),
-        msel(batch, cfg.msel_metric),
+        msel(batch),
         dcl(batch, cfg.dcl_mode),
     )
     assert out.mining.gap() == min(part.mining.gap() for part in parts)
@@ -570,15 +570,14 @@ def test_stage2_objective_composition(rng):
     assert np.array_equal(out.grad_logits, np.zeros_like(logits))
 
 
-@pytest.mark.parametrize("metric", ["euclid", "cosine"])
-def test_stage2_objective_is_the_exact_weighted_sum_of_its_terms(rng, metric):
+def test_stage2_objective_is_the_exact_weighted_sum_of_its_terms(rng):
     # 72 rows: past the blocked-kernel threshold, so the triplet's distances are blocked.
     batch = make_pk_batch(rng, 6, 6, 5)
     logits = rng.normal(size=(len(batch), 6))
-    cfg = LossConfig(lambda1=0.3, lambda2=0.7, msel_metric=metric)
+    cfg = LossConfig(lambda1=0.3, lambda2=0.7)
     out = stage2_objective(batch, logits, batch.labels, cfg)
     tri = hard_triplet_global(batch, cfg.margin)
-    me = msel(batch, metric)
+    me = msel(batch)
     dc = dcl(batch, cfg.dcl_mode)
     assert out.terms["global"] == tri.value
     assert out.terms["msel"] == me.value
@@ -623,8 +622,6 @@ def test_loss_config_validation():
         LossConfig(margin=-0.1).validate()
     with pytest.raises(ConfigError):
         LossConfig(lambda1=-1.0).validate()
-    with pytest.raises(ConfigError):
-        LossConfig(msel_metric="dot").validate()
     with pytest.raises(ConfigError):
         LossConfig(dcl_mode="soft").validate()
 

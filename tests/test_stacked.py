@@ -4,7 +4,10 @@ Every public loss, ``compute_centers``, both stage objectives, ``forward`` /
 ``backward`` and ``loss_and_grads`` take a leading stack axis. They are
 checked at the gradient checker's shapes (18-row batches, 12 rows for the
 model) and on a 64-row ``sample_batch`` batch, whose global triplet mines
-through the certified route above ``core._BLOCK`` rows.
+through the certified route above ``core._BLOCK`` rows. The functions that
+take one model (``update_bn_stats``, ``optim.step``, ``save_checkpoint``)
+refuse a stack by name before they write anything, and ``ModelParams.copy``
+keeps a stack's layout.
 """
 
 from dataclasses import replace
@@ -17,7 +20,16 @@ from crossmodal.batch import BatchSpec, Stage, sample_batch
 from crossmodal.core import _BLOCK, RngStream
 from crossmodal.errors import DimensionError
 from crossmodal.losses import LossConfig
-from crossmodal.model import ModelParams, backward, forward, init_params
+from crossmodal.model import (
+    TRAINABLE,
+    ModelParams,
+    backward,
+    forward,
+    init_params,
+    save_checkpoint,
+    update_bn_stats,
+)
+from crossmodal.optim import init_optim_state, step
 from crossmodal.trainer import loss_and_grads
 
 S = 6
@@ -115,10 +127,10 @@ def test_loss_slices(shape, name, seed):
 OBJECTIVES = {
     "stage1": (Stage.STAGE1, losses.stage1_objective, LossConfig()),
     "stage2": (Stage.STAGE2, losses.stage2_objective, LossConfig()),
-    "stage2_cosine_hard_id": (
+    "stage2_hard_id": (
         Stage.STAGE2,
         losses.stage2_objective,
-        LossConfig(msel_metric="cosine", dcl_mode="hard", include_id_stage2=True),
+        LossConfig(dcl_mode="hard", include_id_stage2=True),
     ),
 }
 
@@ -211,3 +223,59 @@ def test_stacked_features_need_a_batch_structure():
     batch = gradcheck._random_batch(RngStream(0), 3, 3, 4, ("vis", "ir"))
     with pytest.raises(DimensionError, match="features must be 2-D, got shape"):
         replace(batch, features=np.zeros((2, *batch.features.shape)))
+
+
+def _model_and_stack():
+    params = init_params(5, 6, 4, 3, RngStream(0))
+    return params, _param_stack(params, 1)
+
+
+def _state_bytes(*arrays) -> list[bytes]:
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def test_update_bn_stats_refuses_a_stack_before_writing():
+    params, stack = _model_and_stack()
+    x = RngStream(2).normal(size=(12, 5))
+    stacked_trace = forward(params, _stack(x, 3))[3]  # one model on stacked rows
+    for model, trace in ((stack, forward(stack, x)[3]), (params, stacked_trace)):
+        before = _state_bytes(model.flat, model.bn_running_mean, model.bn_running_var)
+        with pytest.raises(DimensionError, match="^update_bn_stats takes one model, not a stack"):
+            update_bn_stats(model, trace)
+        assert _state_bytes(model.flat, model.bn_running_mean, model.bn_running_var) == before
+
+
+def test_optim_step_refuses_a_stack_before_writing():
+    params, stack = _model_and_stack()
+    x = RngStream(2).normal(size=(12, 5))
+    _, _, logits, trace = forward(stack, x)
+    grads = backward(trace, stack, d_logits=np.ones_like(logits))
+    state = init_optim_state(params)
+    before = _state_bytes(stack.flat, state.m.flat, state.v.flat)
+    with pytest.raises(DimensionError, match="^step takes one model, not a stack: params"):
+        step(state, stack, grads)
+    assert state.step_count == 0
+    assert _state_bytes(stack.flat, state.m.flat, state.v.flat) == before
+
+
+def test_save_checkpoint_refuses_a_stack_before_writing(tmp_path):
+    params, stack = _model_and_stack()
+    path = tmp_path / "stack.npz"
+    with pytest.raises(DimensionError, match="^save_checkpoint takes one model, not a stack"):
+        save_checkpoint(path, stack)
+    with pytest.raises(DimensionError, match="^save_checkpoint takes one model, not a stack: m"):
+        save_checkpoint(path, params, init_optim_state(stack))
+    assert not path.exists()
+
+
+def test_copy_keeps_a_stack_layout():
+    params, stack = _model_and_stack()
+    copied = stack.copy()
+    assert copied.flat.shape == (S, params.flat.size)
+    assert same_bits(copied.flat, stack.flat) and not np.shares_memory(copied.flat, stack.flat)
+    for name in TRAINABLE:
+        assert np.shares_memory(getattr(copied, name), copied.flat)
+        assert same_bits(getattr(copied, name), getattr(stack, name))
+    for name in ("bn_running_mean", "bn_running_var"):
+        assert same_bits(getattr(copied, name), getattr(stack, name))
+        assert not np.shares_memory(getattr(copied, name), getattr(stack, name))
