@@ -7,7 +7,9 @@ its non-smooth point, so a 1e-6 perturbation cannot flip any discrete choice.
 The mining decisions are not re-derived here: regularity reads the
 :class:`~crossmodal.losses.Mining` record each loss returns, through its
 ``gap``. Only two tests are local: the rectifier inputs of the model
-check, and the norm floor that keeps cosine ``msel`` well conditioned.
+check, and the norm floor that keeps cosine ``msel`` well conditioned. The
+output that judged the accepted instance is the one whose gradient is
+checked; it is not computed a second time.
 
 One table maps each component to a drawer of ``(analytic, value_fn, x)``
 triples; :func:`_worst` takes their finite differences and keeps the largest
@@ -16,9 +18,12 @@ value function takes ``x`` or a stack of copies of it: the losses, the stage
 objectives and the train step accept stacked inputs and give each slice the
 2-D result bit for bit (see :mod:`crossmodal.losses`). So :func:`_differences`
 builds all 2N perturbations of an N-entry instance, entry i at ``x_i + h``
-and at ``x_i - h`` exactly as the loop writes them, and evaluates them
-``_CHUNK`` copies per call. :func:`finite_difference`, the public
-one-coordinate loop, is the oracle it equals bit for bit.
+and at ``x_i - h`` exactly as the loop writes them, and evaluates them in
+one call: every drawer's 2N is at most ``_CHUNK``. The model checks'
+value function runs the train step's forward and objective half
+(``trainer._forward_objective``) and no backward pass.
+:func:`finite_difference`, the public one-coordinate loop, is the oracle
+the stacked route equals bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from . import losses, model
 from .batch import LabeledBatch, Stage
 from .core import RngStream
 from .errors import ConfigError
-from .trainer import loss_and_grads
+from .trainer import _forward_objective, loss_and_grads
 
 FD_STEP = 1e-6
 TIE_TOL = 1e-4
@@ -45,9 +50,10 @@ DEFAULT_TOL = 1e-5
 #: the arithmetic.
 REL_FLOOR = 1e-2
 #: Perturbed copies per value-function call in :func:`_differences` (even:
-#: both signs of an entry share a call). It bounds the stack's working set,
-#: about 0.5 MB for the stage-2 objective on an 18-row batch.
-_CHUNK = 32
+#: both signs of an entry share a call). Every drawer's 2N fits, the model
+#: checks' 174 the most, so each checked tensor is one call; the cap bounds
+#: the stack's working set, at most about 2.3 MB a component (``tracemalloc``).
+_CHUNK = 256
 
 #: The loss settings every check uses; its ``msel`` metric is euclid, so the
 #: stage objectives need no norm floor.
@@ -154,14 +160,22 @@ def _worst(rng: RngStream, instances: int, draw) -> float:
     return float(np.max(errors))
 
 
-def _batch_loss(stage: Stage, loss_fn, regular=None):
-    """Gradient of a batch loss w.r.t. the features of an 18-row batch."""
-    regular = regular or (lambda b: _gap(loss_fn(b)) >= TIE_TOL)
+def _batch_loss(stage: Stage, loss_fn, regular=None, screen=None):
+    """Gradient of a batch loss w.r.t. the features of an 18-row batch.
+
+    A candidate batch must pass ``screen(batch)``, when given, before its
+    loss runs, and ``regular(out)`` on its loss output.
+    """
+    regular = regular or (lambda out: _gap(out) >= TIE_TOL)
 
     def draw(r: RngStream):
-        batch = _draw_until(r, lambda s: _random_batch(s, 3, 3, 4, stage.modality_pair), regular)
+        def make(s: RngStream):
+            batch = _random_batch(s, 3, 3, 4, stage.modality_pair)
+            return batch, loss_fn(batch) if screen is None or screen(batch) else None
+
+        batch, out = _draw_until(r, make, lambda c: c[1] is not None and regular(c[1]))
         value = lambda f: loss_fn(replace(batch, features=f)).value
-        return [(loss_fn(batch).grad, value, batch.features)]
+        return [(out.grad, value, batch.features)]
 
     return draw
 
@@ -180,10 +194,13 @@ def _objective(stage: Stage):
         objective = losses.stage1_objective if stage is Stage.STAGE1 else losses.stage2_objective
         # the batch comes from child streams of r, so these are r's first draws either way
         logits = r.normal(size=(18, 3))
-        regular = lambda b: _gap(objective(b, logits, b.labels, _BASE)) >= TIE_TOL
-        batch = _draw_until(r, lambda s: _random_batch(s, 3, 3, 4, stage.modality_pair), regular)
+
+        def make(s: RngStream):
+            batch = _random_batch(s, 3, 3, 4, stage.modality_pair)
+            return batch, objective(batch, logits, batch.labels, _BASE)
+
+        batch, out = _draw_until(r, make, lambda c: _gap(c[1]) >= TIE_TOL)
         labels = batch.labels
-        out = objective(batch, logits, labels, _BASE)
         by_emb = lambda f: objective(replace(batch, features=f), logits, labels, _BASE).value
         by_logits = lambda z: objective(batch, z, labels, _BASE).value
         return [(out.grad_embeddings, by_emb, batch.features), (out.grad_logits, by_logits, logits)]
@@ -192,7 +209,10 @@ def _objective(stage: Stage):
 
 
 def _model(stage: Stage):
-    """Checks :func:`~crossmodal.trainer.loss_and_grads`, the step that training runs."""
+    """Checks :func:`~crossmodal.trainer.loss_and_grads`, the step that training runs.
+
+    Its value function runs the step's forward and objective half only.
+    """
 
     def draw(r: RngStream):
         p, k, in_dim, hidden, embed = 3, 2, 5, 6, 4
@@ -207,7 +227,7 @@ def _model(stage: Stage):
             return np.abs(trace.z1).min() >= TIE_TOL and _gap(out) >= TIE_TOL
 
         params, _, grads, _ = _draw_until(r.child(1), make, regular)
-        value = lambda flat: loss_and_grads(
+        value = lambda flat: _forward_objective(
             model.ModelParams.adopt(flat, params), raw, stage, _BASE, raw.labels
         )[0].value
         return [(grads.flat, value, params.flat)]
@@ -224,10 +244,12 @@ _DRAWERS = {
     "msel_euclid": _batch_loss(
         Stage.STAGE2,
         lambda b: losses.msel(b, "euclid"),
-        lambda b: _gap(losses.msel(b, "euclid")) > TIE_TOL,  # msel's test is strict
+        lambda out: _gap(out) > TIE_TOL,  # msel's test is strict
     ),
     "msel_cosine": _batch_loss(
-        Stage.STAGE2, lambda b: losses.msel(b, "cosine"), lambda b: _norm_floored(b.features)
+        Stage.STAGE2,
+        lambda b: losses.msel(b, "cosine"),
+        screen=lambda b: _norm_floored(b.features),
     ),
     "dcl_hard": _batch_loss(Stage.STAGE2, lambda b: losses.dcl(b, "hard")),
     "dcl_all": _batch_loss(Stage.STAGE2, lambda b: losses.dcl(b, "all")),

@@ -21,7 +21,9 @@ weights can be non-zero:
   inside an n x n matrix of zeros;
 * euclid ``msel`` inside each identity's 2K x 2K block, stacked P deep, on
   the block rows (``RowLayout.pairs.blocks``); it builds only within-block
-  distances and scatters its gradient back to the batch rows;
+  distances and scatters its gradient back to the batch rows. A stage-2
+  objective builds these block distances once (:func:`_block_distances`)
+  and hands them to ``msel`` and to the global triplet's miner;
 * ``dcl`` in the two rows x centers blocks of the rows stacked with their
   centers, from one centers x rows divide.
 
@@ -262,7 +264,9 @@ def _pair_weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g.sum(axis=-1)[..., None] * x - g @ x
 
 
-def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutput:
+def _batch_hard(
+    feats: np.ndarray, margin: float, masks: PairMasks, block_dist: np.ndarray | None = None
+) -> LossOutput:
     """Summed hinge over anchors, each mined against its hardest positive/negative.
 
     ``masks`` are the pair masks of the rows' identities. Up to ``_BLOCK``
@@ -280,6 +284,8 @@ def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutpu
 
     A stack of up to ``_BLOCK`` rows per slice is mined in one pass over
     its ``(S, n, n)`` distances; a larger stack goes one slice at a time.
+    ``block_dist``, when given, is :func:`_block_distances` of ``feats``
+    and ``masks.blocks``, for the miner above ``_BLOCK`` rows to read.
     """
     feats = as_matrix(feats, stack=True)
     if not masks.every_pos:
@@ -288,7 +294,8 @@ def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutpu
         raise SamplingError("batch needs at least two identities")
     n = feats.shape[-2]
     if feats.ndim == 3 and n > _BLOCK:
-        parts = [_batch_hard(f, margin, masks) for f in feats]
+        dists = [None] * len(feats) if block_dist is None else block_dist
+        parts = [_batch_hard(f, margin, masks, d) for f, d in zip(feats, dists)]
         return LossOutput(np.array([p.value for p in parts]), np.stack([p.grad for p in parts]))
     rows = np.arange(n)
     # mined, 2 x (S x) n: each anchor's hardest positive and hardest negative
@@ -302,7 +309,10 @@ def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutpu
         )
     else:
         mined = np.array(
-            (_hardest_positives(feats, masks.blocks), _hardest_negatives(feats, masks))
+            (
+                _hardest_positives(feats, masks.blocks, block_dist),
+                _hardest_negatives(feats, masks),
+            )
         )
     there, back = rows * n + mined, mined * n + rows  # flat indices of (a, j) and (j, a)
     signs = _SIGNS
@@ -323,14 +333,20 @@ def _batch_hard(feats: np.ndarray, margin: float, masks: PairMasks) -> LossOutpu
     return LossOutput(_masked_sum(hinge, active), _pair_weight_grad(g, feats), mining)
 
 
-def _hardest_positives(feats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def _hardest_positives(
+    feats: np.ndarray, blocks: np.ndarray, block_dist: np.ndarray | None = None
+) -> np.ndarray:
     """Each row's farthest other row of its identity, lowest row index on ties.
 
     ``blocks`` hold each identity's rows in ascending order, so the first
-    largest entry of a block row is the lowest row index.
+    largest entry of a block row is the lowest row index. ``block_dist``,
+    when given, is :func:`_block_distances` of the two; it is read, not
+    written.
     """
-    x = feats[blocks]
-    dist = _euclid(x, x)
+    if block_dist is None:
+        dist = _block_distances(feats, blocks)
+    else:
+        dist = block_dist.copy()  # its diagonal is masked below
     diag = np.arange(blocks.shape[1])
     dist[:, diag, diag] = -np.inf
     far = np.empty(len(feats), dtype=np.intp)
@@ -365,9 +381,26 @@ def _hardest_negatives(feats: np.ndarray, masks: PairMasks) -> np.ndarray:
     return near
 
 
-def hard_triplet_global(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
-    """Batch-hard triplet loss mined over all rows, ignoring modality tags."""
-    return _batch_hard(batch.features, margin, batch.structure.layout.pairs)
+def _block_distances(feats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Euclid distances inside each identity block: ``(P, 2K, 2K)``, or ``(S, P, 2K, 2K)``.
+
+    ``blocks`` are the block rows (``PairMasks.blocks``). Non-finite
+    features raise ``NumericError``, as in every loss.
+    """
+    x = as_matrix(feats, stack=True).take(blocks, axis=-2)
+    return _euclid(x, x)
+
+
+def hard_triplet_global(
+    batch: LabeledBatch, margin: float = 0.1, block_dist: np.ndarray | None = None
+) -> LossOutput:
+    """Batch-hard triplet loss mined over all rows, ignoring modality tags.
+
+    ``block_dist``, when given, is the batch's identity-block distances
+    (:func:`_block_distances`); above ``_BLOCK`` rows the hardest positives
+    are mined from them. It is read, not written.
+    """
+    return _batch_hard(batch.features, margin, batch.structure.layout.pairs, block_dist)
 
 
 def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
@@ -384,7 +417,9 @@ def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
     return LossOutput(value, grad, Mining(parts=tuple(parts)) if feats.ndim == 2 else None)
 
 
-def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
+def msel(
+    batch: LabeledBatch, metric: str = "euclid", block_dist: np.ndarray | None = None
+) -> LossOutput:
     """Mean squared gap between within-modality and cross-modality positive distances.
 
     For each anchor, the mean distance to its same-identity same-modality rows
@@ -405,6 +440,10 @@ def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
     block holding the whole batch in row order, which is the dense n x n form
     bit for bit: its identity-block form moved the gradient checker's pinned
     cosine error, whose batches have 2K = 6.
+
+    ``block_dist``, when given, is the batch's identity-block distances
+    (:func:`_block_distances`), which the euclid metric then reads instead
+    of building them; the cosine metric does not read it.
     """
     if metric not in MSEL_METRICS:
         raise ConfigError(f"msel metric must be one of {MSEL_METRICS}")
@@ -420,7 +459,7 @@ def msel(batch: LabeledBatch, metric: str = "euclid") -> LossOutput:
         blocks, (intra, cross) = np.arange(n)[None], s.layout.batch_pairs
     x = feats.take(blocks, axis=-2)  # C order, as the reductions below need
     if metric == "euclid":
-        dist = _euclid(x, x)
+        dist = _euclid(x, x) if block_dist is None else block_dist
     else:
         dist = _cosine(as_matrix(feats, stack=True))[..., None, :, :]
     diff = (dist * intra).sum(axis=-1) / (k - 1) - (dist * cross).sum(axis=-1) / k
@@ -524,16 +563,22 @@ def _check_stage(batch: LabeledBatch, stage: Stage) -> None:
         )
 
 
+def _named(term: str, fn, *args):
+    """``fn(*args)``; a ``NumericError`` it raises (a non-finite input) is raised again
+    naming ``term``, with its own message after it.
+    """
+    try:
+        return fn(*args)
+    except NumericError as exc:
+        raise NumericError(f"non-finite {term} loss term: {exc}") from exc
+
+
 def _finite(term: str, loss, *args) -> LossOutput:
     """``loss(*args)`` if its value and gradient are finite, else ``NumericError`` naming ``term``.
 
-    A ``NumericError`` that ``loss`` raises itself (a non-finite input) is
-    raised again naming ``term``, with its own message after it.
+    A ``NumericError`` that ``loss`` raises itself is named by :func:`_named`.
     """
-    try:
-        part = loss(*args)
-    except NumericError as exc:
-        raise NumericError(f"non-finite {term} loss term: {exc}") from exc
+    part = _named(term, loss, *args)
     value = part.value
     finite = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
     if not (finite and np.isfinite(part.grad).all()):
@@ -570,16 +615,23 @@ def stage2_objective(
     ``cfg.include_id_stage2``; with both lambdas at zero the result equals
     the global hard-triplet loss exactly. A term whose input, value or
     gradient is not finite raises ``NumericError`` naming it.
+
+    With ``msel`` on, the identity-block distances are built once and read
+    by ``msel`` and, above ``_BLOCK`` rows, by the global triplet's miner.
     """
     cfg.validate()
     _check_stage(batch, Stage.STAGE2)
-    tri = _finite("global", hard_triplet_global, batch, cfg.margin)
+    block_dist = None
+    if cfg.lambda1 > 0:
+        blocks = batch.structure.layout.pairs.blocks
+        block_dist = _named("global", _block_distances, batch.features, blocks)
+    tri = _finite("global", hard_triplet_global, batch, cfg.margin, block_dist)
     value = tri.value  # a stack's value array is also its term: never added to in place
     grad = tri.grad.copy()
     terms = {"global": tri.value}
     mined = [tri.mining]
     if cfg.lambda1 > 0:
-        part = _finite("msel", msel, batch)
+        part = _finite("msel", msel, batch, "euclid", block_dist)
         value = value + cfg.lambda1 * part.value
         grad += cfg.lambda1 * part.grad
         terms["msel"] = part.value

@@ -18,7 +18,8 @@ too) and give each slice, bit for bit, what the 2-D call on that slice
 gives: batched ``@`` runs the 2-D product per slice, and the batch
 statistics reduce one slice's row axis in the 2-D order. The functions that
 take one model (:func:`update_bn_stats`, :func:`save_checkpoint`,
-``optim.step``) refuse a stack by name before writing (:func:`check_single`).
+``optim.step``) refuse a stack by name before writing (:func:`check_single`),
+and the constructors refuse a tensor of another rank by name.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .errors import ConfigError, DimensionError, StateError
 
 BN_EPS = 1e-5
 TRAINABLE = ("w1", "b1", "w2", "b2", "bn_gamma", "bn_beta", "wc", "bc")
+#: The weight matrices; every other tensor of one model is a vector.
+_MATRICES = ("w1", "w2", "wc")
 _PARAM_NAMES = (*TRAINABLE, "bn_running_mean", "bn_running_var")
 
 _CHECKPOINT_VERSION = 1
@@ -65,8 +68,20 @@ def check_single(fn: str, **arrays: np.ndarray) -> None:
 
 
 def _pack(obj) -> None:
-    """Copy ``obj``'s trainable tensors into ``obj.flat`` and rebind each to its view."""
+    """Copy ``obj``'s trainable tensors into ``obj.flat`` and rebind each to its view.
+
+    The constructors take one model: a tensor of another rank (a stack, say)
+    raises ``DimensionError`` naming it, before anything is bound.
+    """
     tensors = [np.asarray(getattr(obj, name)) for name in TRAINABLE]
+    for name, t in zip(TRAINABLE, tensors):
+        rank = 2 if name in _MATRICES else 1
+        if t.ndim != rank:
+            cls = type(obj).__name__
+            raise DimensionError(
+                f"{cls} takes one model: {name} has shape {t.shape}, not {rank}-D "
+                f"({cls}.adopt makes a stack)"
+            )
     flat = np.concatenate([t.ravel() for t in tensors], dtype=np.float64)
     _bind(obj, flat, [t.shape for t in tensors])
 

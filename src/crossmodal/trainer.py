@@ -177,6 +177,29 @@ def steps_per_epoch(dataset: SynthDataset, cfg: TrainConfig) -> int:
     return max(1, math.ceil(n / (2 * cfg.p * cfg.k)))
 
 
+def _forward_objective(
+    params: ModelParams,
+    batch: LabeledBatch,
+    stage: Stage,
+    cfg: LossConfig,
+    targets: np.ndarray,
+) -> tuple[ObjectiveOutput, ForwardTrace]:
+    """The half of :func:`loss_and_grads` before ``backward``: the objective and the trace.
+
+    The forward pass and the objective run with numpy's floating-point
+    warnings off, because each result is checked next: a non-finite batch
+    mean or variance raises ``NumericError`` naming it, and the objective
+    names its first non-finite term.
+    """
+    with np.errstate(all="ignore"):
+        emb, _, logits, trace = forward(params, batch.features)
+        for name, stat in (("mean", trace.mean), ("variance", trace.var)):
+            if not np.isfinite(stat).all():
+                raise NumericError(f"non-finite batch-norm {name} in the forward pass")
+        objective = stage1_objective if stage is Stage.STAGE1 else stage2_objective
+        return objective(replace(batch, features=emb), logits, targets, cfg), trace
+
+
 def loss_and_grads(
     params: ModelParams,
     batch: LabeledBatch,
@@ -190,19 +213,10 @@ def loss_and_grads(
     (keeping its validated structure) before the stage objective runs.
     ``targets`` are the rows' classifier indices. Returns the objective, the
     parameter gradients and the forward trace for the batch-norm update.
-
-    The forward pass and the objective run with numpy's floating-point
-    warnings off, because each result is checked next: a non-finite batch
-    mean or variance raises ``NumericError`` naming it, and the objective
-    names its first non-finite term.
+    Non-finite batch statistics and loss terms raise ``NumericError`` by
+    name (:func:`_forward_objective`).
     """
-    with np.errstate(all="ignore"):
-        emb, _, logits, trace = forward(params, batch.features)
-        for name, stat in (("mean", trace.mean), ("variance", trace.var)):
-            if not np.isfinite(stat).all():
-                raise NumericError(f"non-finite batch-norm {name} in the forward pass")
-        objective = stage1_objective if stage is Stage.STAGE1 else stage2_objective
-        out = objective(replace(batch, features=emb), logits, targets, cfg)
+    out, trace = _forward_objective(params, batch, stage, cfg, targets)
     grads = backward(trace, params, d_embeddings=out.grad_embeddings, d_logits=out.grad_logits)
     return out, grads, trace
 

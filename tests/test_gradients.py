@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crossmodal import gradcheck, losses
+from crossmodal import gradcheck, losses, model, trainer
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError
 from crossmodal.gradcheck import (
@@ -178,6 +179,48 @@ def test_stacked_differences_are_the_loop_oracle(name, seed):
         assert sum(calls) == 2 * x.size
         oracle = finite_difference(value_fn, x)
         assert stacked.tobytes() == oracle.tobytes()
+
+
+def _triples(name):
+    """The ``(analytic, value_fn, x)`` triples of ``check_component(name)``'s first instance."""
+    return gradcheck._DRAWERS[name](RngStream(0).child(COMPONENTS.index(name)).child(0))
+
+
+@pytest.mark.parametrize("name", COMPONENTS)
+def test_every_checked_tensor_is_one_value_call(name):
+    # a drawer that outgrows the cap would split its tensor over several calls
+    for _, _, x in _triples(name):
+        assert 2 * x.size <= gradcheck._CHUNK, x.shape
+
+
+@pytest.mark.parametrize("name", ["model_stage1", "model_stage2"])
+def test_model_value_function_runs_no_backward_pass(monkeypatch, name):
+    ((_, value_fn, x),) = _triples(name)
+    calls = []
+    real = model.backward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (model, trainer):
+        monkeypatch.setattr(module, "backward", counting)
+    assert value_fn(np.repeat(x[None], 4, axis=0)).shape == (4,)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", COMPONENTS)
+def test_differences_working_set_is_bounded(name):
+    # the largest stacks, 144 to 174 copies, peak at about 2.3 MB
+    triples = _triples(name)
+    tracemalloc.start()
+    try:
+        for _, value_fn, x in triples:
+            gradcheck._differences(value_fn, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("component", ["l_global", "dcl_hard"])

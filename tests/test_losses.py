@@ -587,6 +587,25 @@ def test_stage2_objective_is_the_exact_weighted_sum_of_its_terms(rng):
     assert np.array_equal(out.grad_embeddings, grad)
 
 
+def test_stage2_objective_builds_the_block_distances_once(monkeypatch, rng):
+    # 72 rows: the global triplet mines its hardest positives from the identity blocks
+    batch = make_pk_batch(rng, 6, 6, 5)
+    built = []
+    real = losses._block_distances
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(losses, "_block_distances", spy)
+    out = stage2_objective(batch, np.zeros((len(batch), 6)), batch.labels, LossConfig())
+    assert len(built) == 1
+    # the miner masks a copy: msel's record keeps the shared array, unmasked
+    assert out.mining.parts[1].dist is built[0]
+    assert np.isfinite(built[0]).all()
+    assert built[0].tobytes() == msel(batch).mining.dist.tobytes()
+
+
 def test_stage2_with_zero_lambdas_equals_global_exactly(rng):
     batch = make_pk_batch(rng, 3, 3, 4)
     logits = rng.normal(size=(len(batch), 3))

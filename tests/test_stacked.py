@@ -6,11 +6,12 @@ checked at the gradient checker's shapes (18-row batches, 12 rows for the
 model) and on a 64-row ``sample_batch`` batch, whose global triplet mines
 through the certified route above ``core._BLOCK`` rows. The functions that
 take one model (``update_bn_stats``, ``optim.step``, ``save_checkpoint``)
-refuse a stack by name before they write anything, and ``ModelParams.copy``
+refuse a stack by name before they write anything, the ``ModelParams`` and
+``ModelGrads`` constructors refuse one by name, and ``ModelParams.copy``
 keeps a stack's layout.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from crossmodal.errors import DimensionError
 from crossmodal.losses import LossConfig
 from crossmodal.model import (
     TRAINABLE,
+    ModelGrads,
     ModelParams,
     backward,
     forward,
@@ -266,6 +268,21 @@ def test_save_checkpoint_refuses_a_stack_before_writing(tmp_path):
     with pytest.raises(DimensionError, match="^save_checkpoint takes one model, not a stack: m"):
         save_checkpoint(path, params, init_optim_state(stack))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("cls", [ModelParams, ModelGrads])
+def test_constructors_refuse_a_stack_by_name(cls):
+    # a stack must come from adopt: packed by the constructor, it would pass check_single
+    params, stack = _model_and_stack()
+    tensors = {f.name: getattr(stack, f.name) for f in fields(cls)}
+    message = rf"^{cls.__name__} takes one model: w1 has shape \({S}, 5, 6\), not 2-D "
+    with pytest.raises(DimensionError, match=message + rf"\({cls.__name__}.adopt makes a stack\)$"):
+        cls(**tensors)
+    tensors = {f.name: getattr(params, f.name) for f in fields(cls)}
+    with pytest.raises(DimensionError, match=r": b1 has shape \(1, 6\), not 1-D "):
+        cls(**{**tensors, "b1": params.b1[None]})
+    with pytest.raises(DimensionError, match=r": wc has shape \(12,\), not 2-D "):
+        cls(**{**tensors, "wc": params.wc.ravel()})
 
 
 def test_copy_keeps_a_stack_layout():
