@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import RngStream, as_vector
+from .core import RngStream, as_ids, as_vector, check_int
 from .errors import ConfigError, DimensionError, NumericError, SamplingError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,7 +50,8 @@ class FeatureLayout:
 
     def __post_init__(self):
         for name in ("shared_dims", "color_dims", "modality_dims"):
-            if int(getattr(self, name)) < 1:
+            check_int(name, getattr(self, name))
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
 
     @property
@@ -94,9 +95,11 @@ class BatchSpec:
     k: int
 
     def __post_init__(self):
-        if int(self.p) < 2:
+        check_int("p", self.p)
+        check_int("k", self.k)
+        if self.p < 2:
             raise ConfigError("batch spec needs p >= 2 identities")
-        if int(self.k) < 2:
+        if self.k < 2:
             raise ConfigError("batch spec needs k >= 2 rows per modality")
 
     @property
@@ -105,8 +108,11 @@ class BatchSpec:
 
 
 def coerce_rows(features, labels, modalities):
-    """Coerce to 2-D float64 features with one int64 label and one known tag per row."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Coerce to 2-D float64 features with one int64 label and one known tag per row.
+
+    A label that is not an integer raises ``LabelError`` naming ``labels``.
+    """
+    labels = as_ids(labels, "labels")
     modalities = np.asarray(modalities, dtype=np.str_)
     features = _coerce_features(features, labels, modalities)
     unknown = modalities[~np.logical_or.reduce([modalities == c for c in MODALITY_CODES])]

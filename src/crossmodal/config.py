@@ -44,7 +44,6 @@ KEY_SPECS: dict[str, tuple[tuple[str, ...], object]] = {
     "batch.k": (("train", "k"), int),
     "model.hidden_dim": (("train", "hidden_dim"), int),
     "model.embed_dim": (("train", "embed_dim"), int),
-    "model.bn_momentum": (("train", "bn_momentum"), float),
     "loss.margin": (("train", "loss", "margin"), float),
     "loss.lambda1": (("train", "loss", "lambda1"), float),
     "loss.lambda2": (("train", "loss", "lambda2"), float),
@@ -57,9 +56,6 @@ KEY_SPECS: dict[str, tuple[tuple[str, ...], object]] = {
     "train.eval_every": (("train", "eval_every"), int),
     "train.eval_direction": (("train", "eval_direction"), str),
     "optim.base_lr": (("train", "base_lr"), float),
-    "optim.beta1": (("train", "beta1"), float),
-    "optim.beta2": (("train", "beta2"), float),
-    "optim.eps": (("train", "adam_eps"), float),
     "optim.weight_decay": (("train", "weight_decay"), float),
 }
 

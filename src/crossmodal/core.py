@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError, LabelError, NumericError
 
 #: Norm threshold below which cosine distance is treated as undefined.
 NORM_EPS = 1e-12
@@ -19,6 +19,30 @@ _U = 2.0**-53
 #: bound, and far enough below the overflow threshold that no intermediate
 #: overflows.
 _SCALE_RANGE = (2.0**-960, 2.0**1020)
+
+
+def check_int(name: str, value) -> None:
+    """``ConfigError`` naming ``name`` unless ``value`` is a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def as_ids(values, name: str) -> np.ndarray:
+    """Identities as int64; ``LabelError`` naming ``name`` unless every one is a finite integer.
+
+    Integer arrays pass as they are; float arrays pass when every value is
+    integral and below 2^63 in magnitude.
+    """
+    ids = np.asarray(values)
+    if ids.dtype.kind not in "iuf":
+        raise LabelError(f"{name} must hold integer identities, got dtype {ids.dtype}")
+    if ids.dtype.kind == "f":
+        bad = ~(np.abs(ids) < 2.0**63) | (ids != np.trunc(ids))
+    else:
+        bad = ids > np.iinfo(np.int64).max
+    if bad.any():
+        raise LabelError(f"{name} must hold integer identities, got {ids[bad].flat[0].item()!r}")
+    return ids.astype(np.int64, copy=False)
 
 
 def as_vector(values) -> np.ndarray:
@@ -191,6 +215,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
+        check_int("seed", seed)
         self.seed = int(seed)
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")

@@ -34,11 +34,12 @@ from .core import (
     _certified,
     _euclid,
     _matmul_form,
+    as_ids,
     as_matrix,
     cross_distances,
     pairwise_distances,
 )
-from .errors import ConfigError, DegenerateError, DimensionError, LabelError, NumericError
+from .errors import ConfigError, DegenerateError, DimensionError, NumericError
 
 RANK_KS = (1, 5, 10, 20)
 #: Rows per ranking and similarity block: the live matmul-form and similarity
@@ -116,28 +117,10 @@ def _sort_certified(m: np.ndarray, scale: np.ndarray, d: int) -> np.ndarray:
     return _certified(gaps, scale, d)
 
 
-def _as_ids(values, name: str) -> np.ndarray:
-    """Identities as int64; ``LabelError`` naming ``name`` unless every one is a finite integer.
-
-    Integer arrays pass as they are; float arrays pass when every value is
-    integral and below 2^63 in magnitude.
-    """
-    ids = np.asarray(values)
-    if ids.dtype.kind not in "iuf":
-        raise LabelError(f"{name} must hold integer identities, got dtype {ids.dtype}")
-    if ids.dtype.kind == "f":
-        bad = ~(np.abs(ids) < 2.0**63) | (ids != np.trunc(ids))
-    else:
-        bad = ids > np.iinfo(np.int64).max
-    if bad.any():
-        raise LabelError(f"{name} must hold integer identities, got {ids[bad].flat[0].item()!r}")
-    return ids.astype(np.int64, copy=False)
-
-
 def _ranking_inputs(query_feats, gallery_feats, query_ids, gallery_ids):
     """Checked ``(qf, gf, qid, gid)`` for ranking a gallery per query."""
     qf, gf = as_matrix(query_feats), as_matrix(gallery_feats)
-    qid, gid = _as_ids(query_ids, "query_ids"), _as_ids(gallery_ids, "gallery_ids")
+    qid, gid = as_ids(query_ids, "query_ids"), as_ids(gallery_ids, "gallery_ids")
     if qid.shape != (qf.shape[0],) or gid.shape != (gf.shape[0],):
         raise DimensionError("id arrays must match the feature row counts")
     if qf.shape[1] != gf.shape[1]:
@@ -283,7 +266,7 @@ def _similarity_stats(feats, ids, tags, bins: int) -> tuple[np.ndarray, np.ndarr
     :class:`_SimilarityBins`.
     """
     x = as_matrix(feats)
-    ids = _as_ids(ids, "ids")
+    ids = as_ids(ids, "ids")
     tags = np.asarray(tags, dtype=np.str_)
     if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 2:
         raise ConfigError(f"bins must be an integer >= 2, got {bins!r}")
@@ -332,7 +315,7 @@ def modality_gap_ratio(feats, ids, tags) -> float:
     pair order, so both means are the same bit for bit.
     """
     x = as_matrix(feats)
-    ids = _as_ids(ids, "ids")
+    ids = as_ids(ids, "ids")
     tags = np.asarray(tags, dtype=np.str_)
     if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
         raise DimensionError("ids/tags must match the feature row count")

@@ -19,9 +19,8 @@ objectives and the train step accept stacked inputs and give each slice the
 2-D result bit for bit (see :mod:`crossmodal.losses`). So :func:`_differences`
 builds all 2N perturbations of an N-entry instance, entry i at ``x_i + h``
 and at ``x_i - h`` exactly as the loop writes them, and evaluates them in
-one call: every drawer's 2N is at most ``_CHUNK``. The model checks'
-value function runs the train step's forward and objective half
-(``trainer._forward_objective``) and no backward pass.
+one call. The model checks' value function runs the train step's forward
+and objective half (``trainer._forward_objective``) and no backward pass.
 :func:`finite_difference`, the public one-coordinate loop, is the oracle
 the stacked route equals bit for bit.
 """
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import losses, model
 from .batch import LabeledBatch, Stage
-from .core import RngStream
+from .core import RngStream, check_int
 from .errors import ConfigError
 from .trainer import _forward_objective, loss_and_grads
 
@@ -49,11 +48,6 @@ DEFAULT_TOL = 1e-5
 #: noise/tol = 1e-4 for the ratio to measure the analytic formula and not
 #: the arithmetic.
 REL_FLOOR = 1e-2
-#: Perturbed copies per value-function call in :func:`_differences` (even:
-#: both signs of an entry share a call). Every drawer's 2N fits, the model
-#: checks' 174 the most, so each checked tensor is one call; the cap bounds
-#: the stack's working set, at most about 2.3 MB a component (``tracemalloc``).
-_CHUNK = 256
 
 #: The loss settings every check uses; its ``msel`` metric is euclid, so the
 #: stage objectives need no norm floor.
@@ -93,25 +87,21 @@ def finite_difference(fn, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
 
 
 def _differences(value_fn, x: np.ndarray) -> np.ndarray:
-    """:func:`finite_difference` of ``value_fn`` over ``x`` at ``FD_STEP``, from stacked calls.
+    """:func:`finite_difference` of ``value_fn`` over ``x`` at ``FD_STEP``, from one stacked call.
 
     ``value_fn`` maps an ``(S, *x.shape)`` stack to its ``(S,)`` values (or
-    one value that no slice changes). Copy ``2j`` of a chunk holds entry i at
-    ``x_i + h``, copy ``2j + 1`` at ``x_i - h``; ``x`` is not written.
+    one value that no slice changes). Copy ``2i`` of the ``2N`` copies holds
+    entry i at ``x_i + h``, copy ``2i + 1`` at ``x_i - h``; ``x`` is not written.
     """
     h = FD_STEP
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, _CHUNK // 2):
-        idx = np.arange(start, min(start + _CHUNK // 2, flat.size))
-        stack = np.repeat(flat[None], 2 * len(idx), axis=0)
-        at = 2 * np.arange(len(idx))
-        stack[at, idx] = flat[idx] + h
-        stack[at + 1, idx] = flat[idx] - h
-        values = np.broadcast_to(value_fn(stack.reshape(len(stack), *x.shape)), len(stack))
-        out[idx] = (values[0::2] - values[1::2]) / (2.0 * h)
-    return out.reshape(x.shape)
+    idx = np.arange(flat.size)
+    stack = np.repeat(flat[None], 2 * flat.size, axis=0)
+    stack[2 * idx, idx] = flat + h
+    stack[2 * idx + 1, idx] = flat - h
+    values = np.broadcast_to(value_fn(stack.reshape(len(stack), *x.shape)), len(stack))
+    return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(x.shape)
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_FLOOR) -> float:
@@ -266,6 +256,7 @@ def check_component(name: str, instances: int = 20, seed: int = 0) -> float:
     """Max relative error between analytic and finite-difference gradients."""
     if name not in COMPONENTS:
         raise ConfigError(f"unknown component {name!r}, expected one of {COMPONENTS}")
+    check_int("instances", instances)
     if instances < 1:
         raise ConfigError(f"instances must be >= 1, got {instances}")
     return _worst(RngStream(seed).child(COMPONENTS.index(name)), instances, _DRAWERS[name])

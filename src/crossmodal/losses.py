@@ -84,6 +84,7 @@ from .core import (
     _cosine,
     _euclid,
     _matmul_form,
+    as_ids,
     as_matrix,
     pairwise_distances,
 )
@@ -237,7 +238,7 @@ def _masked_sum(values: np.ndarray, mask: np.ndarray) -> float | np.ndarray:
 def identity_loss(logits, labels) -> LossOutput:
     """Mean softmax cross-entropy over the batch; gradient is w.r.t. the logits."""
     z = as_matrix(logits, stack=True)
-    y = np.asarray(labels, dtype=np.int64)
+    y = as_ids(labels, "labels")
     n, c = z.shape[-2:]
     if y.shape != (n,):
         raise DimensionError(f"labels shape {y.shape} does not match {n} logit rows")

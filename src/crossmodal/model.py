@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_matrix
+from .core import RngStream, as_matrix, check_int
 from .errors import ConfigError, DimensionError, StateError
 
 BN_EPS = 1e-5
@@ -45,16 +45,11 @@ _OPT_HYPER = ("base_lr", "beta1", "beta2", "eps", "weight_decay")  # the order o
 
 
 def check_encoder(**sizes: int) -> None:
-    """Every given layer size >= 1."""
+    """Every given layer size an integer >= 1."""
     for name, val in sizes.items():
-        if int(val) < 1:
+        check_int(name, val)
+        if val < 1:
             raise ConfigError(f"{name} must be >= 1")
-
-
-def check_momentum(momentum: float) -> None:
-    """Batch-norm running-statistics momentum lies in (0, 1]."""
-    if not 0.0 < momentum <= 1.0:
-        raise ConfigError("momentum must lie in (0, 1]")
 
 
 def check_single(fn: str, **arrays: np.ndarray) -> None:
@@ -314,7 +309,8 @@ def update_bn_stats(params: ModelParams, trace: ForwardTrace, momentum: float = 
     Uses the usual convention: biased variance normalizes the batch, the
     unbiased estimate feeds the running average.
     """
-    check_momentum(momentum)
+    if not 0.0 < momentum <= 1.0:
+        raise ConfigError("momentum must lie in (0, 1]")
     check_single("update_bn_stats", params=params.flat, trace=trace.mean)
     n = trace.x.shape[0]
     unbiased = trace.var * n / (n - 1) if n > 1 else trace.var
@@ -433,7 +429,7 @@ def _field_shapes(path, w1, w2, wc) -> dict[str, tuple[int, ...]]:
 def _check_tensor(path, field: str, arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if arr.shape != shape:
         raise StateError(f"checkpoint {path}: {field} has shape {arr.shape}, expected {shape}")
-    if arr.dtype.kind not in "biuf":
+    if arr.dtype.kind not in "iuf":
         raise StateError(f"checkpoint {path}: {field} has dtype {arr.dtype}, not a real number")
     if not np.isfinite(arr).all():
         raise StateError(f"checkpoint {path}: {field} has non-finite values")

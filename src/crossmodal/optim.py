@@ -29,7 +29,7 @@ class OptimState:
 
 
 def check_adam(
-    base_lr: float, beta1: float, beta2: float, eps: float, weight_decay: float
+    base_lr: float, weight_decay: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
 ) -> None:
     """Adam's bounds: finite base_lr, weight_decay >= 0, eps > 0, betas in [0, 1); NaN fails."""
     if not (0 <= base_lr < np.inf and eps > 0 and 0 <= weight_decay < np.inf):
@@ -47,7 +47,7 @@ def init_optim_state(
     weight_decay: float = 1e-4,
 ) -> OptimState:
     """Zeroed moments shaped like every trainable tensor."""
-    check_adam(base_lr, beta1, beta2, eps, weight_decay)
+    check_adam(base_lr, weight_decay, beta1, beta2, eps)
     return OptimState(
         base_lr=base_lr,
         beta1=beta1,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch import MODALITY_CODES, FeatureLayout, Modality, coerce_rows, grayscale_of
-from .core import RngStream
+from .core import RngStream, check_int
 from .errors import ConfigError, ParseError
 
 #: Parameters of the bundled desk-scale benchmark (16 train identities and a
@@ -117,6 +117,8 @@ def generate(
     each grayscale row is the grayscale view of the visible row at the same
     position.
     """
+    check_int("n_ids", n_ids)
+    check_int("per_modality", per_modality)
     if n_ids < 2:
         raise ConfigError("need at least 2 identities")
     if per_modality < 2:

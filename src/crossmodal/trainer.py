@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .batch import BatchSpec, LabeledBatch, Modality, Stage, sample_batch
-from .core import RngStream
+from .core import RngStream, check_int
 from .errors import ConfigError, CrossmodalError, NumericError
 from .evalkit import EvalReport, evaluate
 from .losses import LossConfig, ObjectiveOutput, stage1_objective, stage2_objective
@@ -27,7 +27,6 @@ from .model import (
     ModelParams,
     backward,
     check_encoder,
-    check_momentum,
     extract_test_features,
     forward,
     init_params,
@@ -56,21 +55,19 @@ class TrainConfig:
     k: int = 4
     hidden_dim: int = 32
     embed_dim: int = 16
-    bn_momentum: float = 0.1
     epochs: int = 40
     stage1_epochs: int = 10
     schedule: str = "gray_first"
     loss: LossConfig = field(default_factory=LossConfig)
     base_lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 1e-4
     seed: int = 0
     eval_every: int = 0
     eval_direction: str = "t2v"
 
     def validate(self) -> "TrainConfig":
+        for name in ("epochs", "stage1_epochs", "eval_every"):
+            check_int(name, getattr(self, name))
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if not 0 <= self.stage1_epochs <= self.epochs:
@@ -81,9 +78,8 @@ class TrainConfig:
             raise ConfigError(f"eval_direction must be one of {DIRECTIONS}")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0")
-        check_adam(self.base_lr, self.beta1, self.beta2, self.adam_eps, self.weight_decay)
+        check_adam(self.base_lr, self.weight_decay)
         check_encoder(hidden_dim=self.hidden_dim, embed_dim=self.embed_dim)
-        check_momentum(self.bn_momentum)
         RngStream(self.seed)  # the stream's own seed check
         BatchSpec(self.p, self.k)
         self.loss.validate()
@@ -247,9 +243,7 @@ def train(
         n_classes=len(classes),
         rng=root.child(0),
     )
-    opt = init_optim_state(
-        params, cfg.base_lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
-    )
+    opt = init_optim_state(params, cfg.base_lr, weight_decay=cfg.weight_decay)
     n_steps = steps_per_epoch(dataset, cfg)
     eval_ds = eval_dataset if eval_dataset is not None else dataset
     logs: list[EpochLog] = []
@@ -263,7 +257,7 @@ def train(
                 targets = np.searchsorted(classes, batch.labels)
                 out, grads, trace = loss_and_grads(params, batch, stage, cfg.loss, targets)
                 step(opt, params, grads, lr)
-                update_bn_stats(params, trace, cfg.bn_momentum)
+                update_bn_stats(params, trace)
             except CrossmodalError as exc:
                 raise type(exc)(f"epoch {epoch}, batch {b}: {exc}") from exc
             for key, val in out.terms.items():

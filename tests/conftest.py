@@ -34,6 +34,7 @@ CORRUPT_CHECKPOINT_KINDS = (
     "nan_w1",
     "wrong_shape_b2",
     "text_bc",
+    "bool_bn_gamma",
     "nan_opt_m_w1",
     "wrong_shape_opt_v_bc",
     "identity_activation",
@@ -60,6 +61,7 @@ def write_corrupt_checkpoints(tmp_path):
         "nan_w1": ("param_w1", np.full((4, 5), np.nan), "param_w1 has non-finite values"),
         "wrong_shape_b2": ("param_b2", np.zeros(7), "param_b2 has shape (7,)"),
         "text_bc": ("param_bc", np.array(["a", "b"]), "param_bc has dtype <U1"),
+        "bool_bn_gamma": ("param_bn_gamma", np.ones(3, bool), "param_bn_gamma has dtype bool"),
         "nan_opt_m_w1": ("opt_m_w1", np.full((4, 5), np.nan), "opt_m_w1 has non-finite values"),
         "wrong_shape_opt_v_bc": ("opt_v_bc", np.zeros((2, 1)), "opt_v_bc has shape (2, 1)"),
         "identity_activation": ("activation", np.array("identity"), "activation is 'identity'"),

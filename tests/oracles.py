@@ -444,11 +444,11 @@ def similarity_stats(feats, ids, tags, bins):
     """
     from crossmodal.core import NORM_EPS, as_matrix
     from crossmodal.errors import ConfigError, DimensionError, NumericError
-    from crossmodal.evalkit import _as_ids
+    from crossmodal.core import as_ids
     from crossmodal import evalkit
 
     x = as_matrix(feats)
-    ids = _as_ids(ids, "ids")
+    ids = as_ids(ids, "ids")
     tags = np.asarray(tags, dtype=np.str_)
     if bins < 2:
         raise ConfigError("bins must be >= 2")
@@ -474,10 +474,10 @@ def gap_ratio(feats, ids, tags):
     """``evalkit.modality_gap_ratio`` in its former form: ``pairwise_distances`` per identity."""
     from crossmodal.core import as_matrix, pairwise_distances
     from crossmodal.errors import DegenerateError, DimensionError
-    from crossmodal.evalkit import _as_ids
+    from crossmodal.core import as_ids
 
     x = as_matrix(feats)
-    ids = _as_ids(ids, "ids")
+    ids = as_ids(ids, "ids")
     tags = np.asarray(tags, dtype=np.str_)
     if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
         raise DimensionError("ids/tags must match the feature row count")

@@ -18,13 +18,20 @@ from crossmodal.batch import (
 )
 from crossmodal.config import parse_config_file
 from crossmodal.core import RngStream
-from crossmodal.errors import ConfigError, DimensionError, NumericError, SamplingError
+from crossmodal.errors import (
+    ConfigError,
+    DimensionError,
+    LabelError,
+    NumericError,
+    SamplingError,
+)
 from crossmodal.losses import (
     DCL_MODES,
     LossConfig,
     compute_centers,
     hard_triplet_global,
     hard_triplet_intra,
+    identity_loss,
     msel,
     stage1_objective,
     stage2_objective,
@@ -95,6 +102,28 @@ def test_labeled_batch_validation():
     single = LabeledBatch(feats, labels, ["vis"] * 4)
     with pytest.raises(ConfigError):
         single.validate()
+
+
+#: Labels an int64 cast would truncate or raise on, with how the error shows them.
+_BAD_LABELS = {
+    "fractional": ([0.5, 0.7, 1.2, 1.9], "0.5"),  # truncation would merge identities
+    "nan": ([0, np.nan, 1, 1], "nan"),
+    "beyond_uint64": ([0, 1, 2**64, 1], "dtype object"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_LABELS))
+def test_non_integer_labels_fail_by_name(kind):
+    labels, shown = _BAD_LABELS[kind]
+    feats, tags = np.zeros((4, 2)), ["vis", "ir", "vis", "ir"]
+    calls = (
+        lambda: LabeledBatch(feats, labels, tags),
+        lambda: SynthDataset(feats, labels, tags),
+        lambda: identity_loss(np.zeros((4, 3)), labels),
+    )
+    for call in calls:
+        with pytest.raises(LabelError, match=f"^labels must hold integer identities, got {shown}$"):
+            call()
 
 
 def test_cell_count_rejects_uneven_cells():

@@ -295,13 +295,24 @@ def test_invalid_loss_value_exits_1_before_creating_the_run(small_data, tmp_path
     assert not run_dir.exists()
 
 
-def test_removed_msel_metric_key_exits_1_naming_its_line(small_data, tmp_path, capsys):
-    # msel is euclid only; a resolved config from an earlier version must drop this line
-    cfg = write_small_config(tmp_path, small_data, **{"loss.msel_metric": "euclid"})
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("loss.msel_metric", "euclid"),  # msel is euclid only
+        # Adam's betas and eps and the batch-norm momentum are the functions' defaults
+        ("optim.beta1", "0.9"),
+        ("optim.beta2", "0.999"),
+        ("optim.eps", "1e-08"),
+        ("model.bn_momentum", "0.1"),
+    ],
+)
+def test_removed_key_exits_1_naming_its_line(small_data, tmp_path, capsys, key, value):
+    # a resolved config from an earlier version must drop the retired key's line
+    cfg = write_small_config(tmp_path, small_data, **{key: value})
     run_dir = tmp_path / "run"
     rc = main(["train", "--config", str(cfg), "--out", str(run_dir)])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {cfg}:9: unknown config key 'loss.msel_metric'\n"
+    assert capsys.readouterr().err == f"error: {cfg}:9: unknown config key {key!r}\n"
     assert not run_dir.exists()
 
 

@@ -126,7 +126,7 @@ def test_key_specs_name_each_config_field_once():
     # set_key would setattr a path that names no field without complaint
     paths = [path for path, _ in KEY_SPECS.values()]
     assert sorted(paths) == sorted(_leaf_paths(RunConfig()))
-    assert len(KEY_SPECS) == 23
+    assert len(KEY_SPECS) == 19
 
 
 def test_float_serialization_is_lossless(tmp_path):

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -174,9 +173,8 @@ def test_stacked_differences_are_the_loop_oracle(name, seed):
         before = x.copy()
         stacked = gradcheck._differences(counting, x)
         assert x.tobytes() == before.tobytes()
-        # one call per chunk of perturbed copies, never one per coordinate
-        assert len(calls) == math.ceil(2 * x.size / gradcheck._CHUNK)
-        assert sum(calls) == 2 * x.size
+        # exactly one call per checked tensor, never one per coordinate
+        assert calls == [2 * x.size]
         oracle = finite_difference(value_fn, x)
         assert stacked.tobytes() == oracle.tobytes()
 
@@ -188,9 +186,15 @@ def _triples(name):
 
 @pytest.mark.parametrize("name", COMPONENTS)
 def test_every_checked_tensor_is_one_value_call(name):
-    # a drawer that outgrows the cap would split its tensor over several calls
-    for _, _, x in _triples(name):
-        assert 2 * x.size <= gradcheck._CHUNK, x.shape
+    for _, value_fn, x in _triples(name):
+        calls = []
+
+        def counting(stack):
+            calls.append(len(stack))
+            return value_fn(stack)
+
+        gradcheck._differences(counting, x)
+        assert calls == [2 * x.size], x.shape
 
 
 @pytest.mark.parametrize("name", ["model_stage1", "model_stage2"])

@@ -5,9 +5,9 @@ renamed function in its ``TRACED`` table would break ``bench/run.py --trace 1``
 only at benchmark time; this test catches it with the unit tests. So would a
 renamed, added or removed gradient-check component: the traced result names
 one ``gradcheck.<component>.ms`` metric per component, and it must name
-exactly the ``per_layer`` metrics that ``BENCHMARK.json`` declares. Short
-traced ``train_default`` and ``eval_gallery`` runs check the same end to
-end: each last line must be a strict-JSON result.
+exactly the ``per_layer`` metrics that ``BENCHMARK.json`` declares. A short
+traced run of each workload ``BENCHMARK.json`` declares checks the same end
+to end: each last line must be a strict-JSON result.
 """
 
 import functools
@@ -18,11 +18,14 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import crossmodal
 from crossmodal import gradcheck
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
+_BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def _tracing():
@@ -46,17 +49,17 @@ def test_every_exported_name_resolves():
 
 
 def test_traced_metrics_are_the_declared_per_layer_metrics():
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     units = _tracing().metric_units(gradcheck.COMPONENTS)
-    assert list(units.items()) == [(m["name"], m["unit"]) for m in declared]
+    assert list(units.items()) == [(m["name"], m["unit"]) for m in _BENCHMARK["per_layer"]]
 
 
 def _refuse(constant):
     raise ValueError(f"{constant} is not strict JSON")
 
 
-def test_traced_train_default_run_ends_in_a_strict_json_result():
-    argv = ["--workload", "train_default", "--seed", "0", "--seconds", "0.5", "--trace", "1"]
+@pytest.mark.parametrize("workload", [w["name"] for w in _BENCHMARK["workloads"]])
+def test_traced_run_ends_in_a_strict_json_result(workload):
+    argv = ["--workload", workload, "--seed", "0", "--seconds", "0.5", "--trace", "1"]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), *argv],
         capture_output=True,
@@ -67,21 +70,4 @@ def test_traced_train_default_run_ends_in_a_strict_json_result():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_refuse)
     assert result["correct"] is True
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    assert list(result["metrics"]) == [m["name"] for m in declared]
-
-
-def test_traced_eval_gallery_run_ends_in_a_strict_json_result():
-    argv = ["--workload", "eval_gallery", "--seed", "0", "--seconds", "0.5", "--trace", "1"]
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), *argv],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_refuse)
-    assert result["correct"] is True
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    assert list(result["metrics"]) == [m["name"] for m in declared]
+    assert list(result["metrics"]) == [m["name"] for m in _BENCHMARK["per_layer"]]

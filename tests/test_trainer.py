@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from crossmodal import trainer
-from crossmodal.batch import FeatureLayout, Stage
+from crossmodal.batch import BatchSpec, FeatureLayout, Stage
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, NumericError, SamplingError
 from crossmodal.evalkit import report_text
+from crossmodal.gradcheck import check_component
 from crossmodal.losses import LossConfig
-from crossmodal.model import TRAINABLE
+from crossmodal.model import TRAINABLE, check_encoder
 from crossmodal.optim import cosine_lr
 from crossmodal.synthdata import SynthDataset, generate
 from crossmodal.trainer import (
@@ -24,6 +25,26 @@ from crossmodal.trainer import (
 )
 
 LAYOUT = FeatureLayout(shared_dims=3, color_dims=2, modality_dims=2)
+
+#: Integer parameter name -> a call that passes it the value under test.
+_INTEGER_PARAMETERS = {
+    "BatchSpec.p": lambda v: BatchSpec(v, 2),
+    "BatchSpec.k": lambda v: BatchSpec(2, v),
+    "check_encoder.hidden_dim": lambda v: check_encoder(hidden_dim=v),
+    "FeatureLayout.color_dims": lambda v: FeatureLayout(1, v, 1),
+    "RngStream.seed": lambda v: RngStream(v),
+    "check_component.instances": lambda v: check_component("l_id", instances=v),
+    "generate.n_ids": lambda v: generate(v, 2, LAYOUT, 1.0, 0.1, RngStream(0)),
+    "generate.per_modality": lambda v: generate(2, v, LAYOUT, 1.0, 0.1, RngStream(0)),
+    **{
+        f"TrainConfig.{name}": lambda v, name=name: TrainConfig(
+            **{"epochs": 2, "stage1_epochs": 1, name: v}
+        ).validate()
+        for name in (
+            "p", "k", "hidden_dim", "embed_dim", "epochs", "stage1_epochs", "seed", "eval_every"
+        )
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +102,20 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_cfg(base_lr=-1.0).validate()
     assert tiny_cfg().validate() is not None
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(2.0), True])
+@pytest.mark.parametrize("param", list(_INTEGER_PARAMETERS))
+def test_integer_parameters_fail_by_name(param, value):
+    # int() would truncate 2.5 (a 1.5 seed trains seed 1), and a bool is not a count
+    message = f"^{param.split('.')[1]} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match=message):
+        _INTEGER_PARAMETERS[param](value)
+
+
+@pytest.mark.parametrize("param", list(_INTEGER_PARAMETERS))
+def test_integer_parameters_take_numpy_integers(param):
+    _INTEGER_PARAMETERS[param](np.int64(2))
 
 
 def test_steps_per_epoch_counts_vis_and_ir(tiny_data):
