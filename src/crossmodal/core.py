@@ -219,9 +219,11 @@ class RngStream:
         self.seed = int(seed)
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        for p in path:
+            check_int("path", p)
+            if p < 0:
+                raise ConfigError("stream path components must be non-negative")
         self.path = tuple(int(p) for p in path)
-        if any(p < 0 for p in self.path):
-            raise ConfigError("stream path components must be non-negative")
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
         self._gen = np.random.Generator(np.random.PCG64(seq))
 

@@ -5,7 +5,8 @@ a 1-D batch-norm layer (the "neck") and a linear classifier on the normalized
 embeddings. Metric losses consume the raw embeddings; the identity loss
 consumes the logits. Training (:func:`forward`) normalizes on batch statistics;
 retrieval (:func:`extract_test_features`) uses the post-norm embeddings on the
-running statistics, which only an explicit :func:`update_bn_stats` call changes.
+running statistics, which only an explicit :func:`update_bn_stats` call changes,
+with the standard momentum ``BN_MOMENTUM``.
 
 The ``TRAINABLE`` tensors of :class:`ModelParams` and :class:`ModelGrads` are
 views, in ``TRAINABLE`` order, of one contiguous float64 vector ``flat``; the
@@ -34,14 +35,20 @@ from .core import RngStream, as_matrix, check_int
 from .errors import ConfigError, DimensionError, StateError
 
 BN_EPS = 1e-5
-TRAINABLE = ("w1", "b1", "w2", "b2", "bn_gamma", "bn_beta", "wc", "bc")
-#: The weight matrices; every other tensor of one model is a vector.
-_MATRICES = ("w1", "w2", "wc")
-_PARAM_NAMES = (*TRAINABLE, "bn_running_mean", "bn_running_var")
+BN_MOMENTUM = 0.1
+#: Each stored tensor's shape, one letter per axis for the layer size it spans
+#: (input, hidden, embedding, classes). The trainable tensors come first, in
+#: the order they lie in ``flat``; the batch-norm running statistics come last.
+_SHAPES = dict(
+    w1="ih", b1="h", w2="he", b2="e", bn_gamma="e", bn_beta="e", wc="ec", bc="c",
+    bn_running_mean="e", bn_running_var="e",
+)
+TRAINABLE = tuple(_SHAPES)[:-2]
 
 _CHECKPOINT_VERSION = 1
 _CHECKPOINT_ACTIVATION = "relu"  # the ``activation`` field: the encoder is always rectified
-_OPT_HYPER = ("base_lr", "beta1", "beta2", "eps", "weight_decay")  # the order of ``opt_hyper``
+#: The dtype kinds a checkpoint field may have, by what it holds.
+_KINDS = {"a real number": "iuf", "an integer": "iu", "a string": "U"}
 
 
 def check_encoder(**sizes: int) -> None:
@@ -70,7 +77,7 @@ def _pack(obj) -> None:
     """
     tensors = [np.asarray(getattr(obj, name)) for name in TRAINABLE]
     for name, t in zip(TRAINABLE, tensors):
-        rank = 2 if name in _MATRICES else 1
+        rank = len(_SHAPES[name])
         if t.ndim != rank:
             cls = type(obj).__name__
             raise DimensionError(
@@ -303,21 +310,21 @@ def backward(
     return grads
 
 
-def update_bn_stats(params: ModelParams, trace: ForwardTrace, momentum: float = 0.1) -> None:
+def update_bn_stats(params: ModelParams, trace: ForwardTrace) -> None:
     """Fold the traced batch statistics into the running statistics, in place.
 
     Uses the usual convention: biased variance normalizes the batch, the
-    unbiased estimate feeds the running average.
+    unbiased estimate feeds the running average, and each average moves by
+    ``BN_MOMENTUM``. The trace has at least 2 rows, since :func:`forward`
+    refuses fewer.
     """
-    if not 0.0 < momentum <= 1.0:
-        raise ConfigError("momentum must lie in (0, 1]")
     check_single("update_bn_stats", params=params.flat, trace=trace.mean)
     n = trace.x.shape[0]
-    unbiased = trace.var * n / (n - 1) if n > 1 else trace.var
-    params.bn_running_mean *= 1.0 - momentum
-    params.bn_running_mean += momentum * trace.mean
-    params.bn_running_var *= 1.0 - momentum
-    params.bn_running_var += momentum * unbiased
+    unbiased = trace.var * n / (n - 1)
+    params.bn_running_mean *= 1.0 - BN_MOMENTUM
+    params.bn_running_mean += BN_MOMENTUM * trace.mean
+    params.bn_running_var *= 1.0 - BN_MOMENTUM
+    params.bn_running_var += BN_MOMENTUM * unbiased
 
 
 def extract_test_features(params: ModelParams, x) -> np.ndarray:
@@ -333,6 +340,8 @@ def save_checkpoint(path, params: ModelParams, optim_state=None) -> None:
     """Write a versioned binary dump of all tensors (and optimizer state if given).
 
     The format is a numpy ``.npz`` archive; float64 arrays round-trip exactly.
+    The optimizer's ``opt_hyper`` holds ``(base_lr, β1, β2, ε, weight_decay)``,
+    the middle three being ``optim``'s constants.
     """
     moments = {} if optim_state is None else {"m": optim_state.m.flat, "v": optim_state.v.flat}
     check_single("save_checkpoint", params=params.flat, **moments)
@@ -340,11 +349,14 @@ def save_checkpoint(path, params: ModelParams, optim_state=None) -> None:
         "format_version": np.array(_CHECKPOINT_VERSION),
         "activation": np.array(_CHECKPOINT_ACTIVATION),
     }
-    for name in _PARAM_NAMES:
+    for name in _SHAPES:
         arrays[f"param_{name}"] = getattr(params, name)
     if optim_state is not None:
+        from .optim import BETA1, BETA2, EPS
+
         arrays["opt_step_count"] = np.array(optim_state.step_count)
-        arrays["opt_hyper"] = np.array([getattr(optim_state, key) for key in _OPT_HYPER])
+        hyper = [optim_state.base_lr, BETA1, BETA2, EPS, optim_state.weight_decay]
+        arrays["opt_hyper"] = np.array(hyper)
         for moment in ("m", "v"):
             for name in TRAINABLE:
                 arrays[f"opt_{moment}_{name}"] = getattr(optim_state, moment)[name]
@@ -356,10 +368,14 @@ def load_checkpoint(path):
     """Read a checkpoint back into ``(ModelParams, OptimState | None)``.
 
     A file that is not a readable ``.npz`` archive (truncated, corrupted, a
-    bare ``.npy`` array, or something else entirely), that lacks a field, whose
-    ``activation`` is not ``relu``, or whose tensors have the wrong shape or
-    non-finite values raises ``StateError`` naming the path and, when one is
-    at fault, the field.
+    bare ``.npy`` array, or something else entirely), that lacks a field, or
+    whose field fails its check raises ``StateError`` naming the path and,
+    when one is at fault, the field. Each field must have its shape, a real
+    dtype (``format_version`` and ``opt_step_count`` an integer one,
+    ``activation`` a string) and finite values; then ``format_version`` must be
+    1, ``activation`` ``relu``, ``opt_step_count`` >= 0, and ``opt_hyper`` must
+    hold ``optim``'s constants and a ``base_lr`` and ``weight_decay`` that
+    ``optim.check_adam`` accepts. Any ``opt_*`` field makes all of them required.
     """
     try:
         return _read_checkpoint(path)
@@ -370,67 +386,64 @@ def load_checkpoint(path):
 
 
 def _read_checkpoint(path):
-    from .optim import OptimState
+    from .optim import BETA1, BETA2, EPS, OptimState, check_adam
 
     data = np.load(path)
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise StateError(f"checkpoint {path} is not a readable .npz archive: it holds a bare array")
     with data:
-        version = int(data["format_version"])
+        sizes = {"a": 5}  # opt_hyper's slots: base_lr, beta1, beta2, eps, weight_decay
+
+        def field(name: str, dims: str = "", holds: str = "a real number") -> np.ndarray:
+            return _check_tensor(path, name, data[name], dims, sizes, holds)
+
+        version = field("format_version", holds="an integer")
         if version != _CHECKPOINT_VERSION:
-            raise StateError(f"unsupported checkpoint version {version}")
-        activation = str(data["activation"])
+            raise StateError(f"checkpoint {path}: unsupported format_version {version}")
+        activation = str(field("activation", holds="a string"))
         if activation != _CHECKPOINT_ACTIVATION:
             raise StateError(f"checkpoint {path}: activation is {activation!r}, not 'relu'")
-        has_optim = "opt_step_count" in data
-        shapes = _field_shapes(path, *(data[f"param_{name}"] for name in ("w1", "w2", "wc")))
-        arrays = {
-            key: _check_tensor(path, key, data[key], shape)
-            for key, shape in shapes.items()
-            if has_optim or key.startswith("param_")
-        }
-        params = ModelParams(**{name: arrays[f"param_{name}"] for name in _PARAM_NAMES})
-        optim_state = None
-        if has_optim:
-            optim_state = OptimState(
-                **dict(zip(_OPT_HYPER, arrays["opt_hyper"].tolist())),
-                step_count=int(data["opt_step_count"]),
-                m=ModelGrads(**{name: arrays[f"opt_m_{name}"] for name in TRAINABLE}),
-                v=ModelGrads(**{name: arrays[f"opt_v_{name}"] for name in TRAINABLE}),
+        params = ModelParams(**{name: field(f"param_{name}", _SHAPES[name]) for name in _SHAPES})
+        if not any(key.startswith("opt_") for key in data.files):
+            return params, None
+        step_count = int(field("opt_step_count", holds="an integer"))
+        if step_count < 0:
+            raise StateError(f"checkpoint {path}: opt_step_count is {step_count}, not >= 0")
+        base_lr, *constants, weight_decay = field("opt_hyper", "a").tolist()
+        try:
+            check_adam(base_lr, weight_decay)
+        except ConfigError as exc:
+            raise StateError(f"checkpoint {path}: opt_hyper: {exc}") from exc
+        if constants != [BETA1, BETA2, EPS]:
+            raise StateError(
+                f"checkpoint {path}: opt_hyper holds beta1, beta2, eps = {constants}, "
+                f"not Adam's constants {[BETA1, BETA2, EPS]}"
             )
-    return params, optim_state
+        m, v = (
+            ModelGrads(**{name: field(f"opt_{kind}_{name}", _SHAPES[name]) for name in TRAINABLE})
+            for kind in "mv"
+        )
+    return params, OptimState(base_lr, weight_decay, step_count=step_count, m=m, v=v)
 
 
-def _field_shapes(path, w1, w2, wc) -> dict[str, tuple[int, ...]]:
-    """Every tensor field's shape as implied by the three weight matrices."""
-    for name, arr in (("w1", w1), ("w2", w2), ("wc", wc)):
-        if arr.ndim != 2:
-            raise StateError(f"checkpoint {path}: param_{name} has shape {arr.shape}, not 2-D")
-    (in_dim, hidden), embed, classes = w1.shape, w2.shape[1], wc.shape[1]
-    shapes = {
-        "w1": (in_dim, hidden),
-        "b1": (hidden,),
-        "w2": (hidden, embed),
-        "b2": (embed,),
-        "bn_gamma": (embed,),
-        "bn_beta": (embed,),
-        "wc": (embed, classes),
-        "bc": (classes,),
-        "bn_running_mean": (embed,),
-        "bn_running_var": (embed,),
-    }
-    return {
-        **{f"param_{name}": shape for name, shape in shapes.items()},
-        "opt_hyper": (len(_OPT_HYPER),),
-        **{f"opt_{kind}_{name}": shapes[name] for kind in "mv" for name in TRAINABLE},
-    }
+def _check_tensor(
+    path, field: str, arr: np.ndarray, dims: str, sizes: dict, holds: str
+) -> np.ndarray:
+    """``arr`` if its shape, dtype and values suit ``field``; else ``StateError`` naming it.
 
-
-def _check_tensor(path, field: str, arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    ``dims`` has one letter per axis (see ``_SHAPES``; none for a scalar). A
+    letter not yet in ``sizes`` takes ``arr``'s length on that axis, which
+    the fields read after it must match.
+    """
+    if arr.ndim != len(dims):
+        raise StateError(f"checkpoint {path}: {field} has shape {arr.shape}, not {len(dims)}-D")
+    for dim, n in zip(dims, arr.shape):
+        sizes.setdefault(dim, n)
+    shape = tuple(sizes[dim] for dim in dims)
     if arr.shape != shape:
         raise StateError(f"checkpoint {path}: {field} has shape {arr.shape}, expected {shape}")
-    if arr.dtype.kind not in "iuf":
-        raise StateError(f"checkpoint {path}: {field} has dtype {arr.dtype}, not a real number")
-    if not np.isfinite(arr).all():
+    if arr.dtype.kind not in _KINDS[holds]:
+        raise StateError(f"checkpoint {path}: {field} has dtype {arr.dtype}, not {holds}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise StateError(f"checkpoint {path}: {field} has non-finite values")
     return arr

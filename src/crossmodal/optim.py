@@ -1,5 +1,7 @@
 """Decoupled-weight-decay Adam and the cosine learning-rate schedule.
 
+Adam's moment decays and ε are the standard ``BETA1``, ``BETA2`` and ``EPS``;
+only the base learning rate and the weight decay are settings.
 :func:`step` updates ``params.flat`` and the moment vectors ``state.m.flat`` and
 ``state.v.flat`` in one elementwise pass, with no loop over the tensors.
 """
@@ -13,50 +15,35 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .model import TRAINABLE, ModelGrads, ModelParams, check_single
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class OptimState:
-    """First/second moment accumulators plus the step counter and hyperparameters."""
+    """First/second moment accumulators plus the step counter and the two settings."""
 
-    base_lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-4
-    step_count: int = 0
-    m: ModelGrads | None = None
-    v: ModelGrads | None = None
+    base_lr: float
+    weight_decay: float
+    step_count: int
+    m: ModelGrads
+    v: ModelGrads
 
 
-def check_adam(
-    base_lr: float, weight_decay: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-) -> None:
-    """Adam's bounds: finite base_lr, weight_decay >= 0, eps > 0, betas in [0, 1); NaN fails."""
-    if not (0 <= base_lr < np.inf and eps > 0 and 0 <= weight_decay < np.inf):
-        raise ConfigError("base_lr/weight_decay must be finite and >= 0, and eps > 0")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ConfigError("betas must lie in [0, 1)")
+def check_adam(base_lr: float, weight_decay: float) -> None:
+    """Finite base_lr and weight_decay, each >= 0; NaN fails."""
+    if not (0 <= base_lr < np.inf and 0 <= weight_decay < np.inf):
+        raise ConfigError("base_lr/weight_decay must be finite and >= 0")
 
 
 def init_optim_state(
-    params: ModelParams,
-    base_lr: float = 3e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 1e-4,
+    params: ModelParams, base_lr: float = 3e-4, weight_decay: float = 1e-4
 ) -> OptimState:
     """Zeroed moments shaped like every trainable tensor."""
-    check_adam(base_lr, weight_decay, beta1, beta2, eps)
-    return OptimState(
-        base_lr=base_lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        weight_decay=weight_decay,
-        m=ModelGrads.adopt(np.zeros_like(params.flat), params),
-        v=ModelGrads.adopt(np.zeros_like(params.flat), params),
-    )
+    check_adam(base_lr, weight_decay)
+    m, v = (ModelGrads.adopt(np.zeros_like(params.flat), params) for _ in "mv")
+    return OptimState(base_lr, weight_decay, step_count=0, m=m, v=v)
 
 
 def step(state: OptimState, params: ModelParams, grads: ModelGrads, lr: float | None = None) -> None:
@@ -70,20 +57,20 @@ def step(state: OptimState, params: ModelParams, grads: ModelGrads, lr: float | 
     check_single("step", params=params.flat, grads=grads.flat, m=state.m.flat, v=state.v.flat)
     if lr is None:
         lr = state.base_lr
-    if lr < 0:
-        raise ConfigError("learning rate must be >= 0")
+    if not 0 <= lr < np.inf:
+        raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
     if not np.isfinite(grads.flat).all():
         raise NumericError(f"non-finite gradient for {_first_nonfinite(grads)}; step rejected")
     state.step_count += 1
-    c1 = 1.0 - state.beta1**state.step_count
-    c2 = 1.0 - state.beta2**state.step_count
+    c1 = 1.0 - BETA1**state.step_count
+    c2 = 1.0 - BETA2**state.step_count
     g, m, v, p = grads.flat, state.m.flat, state.v.flat, params.flat
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the tensor
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         if state.weight_decay != 0.0:
             p -= lr * state.weight_decay * p
     if not np.isfinite(p).all():

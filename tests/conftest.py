@@ -38,6 +38,13 @@ CORRUPT_CHECKPOINT_KINDS = (
     "nan_opt_m_w1",
     "wrong_shape_opt_v_bc",
     "identity_activation",
+    "two_format_versions",
+    "fractional_format_version",
+    "two_step_counts",
+    "negative_step_count",
+    "fractional_step_count",
+    "other_adam_constants",
+    "negative_base_lr",
 )
 
 
@@ -65,6 +72,23 @@ def write_corrupt_checkpoints(tmp_path):
         "nan_opt_m_w1": ("opt_m_w1", np.full((4, 5), np.nan), "opt_m_w1 has non-finite values"),
         "wrong_shape_opt_v_bc": ("opt_v_bc", np.zeros((2, 1)), "opt_v_bc has shape (2, 1)"),
         "identity_activation": ("activation", np.array("identity"), "activation is 'identity'"),
+        "two_format_versions": (
+            "format_version", np.array([1, 1]), "format_version has shape (2,)"
+        ),
+        "fractional_format_version": (
+            "format_version", np.array(1.7), "format_version has dtype float64, not an integer"
+        ),
+        "two_step_counts": ("opt_step_count", np.array([0, 0]), "opt_step_count has shape (2,)"),
+        "negative_step_count": ("opt_step_count", np.array(-5), "opt_step_count is -5, not >= 0"),
+        "fractional_step_count": (
+            "opt_step_count", np.array(1.5), "opt_step_count has dtype float64, not an integer"
+        ),
+        "other_adam_constants": (
+            "opt_hyper", np.array([3e-4, 1.5, 0.999, -1.0, 1e-4]), "opt_hyper holds beta1"
+        ),
+        "negative_base_lr": (
+            "opt_hyper", np.array([-1.0, 0.9, 0.999, 1e-8, 1e-4]), "opt_hyper: base_lr/weight_decay"
+        ),
     }
     for kind, (field, value, fragment) in tampered.items():
         fields = dict(np.load(good))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import CORRUPT_CHECKPOINT_KINDS, write_corrupt_checkpoints
@@ -6,6 +8,7 @@ from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, DimensionError, StateError
 from crossmodal.model import (
     BN_EPS,
+    BN_MOMENTUM,
     TRAINABLE,
     ModelGrads,
     backward,
@@ -120,25 +123,16 @@ def test_update_bn_stats_formula(rng):
     _, _, _, trace = forward(p, x)
     before_mean = p.bn_running_mean.copy()
     before_var = p.bn_running_var.copy()
-    update_bn_stats(p, trace, momentum=0.25)
-    n = 6
+    update_bn_stats(p, trace)
+    n, mom = 6, BN_MOMENTUM
     assert np.allclose(
-        p.bn_running_mean, 0.75 * before_mean + 0.25 * trace.mean, atol=1e-12
+        p.bn_running_mean, (1 - mom) * before_mean + mom * trace.mean, atol=1e-12
     )
     assert np.allclose(
         p.bn_running_var,
-        0.75 * before_var + 0.25 * trace.var * n / (n - 1),
+        (1 - mom) * before_var + mom * trace.var * n / (n - 1),
         atol=1e-12,
     )
-
-
-def test_update_bn_stats_guards(rng):
-    p = make_params(rng)
-    _, _, _, trace = forward(p, rng.normal(size=(6, 5)))
-    with pytest.raises(ConfigError):
-        update_bn_stats(p, trace, momentum=0.0)
-    with pytest.raises(ConfigError):
-        update_bn_stats(p, trace, momentum=1.5)
 
 
 def test_params_copy_is_deep(rng):
@@ -212,8 +206,9 @@ def test_checkpoint_roundtrip_with_optimizer(rng, tmp_path):
     save_checkpoint(path, p, state)
     loaded, opt = load_checkpoint(path)
     assert opt.step_count == 1
-    assert (opt.base_lr, opt.beta1, opt.beta2) == (0.01, 0.9, 0.999)
-    assert opt.weight_decay == 0.001
+    assert (opt.base_lr, opt.weight_decay) == (0.01, 0.001)
+    with np.load(path) as data:
+        assert data["opt_hyper"].tolist() == [0.01, 0.9, 0.999, 1e-8, 0.001]
     for name in TRAINABLE:
         assert np.array_equal(opt.m[name], state.m[name]), name
         assert np.array_equal(opt.v[name], state.v[name]), name
@@ -231,6 +226,42 @@ def test_corrupt_checkpoint_raises_state_error(tmp_path, kind):
     with pytest.raises(StateError) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value) and fragment in str(info.value)
+
+
+#: A checkpoint's members with optimizer state, in the order they are written.
+_MEMBERS = (
+    "format_version",
+    "activation",
+    *(f"param_{name}" for name in (*TRAINABLE, "bn_running_mean", "bn_running_var")),
+    "opt_step_count",
+    "opt_hyper",
+    *(f"opt_{kind}_{name}" for kind in "mv" for name in TRAINABLE),
+)
+
+
+@pytest.mark.parametrize("mutation", ["two_numbers", "two_strings", "text", "deleted"])
+@pytest.mark.parametrize("member", _MEMBERS)
+def test_every_checkpoint_member_fails_by_name(tmp_path, member, mutation):
+    # no layer size is 2, so a 2-element array has the wrong shape for every member
+    params = init_params(4, 5, 3, 6, RngStream(0))
+    good = tmp_path / "good.npz"
+    save_checkpoint(good, params, init_optim_state(params))
+    with np.load(good) as data:
+        members = dict(data)
+    assert tuple(members) == _MEMBERS
+    replacements = {
+        "two_numbers": np.zeros(2),
+        "two_strings": np.array(["a", "b"]),
+        "text": np.full(members[member].shape, "x"),
+    }
+    if mutation == "deleted":
+        del members[member]
+    else:
+        members[member] = replacements[mutation]
+    path = tmp_path / "tampered.npz"
+    np.savez(path, **members)
+    with pytest.raises(StateError, match=f"^checkpoint {re.escape(str(path))}: {member}[ :]"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_future_version(rng, tmp_path):

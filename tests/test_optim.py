@@ -29,9 +29,7 @@ def test_init_state_shapes_and_validation():
     with pytest.raises(ConfigError):
         init_optim_state(params, base_lr=-1.0)
     with pytest.raises(ConfigError):
-        init_optim_state(params, beta1=1.0)
-    with pytest.raises(ConfigError):
-        init_optim_state(params, eps=0.0)
+        init_optim_state(params, weight_decay=np.inf)
 
 
 def test_step_matches_scalar_oracle():
@@ -85,6 +83,19 @@ def test_explicit_lr_argument_overrides_base():
         assert np.array_equal(getattr(params, name), getattr(twin, name))
     with pytest.raises(ConfigError):
         step(state, params, grads, lr=-0.1)
+
+
+@pytest.mark.parametrize("lr", [-0.1, np.nan, np.inf])
+def test_bad_learning_rate_is_refused_before_any_write(lr):
+    params, grads = make_setup()
+    state = init_optim_state(params)
+    step(state, params, grads)  # warm the moments
+    before = [t.copy() for t in (params.flat, state.m.flat, state.v.flat)]
+    with pytest.raises(ConfigError, match="^learning rate must be finite and >= 0"):
+        step(state, params, grads, lr=lr)
+    assert state.step_count == 1
+    for now, then in zip((params.flat, state.m.flat, state.v.flat), before):
+        assert now.tobytes() == then.tobytes()
 
 
 def test_nonfinite_gradient_rejects_whole_step():

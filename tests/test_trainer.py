@@ -33,6 +33,7 @@ _INTEGER_PARAMETERS = {
     "check_encoder.hidden_dim": lambda v: check_encoder(hidden_dim=v),
     "FeatureLayout.color_dims": lambda v: FeatureLayout(1, v, 1),
     "RngStream.seed": lambda v: RngStream(v),
+    "RngStream.path": lambda v: RngStream(0).child(v),
     "check_component.instances": lambda v: check_component("l_id", instances=v),
     "generate.n_ids": lambda v: generate(v, 2, LAYOUT, 1.0, 0.1, RngStream(0)),
     "generate.per_modality": lambda v: generate(2, v, LAYOUT, 1.0, 0.1, RngStream(0)),
@@ -104,7 +105,7 @@ def test_config_validation():
     assert tiny_cfg().validate() is not None
 
 
-@pytest.mark.parametrize("value", [2.5, np.float64(2.0), True])
+@pytest.mark.parametrize("value", [2.5, np.float64(2.0), True, "2"])
 @pytest.mark.parametrize("param", list(_INTEGER_PARAMETERS))
 def test_integer_parameters_fail_by_name(param, value):
     # int() would truncate 2.5 (a 1.5 seed trains seed 1), and a bool is not a count
