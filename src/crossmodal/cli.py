@@ -254,10 +254,12 @@ def cmd_ablate(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"bad seed list {args.seeds!r}") from None
+    trainer.check_ablation(dataset, base.train, variants, seeds, eval_dataset)
+    if args.out:  # an unusable directory fails before the first variant trains
+        os.makedirs(args.out, exist_ok=True)
     rows = trainer.ablate(dataset, base.train, variants, seeds, eval_dataset)
     table = trainer.ablation_table(rows)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_atomic(os.path.join(args.out, "ablation.csv"), table)
     sys.stdout.write(table)
     return 0

@@ -4,8 +4,8 @@ Ranking is by euclidean distance. Equal distances (duplicated rows, exact
 zeros) rank by ascending gallery index. ``rank`` orders each query row by the
 matmul form of the squared distances and keeps that order only where a
 rounding-error bound proves it is the strict order of the difference-form
-distances. Every other row is sorted on ``cross_distances`` with the default
-sort, and stable-sorted again if it holds an exact tie.
+distances. Every other row is sorted on ``cross_distances`` with one stable
+sort.
 
 ``evaluate`` never builds a gallery order for a certified row. It needs only
 where each relevant gallery row lands: it sorts the row's matmul-form values,
@@ -100,13 +100,8 @@ _SCALAR_FORMATS = {"float": ".6f", "int": ""}
 
 
 def _exact_order(qf: np.ndarray, gf: np.ndarray) -> np.ndarray:
-    """Order on ``cross_distances``: default sort, stable re-sort of rows with an exact tie."""
-    dist = cross_distances(qf, gf)
-    order = np.argsort(dist, axis=1)
-    sorted_dist = np.take_along_axis(dist, order, axis=1)
-    tied = (sorted_dist[:, 1:] == sorted_dist[:, :-1]).any(axis=1)
-    order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
-    return order
+    """Order on ``cross_distances``: one stable sort, so equal distances keep gallery order."""
+    return np.argsort(cross_distances(qf, gf), axis=1, kind="stable")
 
 
 def _sort_certified(m: np.ndarray, scale: np.ndarray, d: int) -> np.ndarray:
@@ -135,11 +130,10 @@ def rank(query_feats, gallery_feats, query_ids, gallery_ids) -> RankingResult:
     never occurs in the gallery are dropped and counted.
 
     The order is the one the difference-form distances
-    ``D_j = fl(sqrt(s_j))``, ``s_j = fl(sum_k fl(fl(q_k - g_jk)^2))`` give:
-    sorted with the default (unstable) sort, and sorted again with a stable
-    sort where two sorted neighbours are equal (``==``, so 0.0 and -0.0 tie).
-    A row without such a tie has a single ascending order, which any sort
-    returns.
+    ``D_j = fl(sqrt(s_j))``, ``s_j = fl(sum_k fl(fl(q_k - g_jk)^2))`` give
+    under one stable sort: equal values (``==``, so 0.0 and -0.0 tie) keep
+    ascending gallery index. A row without a tie has a single ascending
+    order, which any sort returns.
 
     Rows are first ordered by the matmul form of the squared distances,
     one BLAS call per query block (``core._matmul_form``). A row keeps that
@@ -257,6 +251,14 @@ class _SimilarityBins:
         return counts
 
 
+def _labeled_rows(feats, ids, tags) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked ``(x, ids, tags)``: a feature matrix with one id and one string tag per row."""
+    x, ids, tags = as_matrix(feats), as_ids(ids, "ids"), np.asarray(tags, dtype=np.str_)
+    if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
+        raise DimensionError("ids/tags must match the feature row count")
+    return x, ids, tags
+
+
 def _similarity_stats(feats, ids, tags, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Clipped cosine counts and sums over cross-tag pairs: row 0 same identity, row 1 not.
 
@@ -265,13 +267,9 @@ def _similarity_stats(feats, ids, tags, bins: int) -> tuple[np.ndarray, np.ndarr
     ``sims[~same]``, then binned into ``np.histogram``'s bins by
     :class:`_SimilarityBins`.
     """
-    x = as_matrix(feats)
-    ids = as_ids(ids, "ids")
-    tags = np.asarray(tags, dtype=np.str_)
+    x, ids, tags = _labeled_rows(feats, ids, tags)
     if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 2:
         raise ConfigError(f"bins must be an integer >= 2, got {bins!r}")
-    if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
-        raise DimensionError("ids/tags must match the feature row count")
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     if (norms <= NORM_EPS).any():
         raise NumericError("cosine similarity undefined for (near-)zero-norm rows")
@@ -314,11 +312,7 @@ def modality_gap_ratio(feats, ids, tags) -> float:
     ``pairwise_distances``. Each group's distances go to its offset in the
     pair order, so both means are the same bit for bit.
     """
-    x = as_matrix(feats)
-    ids = as_ids(ids, "ids")
-    tags = np.asarray(tags, dtype=np.str_)
-    if ids.shape != (x.shape[0],) or tags.shape != (x.shape[0],):
-        raise DimensionError("ids/tags must match the feature row count")
+    x, ids, tags = _labeled_rows(feats, ids, tags)
     modality = np.unique(tags, return_inverse=True)[1]
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]

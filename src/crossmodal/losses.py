@@ -57,6 +57,13 @@ candidate on its threshold (the dyn empty-set fallback is not tracked).
 Training never calls it; the gradient checker does, to reject instances near
 a tie.
 
+Both stage objectives run one body, :func:`_objective`, on their stage's
+list of embedding terms ``(name, weight, loss, args)`` in summation order:
+stage 1 has ``intra``; stage 2 has ``global``, then ``msel`` at lambda1 and
+``dcl`` at lambda2, sharing one build of the identity-block distances. The
+body adds the identity term last when it is on (always in stage 1, with
+``include_id_stage2`` in stage 2) and merges the terms' mining records.
+
 Every public loss, ``compute_centers`` and both stage objectives also take
 stacks: a batch whose features are ``(S, n, d)``, one matrix per slice over
 the batch's one structure (:class:`~crossmodal.batch.LabeledBatch`), and
@@ -555,15 +562,6 @@ def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
     return LossOutput(num / den, grad, None if stacked else mining)
 
 
-def _check_stage(batch: LabeledBatch, stage: Stage) -> None:
-    mods = batch.structure.modalities
-    if set(mods) != set(stage.modality_pair):
-        raise StageError(
-            f"{stage.name} objective expects modalities {sorted(stage.modality_pair)}, "
-            f"batch has {sorted(mods)}"
-        )
-
-
 def _named(term: str, fn, *args):
     """``fn(*args)``; a ``NumericError`` it raises (a non-finite input) is raised again
     naming ``term``, with its own message after it.
@@ -587,6 +585,53 @@ def _finite(term: str, loss, *args) -> LossOutput:
     return part
 
 
+def _objective(
+    stage: Stage, batch: LabeledBatch, logits, labels, cfg: LossConfig
+) -> ObjectiveOutput:
+    """The staged total: ``stage``'s embedding terms in order, then the identity term if on.
+
+    The first term counts at weight 1 and each later one as ``value + w * v``,
+    its gradient as ``grad += w * g``; a term at weight 0 is not computed. The
+    identity term adds its value last; off, its logits gradient is zeros.
+    """
+    cfg.validate()
+    s = batch.structure
+    if set(s.modalities) != set(stage.modality_pair):
+        raise StageError(
+            f"{stage.name} objective expects modalities {sorted(stage.modality_pair)}, "
+            f"batch has {sorted(s.modalities)}"
+        )
+    if stage is Stage.STAGE1:
+        embedding_terms = [("intra", 1.0, hard_triplet_intra, (batch, cfg.margin))]
+    else:
+        block_dist = None
+        if cfg.lambda1 > 0:
+            block_dist = _named("global", _block_distances, batch.features, s.layout.pairs.blocks)
+        embedding_terms = [
+            ("global", 1.0, hard_triplet_global, (batch, cfg.margin, block_dist)),
+            ("msel", cfg.lambda1, msel, (batch, "euclid", block_dist)),
+            ("dcl", cfg.lambda2, dcl, (batch, cfg.dcl_mode)),
+        ]
+    terms, mined, grad = {}, [], None
+    for name, weight, loss, args in embedding_terms:
+        if weight == 0:
+            continue
+        part = _finite(name, loss, *args)
+        if grad is None:  # a stack's value array is also its term: never added to in place
+            value, grad = part.value, part.grad.copy()
+        else:
+            value = value + weight * part.value
+            grad += weight * part.grad
+        terms[name] = part.value
+        mined.append(part.mining)
+    grad_logits = np.zeros(np.shape(logits))
+    if stage is Stage.STAGE1 or cfg.include_id_stage2:
+        ce = _finite("id", identity_loss, logits, labels)
+        value, grad_logits, terms["id"] = value + ce.value, ce.grad, ce.value
+    mining = Mining(parts=tuple(mined)) if np.ndim(batch.features) == 2 else None
+    return ObjectiveOutput(value, grad, grad_logits, terms, mining)
+
+
 def stage1_objective(
     batch: LabeledBatch, logits, labels, cfg: LossConfig
 ) -> ObjectiveOutput:
@@ -594,17 +639,7 @@ def stage1_objective(
 
     A term whose input, value or gradient is not finite raises ``NumericError`` naming it.
     """
-    cfg.validate()
-    _check_stage(batch, Stage.STAGE1)
-    tri = _finite("intra", hard_triplet_intra, batch, cfg.margin)
-    ce = _finite("id", identity_loss, logits, labels)
-    return ObjectiveOutput(
-        value=tri.value + ce.value,
-        grad_embeddings=tri.grad,
-        grad_logits=ce.grad,
-        terms={"intra": tri.value, "id": ce.value},
-        mining=tri.mining,
-    )
+    return _objective(Stage.STAGE1, batch, logits, labels, cfg)
 
 
 def stage2_objective(
@@ -620,35 +655,4 @@ def stage2_objective(
     With ``msel`` on, the identity-block distances are built once and read
     by ``msel`` and, above ``_BLOCK`` rows, by the global triplet's miner.
     """
-    cfg.validate()
-    _check_stage(batch, Stage.STAGE2)
-    block_dist = None
-    if cfg.lambda1 > 0:
-        blocks = batch.structure.layout.pairs.blocks
-        block_dist = _named("global", _block_distances, batch.features, blocks)
-    tri = _finite("global", hard_triplet_global, batch, cfg.margin, block_dist)
-    value = tri.value  # a stack's value array is also its term: never added to in place
-    grad = tri.grad.copy()
-    terms = {"global": tri.value}
-    mined = [tri.mining]
-    if cfg.lambda1 > 0:
-        part = _finite("msel", msel, batch, "euclid", block_dist)
-        value = value + cfg.lambda1 * part.value
-        grad += cfg.lambda1 * part.grad
-        terms["msel"] = part.value
-        mined.append(part.mining)
-    if cfg.lambda2 > 0:
-        part = _finite("dcl", dcl, batch, cfg.dcl_mode)
-        value = value + cfg.lambda2 * part.value
-        grad += cfg.lambda2 * part.grad
-        terms["dcl"] = part.value
-        mined.append(part.mining)
-    if cfg.include_id_stage2:
-        ce = _finite("id", identity_loss, logits, labels)
-        value = value + ce.value
-        grad_logits = ce.grad
-        terms["id"] = ce.value
-    else:
-        grad_logits = np.zeros(np.shape(logits))
-    mining = Mining(parts=tuple(mined)) if np.ndim(batch.features) == 2 else None
-    return ObjectiveOutput(value, grad, grad_logits, terms, mining)
+    return _objective(Stage.STAGE2, batch, logits, labels, cfg)

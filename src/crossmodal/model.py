@@ -378,24 +378,28 @@ def load_checkpoint(path):
     ``optim.check_adam`` accepts. Any ``opt_*`` field makes all of them required.
     """
     try:
-        return _read_checkpoint(path)
+        with open(path, "rb") as fh:  # closed even when numpy cannot read the archive
+            return _read_checkpoint(path, np.load(fh))
     except KeyError as exc:  # numpy's message: "<field> is not a file in the archive"
         raise StateError(f"checkpoint {path}: {exc.args[0]}") from exc
     except (zipfile.BadZipFile, ValueError) as exc:
         raise StateError(f"checkpoint {path} is not a readable .npz archive: {exc}") from exc
 
 
-def _read_checkpoint(path):
+def _read_checkpoint(path, data):
     from .optim import BETA1, BETA2, EPS, OptimState, check_adam
 
-    data = np.load(path)
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise StateError(f"checkpoint {path} is not a readable .npz archive: it holds a bare array")
     with data:
         sizes = {"a": 5}  # opt_hyper's slots: base_lr, beta1, beta2, eps, weight_decay
 
         def field(name: str, dims: str = "", holds: str = "a real number") -> np.ndarray:
-            return _check_tensor(path, name, data[name], dims, sizes, holds)
+            try:
+                arr = data[name]
+            except (zipfile.BadZipFile, ValueError) as exc:  # e.g. an object array
+                raise StateError(f"checkpoint {path}: {name} cannot be read: {exc}") from exc
+            return _check_tensor(path, name, arr, dims, sizes, holds)
 
         version = field("format_version", holds="an integer")
         if version != _CHECKPOINT_VERSION:

@@ -280,22 +280,18 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def ablate(
+def check_ablation(
     dataset: SynthDataset,
     base_cfg: TrainConfig,
     variants: list[tuple[str, dict[str, str]]],
     seeds: list[int],
     eval_dataset: SynthDataset | None = None,
-) -> list[dict]:
-    """Train every config variant over the seed list; summarize final metrics.
+) -> list[tuple[str, TrainConfig]]:
+    """Each variant's name and validated config, for :func:`ablate`'s arguments.
 
-    ``variants`` maps a name to dotted config-key overrides (see
-    :mod:`crossmodal.config`); an empty list runs the base config alone. A row
-    holds ``<key>_mean``, ``_std`` and ``_values`` per ``_ABLATION_METRICS`` key.
     An empty seed list, a negative seed, or a variant whose config is invalid
     or cannot train and score on the datasets (see :func:`check_dataset`)
-    raises ``ConfigError``, naming the variant, before any run; a variant that
-    fails while training is recorded as an error row and the rest still run.
+    raises ``ConfigError``, naming the variant.
     """
     from .config import apply_train_overrides
 
@@ -311,6 +307,26 @@ def ablate(
         except ConfigError as exc:
             raise ConfigError(f"variant {name!r}: {exc}") from exc
         configs.append((name, cfg))
+    return configs
+
+
+def ablate(
+    dataset: SynthDataset,
+    base_cfg: TrainConfig,
+    variants: list[tuple[str, dict[str, str]]],
+    seeds: list[int],
+    eval_dataset: SynthDataset | None = None,
+) -> list[dict]:
+    """Train every config variant over the seed list; summarize final metrics.
+
+    ``variants`` maps a name to dotted config-key overrides (see
+    :mod:`crossmodal.config`); an empty list runs the base config alone. A row
+    holds ``<key>_mean``, ``_std`` and ``_values`` per ``_ABLATION_METRICS`` key.
+    Arguments that :func:`check_ablation` refuses raise its ``ConfigError``
+    before any run; a variant that fails while training is recorded as an
+    error row and the rest still run.
+    """
+    configs = check_ablation(dataset, base_cfg, variants, seeds, eval_dataset)
     rows: list[dict] = []
     for name, cfg in configs:
         try:

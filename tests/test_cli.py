@@ -594,6 +594,25 @@ def test_ablate_failed_write_keeps_previous_table(small_data, tmp_path, capsys, 
     assert [p.name for p in out_dir.iterdir()] == ["ablation.csv"]
 
 
+def test_ablate_unusable_out_fails_before_training(small_data, tmp_path, capsys, monkeypatch):
+    cfg = write_small_config(tmp_path, small_data)
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    trained = []
+    real = cli.trainer.train
+
+    def counting(*args, **kwargs):
+        trained.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.trainer, "train", counting)
+    args = ["--config", str(cfg), "--data", str(small_data), "--seeds", "0,1"]
+    rc = main(["ablate", *args, "--out", str(out)])
+    assert rc == 2
+    assert trained == []
+    assert str(out) in capsys.readouterr().err
+
+
 def test_ablate_bad_variants_line_exits_1(small_data, tmp_path, capsys):
     cfg = write_small_config(tmp_path, small_data)
     variants = tmp_path / "variants.txt"

@@ -239,7 +239,7 @@ _MEMBERS = (
 )
 
 
-@pytest.mark.parametrize("mutation", ["two_numbers", "two_strings", "text", "deleted"])
+@pytest.mark.parametrize("mutation", ["two_numbers", "two_strings", "text", "objects", "deleted"])
 @pytest.mark.parametrize("member", _MEMBERS)
 def test_every_checkpoint_member_fails_by_name(tmp_path, member, mutation):
     # no layer size is 2, so a 2-element array has the wrong shape for every member
@@ -253,6 +253,7 @@ def test_every_checkpoint_member_fails_by_name(tmp_path, member, mutation):
         "two_numbers": np.zeros(2),
         "two_strings": np.array(["a", "b"]),
         "text": np.full(members[member].shape, "x"),
+        "objects": np.array([1, "x", None], dtype=object),
     }
     if mutation == "deleted":
         del members[member]
