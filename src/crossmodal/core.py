@@ -21,10 +21,14 @@ _U = 2.0**-53
 _SCALE_RANGE = (2.0**-960, 2.0**1020)
 
 
-def check_int(name: str, value) -> None:
-    """``ConfigError`` naming ``name`` unless ``value`` is a Python or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """``ConfigError`` naming ``name`` unless ``value`` is a Python or numpy integer, not a bool,
+    and, with ``minimum``, at least ``minimum``.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def as_ids(values, name: str) -> np.ndarray:

@@ -36,6 +36,7 @@ from .core import (
     _matmul_form,
     as_ids,
     as_matrix,
+    check_int,
     cross_distances,
     pairwise_distances,
 )
@@ -268,8 +269,7 @@ def _similarity_stats(feats, ids, tags, bins: int) -> tuple[np.ndarray, np.ndarr
     :class:`_SimilarityBins`.
     """
     x, ids, tags = _labeled_rows(feats, ids, tags)
-    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 2:
-        raise ConfigError(f"bins must be an integer >= 2, got {bins!r}")
+    check_int("bins", bins, minimum=2)
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     if (norms <= NORM_EPS).any():
         raise NumericError("cosine similarity undefined for (near-)zero-norm rows")

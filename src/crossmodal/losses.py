@@ -42,10 +42,26 @@ pair masks are derived only when read.
 The batch-hard triplet mines on the dense difference-form matrix up to
 ``core._BLOCK`` rows. Above that it builds no n x n distance matrix: hardest
 positives come exactly from the identity blocks, and hardest negatives from
-the matmul form of the squared distances wherever ``core._certified`` (the
-bound ``evalkit.rank`` uses) proves a row's choice. Every other row is mined
-on its difference-form distances, which keeps exact ties, zeros and the
+the matmul form of the squared distances, built ``_ROWS`` rows at a time,
+wherever one ``core._certified`` call over all rows (the bound
+``evalkit.rank`` uses) proves a row's choice. Every other row is mined on
+its difference-form distances, which keeps exact ties, zeros and the
 lowest-index rule, so both routes choose the same pairs bit for bit.
+
+At n rows, P identities of 2K rows and d dimensions, the stage-2 kernels
+stream their large temporaries in blocks of ``_ROWS`` rows, so a 64-row
+batch is one block. The largest are: the miner's ``_ROWS`` x n matmul form
+(and a ``_BLOCK`` x n x d difference tensor for rows the certificate leaves
+to the difference form); the identity-block distances' difference tensor
+over ``_ROWS // 2K`` whole identities (at least one), ``_ROWS`` x 2K x d;
+the center distances' P x ``_ROWS`` x d one. Each result is the one-shot
+one bit for bit: a ``_euclid`` entry reduces only its own d-vector, and the
+certificate proves each mined index whatever rounding the matmul form had.
+Two n x n-sized matrices remain, both BLAS operands: the batch-hard
+triplet's pair-weight matrix (n x n) and ``dcl``'s rows stacked with their
+centers ((n + P) x (n + P)). Splitting their rows can move OpenBLAS onto
+another kernel for small products and change the gradient's bits, so they
+stay whole.
 
 Each loss built on euclidean distances returns a :class:`Mining` record of its
 decisions, made of references to arrays it built anyway (the batch-hard
@@ -113,6 +129,10 @@ _SIGNS = np.array([[1.0], [-1.0]])
 
 #: Denominator threshold below which the center-loss ratio is considered degenerate.
 DCL_EPS = 1e-12
+
+#: Rows per block of the hardest-negative miner, the identity-block distances
+#: (whole identities, at least one) and the center distances.
+_ROWS = 64
 
 
 @dataclass
@@ -365,22 +385,30 @@ def _hardest_positives(
 def _hardest_negatives(feats: np.ndarray, masks: PairMasks) -> np.ndarray:
     """Each row's nearest row of another identity, lowest row index on ties.
 
-    The matmul form, with every same-identity entry at +inf, gives each row
-    its smallest entry and, with that entry masked, its runner-up. A row
-    keeps its smallest entry when ``core._certified`` proves it the unique
-    nearest negative in the difference form. Every other row (exact ties,
-    duplicated rows, ulp-close pairs, scales outside ``_SCALE_RANGE``) is
-    mined on its difference-form distances, ``_BLOCK`` rows at a time.
+    Rows go in blocks of ``_ROWS``. A block's matmul form (``_ROWS`` x n),
+    with each row's same-identity entries at +inf, gives each of its rows
+    its smallest entry and, with that entry masked, its runner-up. One
+    ``core._certified`` call over all rows then keeps a row's smallest entry
+    wherever it proves it the unique nearest negative in the difference
+    form, whatever rounding the block's product had. Every other row (exact
+    ties, duplicated rows, ulp-close pairs, scales outside ``_SCALE_RANGE``)
+    is mined on its difference-form distances, ``_BLOCK`` rows at a time.
+    So no n x n matrix is built: the largest temporary is one block's
+    matmul form, or a fallback block's ``_BLOCK`` x n x d difference tensor.
     """
-    m, scale = _matmul_form(feats, feats)
-    b = masks.blocks
-    m[b[:, :, None], b[:, None, :]] = np.inf
-    rows = np.arange(len(feats))
-    near = m.argmin(axis=1)
-    first = m[rows, near]
-    m[rows, near] = np.inf
-    with np.errstate(invalid="ignore"):
-        gap = m.min(axis=1) - first
+    n = len(feats)
+    near = np.empty(n, dtype=np.intp)
+    gap, scale = np.empty(n), np.empty(n)
+    for a in range(0, n, _ROWS):
+        part = slice(a, a + _ROWS)
+        m, scale[part] = _matmul_form(feats[part], feats)
+        at = np.arange(len(m))
+        m[at[:, None], masks.blocks[masks.id_codes[part]]] = np.inf  # each row's own identity
+        near[part] = j = m.argmin(axis=1)
+        first = m[at, j]
+        m[at, j] = np.inf
+        with np.errstate(invalid="ignore"):
+            gap[part] = m.min(axis=1) - first
     bad = np.flatnonzero(~_certified(gap, scale, feats.shape[1]))
     for a in range(0, bad.size, _BLOCK):
         part = bad[a : a + _BLOCK]
@@ -395,8 +423,23 @@ def _block_distances(feats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     ``blocks`` are the block rows (``PairMasks.blocks``). Non-finite
     features raise ``NumericError``, as in every loss.
     """
-    x = as_matrix(feats, stack=True).take(blocks, axis=-2)
-    return _euclid(x, x)
+    return _within_blocks(as_matrix(feats, stack=True).take(blocks, axis=-2))
+
+
+def _within_blocks(x: np.ndarray) -> np.ndarray:
+    """``_euclid(x, x)`` of block rows ``x`` ``(..., P, 2K, d)``, about ``_ROWS`` rows at a time.
+
+    Each chunk holds ``max(1, _ROWS // 2K)`` whole blocks. Each entry
+    reduces only its own d-vector, so the chunks equal the one-shot form
+    bit for bit; the largest temporary is one chunk's difference tensor,
+    at most ``max(_ROWS, 2K)`` x 2K x d floats per slice.
+    """
+    out = np.empty(x.shape[:-1] + x.shape[-2:-1])
+    step = max(1, _ROWS // x.shape[-2])
+    for a in range(0, x.shape[-3], step):
+        part = x[..., a : a + step, :, :]
+        out[..., a : a + step, :, :] = _euclid(part, part)
+    return out
 
 
 def hard_triplet_global(
@@ -467,7 +510,7 @@ def msel(
         blocks, (intra, cross) = np.arange(n)[None], s.layout.batch_pairs
     x = feats.take(blocks, axis=-2)  # C order, as the reductions below need
     if metric == "euclid":
-        dist = _euclid(x, x) if block_dist is None else block_dist
+        dist = _within_blocks(x) if block_dist is None else block_dist
     else:
         dist = _cosine(as_matrix(feats, stack=True))[..., None, :, :]
     diff = (dist * intra).sum(axis=-1) / (k - 1) - (dist * cross).sum(axis=-1) / k
@@ -494,15 +537,23 @@ def msel(
 
 
 def compute_centers(batch: LabeledBatch) -> CenterStats:
-    """Identity centers (mean of all 2K rows) and mean other-identity distances."""
+    """Identity centers (mean of all 2K rows) and mean other-identity distances.
+
+    The P x n center distances are filled ``_ROWS`` batch rows at a time,
+    each entry from its own d-vector as in the one-shot ``_euclid``, so the
+    largest temporary is a P x ``_ROWS`` x d difference tensor per slice.
+    """
     s = batch.structure
     if len(s.identities) < 2:
         raise ConfigError("center statistics need at least two identities")
     feats = as_matrix(batch.features, stack=True)
     own, count = s.members
     centers = (own @ feats) / count[:, None]
-    dist = _euclid(centers, feats)
-    neg_margins = (dist * ~own).sum(axis=-1) / (feats.shape[-2] - count)
+    n = feats.shape[-2]
+    dist = np.empty(centers.shape[:-1] + (n,))
+    for a in range(0, n, _ROWS):
+        dist[..., a : a + _ROWS] = _euclid(centers, feats[..., a : a + _ROWS, :])
+    neg_margins = (dist * ~own).sum(axis=-1) / (n - count)
     return CenterStats(s.identities, centers, neg_margins, own, dist)
 
 

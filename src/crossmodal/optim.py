@@ -1,7 +1,8 @@
 """Decoupled-weight-decay Adam and the cosine learning-rate schedule.
 
 Adam's moment decays and ε are the standard ``BETA1``, ``BETA2`` and ``EPS``;
-only the base learning rate and the weight decay are settings.
+only the base learning rate and the weight decay are settings, with defaults
+``DEFAULT_BASE_LR`` and ``DEFAULT_WEIGHT_DECAY`` (read by ``trainer.TrainConfig``).
 :func:`step` updates ``params.flat`` and the moment vectors ``state.m.flat`` and
 ``state.v.flat`` in one elementwise pass, with no loop over the tensors.
 """
@@ -18,6 +19,8 @@ from .model import TRAINABLE, ModelGrads, ModelParams, check_single
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+DEFAULT_BASE_LR = 3e-4
+DEFAULT_WEIGHT_DECAY = 1e-4
 
 
 @dataclass
@@ -38,7 +41,9 @@ def check_adam(base_lr: float, weight_decay: float) -> None:
 
 
 def init_optim_state(
-    params: ModelParams, base_lr: float = 3e-4, weight_decay: float = 1e-4
+    params: ModelParams,
+    base_lr: float = DEFAULT_BASE_LR,
+    weight_decay: float = DEFAULT_WEIGHT_DECAY,
 ) -> OptimState:
     """Zeroed moments shaped like every trainable tensor."""
     check_adam(base_lr, weight_decay)

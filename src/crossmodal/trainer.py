@@ -32,7 +32,14 @@ from .model import (
     init_params,
     update_bn_stats,
 )
-from .optim import check_adam, cosine_lr, init_optim_state, step
+from .optim import (
+    DEFAULT_BASE_LR,
+    DEFAULT_WEIGHT_DECAY,
+    check_adam,
+    cosine_lr,
+    init_optim_state,
+    step,
+)
 from .synthdata import SynthDataset
 
 SCHEDULES = ("gray_first", "rgb_first")
@@ -59,8 +66,8 @@ class TrainConfig:
     stage1_epochs: int = 10
     schedule: str = "gray_first"
     loss: LossConfig = field(default_factory=LossConfig)
-    base_lr: float = 3e-4
-    weight_decay: float = 1e-4
+    base_lr: float = DEFAULT_BASE_LR
+    weight_decay: float = DEFAULT_WEIGHT_DECAY
     seed: int = 0
     eval_every: int = 0
     eval_direction: str = "t2v"

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import oracles
 from conftest import make_pk_batch
 from crossmodal.batch import LabeledBatch
 from crossmodal import losses
-from crossmodal.core import _BLOCK, RngStream, _certified, pairwise_distances
+from crossmodal.core import _BLOCK, RngStream, _certified, _euclid, pairwise_distances
 from crossmodal.errors import (
     ConfigError,
     DegenerateError,
@@ -403,6 +404,105 @@ def test_mining_routes_meet_at_the_block_size(p, fallback_rows):
         expected = oracles.batch_hard_gap(feats, labels, margin)
         assert out.mining.gap() == pytest.approx(expected, rel=0, abs=1e-12)
     assert len(fallback_rows) == (2 if len(batch) > _BLOCK else 0)
+
+
+# ---------------------------------------------------------------- streamed stage-2 kernels
+# Above losses._ROWS rows the miner, the identity-block distances and the
+# center distances run in row blocks. The miner's blocks hold 64 rows, so
+# rows 63 and 64 lie on either side of its first block boundary.
+
+#: rows -> (P, K) of a P x K x 2-modality batch
+_STREAMED_SHAPES = {72: (9, 4), 200: (25, 4), 512: (32, 8)}
+
+
+def _tied_nearest(n):
+    """A batch of ``n`` rows, some of whose nearest negatives tie exactly; and those rows.
+
+    Odd identities sit on a grid of step 2^-20 at 2^8 from the origin, where
+    the difference form is exact, so distances tie often, and the matmul
+    form's rounding error (~2^-34) hides their order; even identities are in
+    general position. Then, for each ``(anchor, row)`` below, the anchor's
+    nearest negative is copied onto ``row``, a row of another identity: the
+    anchor has two nearest negatives at the same distance (a duplicated row
+    and an exact tie). The first pair lies inside the first block; the other
+    two straddle its boundary.
+    """
+    p, k = _STREAMED_SHAPES[n]
+    batch = make_pk_batch(RngStream(n), p, k, 2)
+    x, labels = batch.features.copy(), batch.labels
+    grid = labels % 2 == 1
+    x[grid] = 2.0**8 + RngStream(n + 1).integers(0, 64, size=(grid.sum(), 2)) * 2.0**-20
+    assert losses._ROWS == 64  # the pairs below sit around the first block boundary
+    pairs = ((9, 30), (62, 65), (66, 60))
+    for anchor, row in pairs:
+        neg = labels != labels[anchor]
+        assert neg[row]
+        x[row] = x[np.where(neg, pairwise_distances(x)[anchor], np.inf).argmin()]
+    return LabeledBatch(x, labels, batch.modalities), [anchor for anchor, _ in pairs]
+
+
+@pytest.mark.parametrize("n", sorted(_STREAMED_SHAPES))
+def test_streamed_miner_is_the_dense_form_bit_for_bit(n, monkeypatch):
+    proved = []
+
+    def spy(gap, scale, d):
+        proved.append(_certified(gap, scale, d))
+        return proved[-1]
+
+    monkeypatch.setattr(losses, "_certified", spy)
+    batch, anchors = _tied_nearest(n)
+    x, labels = batch.features, batch.labels
+    dist = np.where(labels[:, None] != labels, pairwise_distances(x), np.inf)
+    for a in anchors:  # each anchor's two nearest negatives tie
+        two = np.sort(dist[a])[:2]
+        assert two[0] == two[1]
+    masks = batch.structure.layout.pairs
+    assert np.array_equal(losses._hardest_negatives(x, masks), dist.argmin(axis=1))
+    for margin in (0.1, 1.0):
+        out = hard_triplet_global(batch, margin)
+        value, grad = oracles.dense_batch_hard(x, labels, margin)
+        assert out.value == value and np.array_equal(out.grad, grad)
+    # one certificate call over all rows per mining; on each side of the first
+    # block boundary some rows are proved and some fall back, the anchors among them
+    assert [len(p) for p in proved] == [n] * 3
+    for p in proved:
+        assert not p[anchors].any()
+        for side in (p[:64], p[64:]):
+            assert side.any() and not side.all()
+
+
+@pytest.mark.parametrize("p", [32, 33])  # 33 identities: a last block of one identity
+def test_streamed_distances_are_the_one_shot_form_bit_for_bit(p):
+    batch = make_pk_batch(RngStream(p), p, 8, 16)
+    batch.structure  # a stack carries the structure of a validated batch
+    stack = replace(batch, features=np.stack([batch.features, -2.0 * batch.features]))
+    for b in (batch, stack):
+        blocks = b.structure.layout.pairs.blocks
+        x = b.features.take(blocks, axis=-2)
+        assert np.array_equal(losses._block_distances(b.features, blocks), _euclid(x, x))
+        stats = compute_centers(b)
+        assert np.array_equal(stats.distances, _euclid(stats.centers, b.features))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda b: losses._hardest_negatives(b.features, b.structure.layout.pairs),
+        lambda b: losses._block_distances(b.features, b.structure.layout.pairs.blocks),
+        compute_centers,
+    ],
+    ids=["hardest_negatives", "block_distances", "compute_centers"],
+)
+def test_streamed_kernels_peak_below_a_megabyte(kernel):
+    batch = make_pk_batch(RngStream(0), 32, 8, 16)  # 512 rows, as the wide benchmark
+    kernel(batch)  # derives the batch's layout and memberships outside the trace
+    tracemalloc.start()
+    try:
+        kernel(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------- invariances
