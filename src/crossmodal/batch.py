@@ -197,8 +197,9 @@ class RowLayout:
     Everything here is derived on first use and read-only, with identity
     blocks in this layout's own code order. Every kernel that reads the
     blocks treats each block on its own, so a batch whose identity codes
-    relabel ``id_codes`` by a permutation reads the layout as it is; only
-    its memberships come in code order (:attr:`BatchStructure.members`).
+    relabel ``id_codes`` by a permutation reads the layout as it is. The
+    layout holds no memberships: :attr:`BatchStructure.members` derives
+    them, in the batch's code order, from the batch's drawn ``order``.
     ``block_pairs`` gives every identity block of a layout shared that way
     one modality pattern.
     """
@@ -217,13 +218,6 @@ class RowLayout:
         rows = [np.flatnonzero(self.mod_codes == code) for code in (0, 1)]  # two modalities
         _read_only(*rows)
         return tuple((r, PairMasks.of(self.id_codes[r])) for r in rows)
-
-    @cached_property
-    def members(self) -> tuple[np.ndarray, np.ndarray]:
-        own = self.id_codes[None, :] == np.arange(len(self.pairs.blocks))[:, None]
-        count = own.sum(axis=1)
-        _read_only(own, count)
-        return own, count
 
     @cached_property
     def block_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +252,12 @@ class BatchStructure:
 
     @cached_property
     def members(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(own, count)``: P x n whether row r has identity code c, and each code's row count."""
-        own, count = self.layout.members
-        own, count = own[self.order], count[self.order]
+        """``(own, count)``: P x n whether row r has identity code c, and each code's row count.
+
+        Derived from ``order``: code c owns the layout rows of identity ``order[c]``.
+        """
+        own = self.layout.id_codes[None, :] == self.order[:, None]
+        count = own.sum(axis=1)
         _read_only(own, count)
         return own, count
 

@@ -74,7 +74,9 @@ def _build_parser() -> _Parser:
     ab.add_argument("--out", help="directory for the table file")
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")
-    gc.add_argument("--seeds", type=int, default=20, help="instances per component")
+    gc.add_argument(
+        "--seeds", type=int, default=gradcheck.DEFAULT_INSTANCES, help="instances per component"
+    )
     gc.add_argument("--seed", type=int, default=0, help="base RNG seed")
     gc.add_argument("--tol", type=float, default=gradcheck.DEFAULT_TOL)
     gc.add_argument("--component", action="append", choices=gradcheck.COMPONENTS)

@@ -400,6 +400,8 @@ def evaluate(
     kept = np.flatnonzero(np.isin(qid, gid))
     if kept.size == 0:
         raise DegenerateError("no query has a relevant gallery row")
+    if not counts[1].any():
+        raise DegenerateError("no query-gallery pair crosses identities: no negative similarity")
     by_id = np.argsort(gid, kind="stable")
     grouped = gid[by_id]
     first_of = np.searchsorted(grouped, qid[kept])

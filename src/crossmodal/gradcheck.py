@@ -4,12 +4,15 @@ Each component check draws random "general position" instances: batches are
 resampled until every hinge argument, hardest-pair margin, selection
 threshold, and rectifier input sits at least ``TIE_TOL`` away from
 its non-smooth point, so a 1e-6 perturbation cannot flip any discrete choice.
-The mining decisions are not re-derived here: regularity reads the
-:class:`~crossmodal.losses.Mining` record each loss returns, through its
-``gap``. Only two tests are local: the rectifier inputs of the model
-check, and the norm floor that keeps cosine ``msel`` well conditioned. The
-output that judged the accepted instance is the one whose gradient is
-checked; it is not computed a second time.
+The mining decisions are not re-derived here: one regularity test,
+:func:`_regular`, reads the :class:`~crossmodal.losses.Mining` record each
+loss returns, through its ``gap``, and every component keeps a candidate
+whose gap is at least ``TIE_TOL``. The model checks add one local test, on
+the rectifier inputs. The norm floor that keeps cosine ``msel`` well
+conditioned is not a regularity test: it lives in that component's loss
+function, which returns None for a batch below the floor, and a None
+output is never kept. The output that judged the accepted instance is the
+one whose gradient is checked; it is not computed a second time.
 
 One table maps each component to a drawer of ``(analytic, value_fn, x)``
 triples; :func:`_worst` takes their finite differences and keeps the largest
@@ -48,6 +51,10 @@ DEFAULT_TOL = 1e-5
 #: noise/tol = 1e-4 for the ratio to measure the analytic formula and not
 #: the arithmetic.
 REL_FLOOR = 1e-2
+#: Candidates drawn for one instance before the checker gives up.
+ATTEMPTS = 200
+#: Instances per component unless a caller asks for another count.
+DEFAULT_INSTANCES = 20
 
 #: The loss settings every check uses; its ``msel`` metric is euclid, so the
 #: stage objectives need no norm floor.
@@ -104,11 +111,11 @@ def _differences(value_fn, x: np.ndarray) -> np.ndarray:
     return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(x.shape)
 
 
-def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_FLOOR) -> float:
-    """Worst per-coordinate |a - n| / max(|a|, |n|, floor)."""
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Worst per-coordinate |a - n| / max(|a|, |n|, ``REL_FLOOR``)."""
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), REL_FLOOR)
     return float((np.abs(a - n) / denom).max())
 
 
@@ -119,18 +126,25 @@ def _random_batch(rng: RngStream, p: int, k: int, dim: int, pair: tuple[str, str
     return LabeledBatch(feats, labels, mods)
 
 
-def _gap(out) -> float:
-    """Distance from ``out``'s inputs to its nearest kink; no record, no decision."""
-    return np.inf if out.mining is None else out.mining.gap()
+def _regular(out) -> bool:
+    """Whether ``out``'s inputs sit at least ``TIE_TOL`` from every kink.
+
+    No mining record means no decision; a refused batch (None) is not regular.
+    """
+    return out is not None and (out.mining is None or out.mining.gap() >= TIE_TOL)
 
 
-def _norm_floored(feats: np.ndarray) -> bool:
-    """Cosine ``msel`` conditioning guard, not a mining decision: no row near 0."""
-    return bool(np.sqrt((feats**2).sum(axis=1)).min() > 1e-2)
+def _msel_cosine(batch: LabeledBatch):
+    """Cosine ``msel``, or None for a batch with a row norm at or below 1e-2.
+
+    The floor is a conditioning guard, not a mining decision.
+    """
+    feats = batch.features
+    return losses.msel(batch, "cosine") if np.sqrt((feats**2).sum(axis=-1)).min() > 1e-2 else None
 
 
-def _draw_until(rng: RngStream, make, regular, attempts: int = 200):
-    for trial in range(attempts):
+def _draw_until(rng: RngStream, make, regular):
+    for trial in range(ATTEMPTS):
         candidate = make(rng.child(trial))
         if regular(candidate):
             return candidate
@@ -150,20 +164,15 @@ def _worst(rng: RngStream, instances: int, draw) -> float:
     return float(np.max(errors))
 
 
-def _batch_loss(stage: Stage, loss_fn, regular=None, screen=None):
-    """Gradient of a batch loss w.r.t. the features of an 18-row batch.
-
-    A candidate batch must pass ``screen(batch)``, when given, before its
-    loss runs, and ``regular(out)`` on its loss output.
-    """
-    regular = regular or (lambda out: _gap(out) >= TIE_TOL)
+def _batch_loss(stage: Stage, loss_fn):
+    """Gradient of a batch loss w.r.t. the features of an 18-row batch."""
 
     def draw(r: RngStream):
         def make(s: RngStream):
             batch = _random_batch(s, 3, 3, 4, stage.modality_pair)
-            return batch, loss_fn(batch) if screen is None or screen(batch) else None
+            return batch, loss_fn(batch)
 
-        batch, out = _draw_until(r, make, lambda c: c[1] is not None and regular(c[1]))
+        batch, out = _draw_until(r, make, lambda c: _regular(c[1]))
         value = lambda f: loss_fn(replace(batch, features=f)).value
         return [(out.grad, value, batch.features)]
 
@@ -189,7 +198,7 @@ def _objective(stage: Stage):
             batch = _random_batch(s, 3, 3, 4, stage.modality_pair)
             return batch, objective(batch, logits, batch.labels, _BASE)
 
-        batch, out = _draw_until(r, make, lambda c: _gap(c[1]) >= TIE_TOL)
+        batch, out = _draw_until(r, make, lambda c: _regular(c[1]))
         labels = batch.labels
         by_emb = lambda f: objective(replace(batch, features=f), logits, labels, _BASE).value
         by_logits = lambda z: objective(batch, z, labels, _BASE).value
@@ -214,7 +223,7 @@ def _model(stage: Stage):
 
         def regular(candidate) -> bool:
             _, out, _, trace = candidate
-            return np.abs(trace.z1).min() >= TIE_TOL and _gap(out) >= TIE_TOL
+            return np.abs(trace.z1).min() >= TIE_TOL and _regular(out)
 
         params, _, grads, _ = _draw_until(r.child(1), make, regular)
         value = lambda flat: _forward_objective(
@@ -231,16 +240,8 @@ _DRAWERS = {
     "l_id": _identity,
     "l_intra": _batch_loss(Stage.STAGE1, lambda b: losses.hard_triplet_intra(b, _BASE.margin)),
     "l_global": _batch_loss(Stage.STAGE2, lambda b: losses.hard_triplet_global(b, _BASE.margin)),
-    "msel_euclid": _batch_loss(
-        Stage.STAGE2,
-        lambda b: losses.msel(b, "euclid"),
-        lambda out: _gap(out) > TIE_TOL,  # msel's test is strict
-    ),
-    "msel_cosine": _batch_loss(
-        Stage.STAGE2,
-        lambda b: losses.msel(b, "cosine"),
-        screen=lambda b: _norm_floored(b.features),
-    ),
+    "msel_euclid": _batch_loss(Stage.STAGE2, lambda b: losses.msel(b, "euclid")),
+    "msel_cosine": _batch_loss(Stage.STAGE2, _msel_cosine),
     "dcl_hard": _batch_loss(Stage.STAGE2, lambda b: losses.dcl(b, "hard")),
     "dcl_all": _batch_loss(Stage.STAGE2, lambda b: losses.dcl(b, "all")),
     "dcl_dyn": _batch_loss(Stage.STAGE2, lambda b: losses.dcl(b, "dyn")),
@@ -252,7 +253,7 @@ _DRAWERS = {
 COMPONENTS = tuple(_DRAWERS)
 
 
-def check_component(name: str, instances: int = 20, seed: int = 0) -> float:
+def check_component(name: str, instances: int = DEFAULT_INSTANCES, seed: int = 0) -> float:
     """Max relative error between analytic and finite-difference gradients."""
     if name not in COMPONENTS:
         raise ConfigError(f"unknown component {name!r}, expected one of {COMPONENTS}")
@@ -263,7 +264,7 @@ def check_component(name: str, instances: int = 20, seed: int = 0) -> float:
 
 
 def run_suite(
-    instances: int = 20, seed: int = 0, tol: float = DEFAULT_TOL, components=None
+    instances: int = DEFAULT_INSTANCES, seed: int = 0, tol: float = DEFAULT_TOL, components=None
 ) -> list[ComponentResult]:
     """Check ``components`` in order (all when None); a result passes at error <= ``tol``."""
     if not (np.isfinite(tol) and tol > 0):

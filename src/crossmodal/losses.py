@@ -123,6 +123,9 @@ from .errors import (
 
 MSEL_METRICS = ("euclid", "cosine")
 DCL_MODES = ("hard", "all", "dyn")
+#: The triplet margin and center-loss mode that ``LossConfig`` and the losses default to.
+DEFAULT_MARGIN = 0.1
+DEFAULT_DCL_MODE = "dyn"
 
 #: The batch-hard pair weights of an anchor's hardest positive and hardest negative.
 _SIGNS = np.array([[1.0], [-1.0]])
@@ -212,10 +215,10 @@ class ObjectiveOutput:
 class LossConfig:
     """Weights and switches for the staged objectives."""
 
-    margin: float = 0.1
+    margin: float = DEFAULT_MARGIN
     lambda1: float = 0.5
     lambda2: float = 0.5
-    dcl_mode: str = "dyn"
+    dcl_mode: str = DEFAULT_DCL_MODE
     include_id_stage2: bool = False
 
     def validate(self) -> "LossConfig":
@@ -443,7 +446,7 @@ def _within_blocks(x: np.ndarray) -> np.ndarray:
 
 
 def hard_triplet_global(
-    batch: LabeledBatch, margin: float = 0.1, block_dist: np.ndarray | None = None
+    batch: LabeledBatch, margin: float = DEFAULT_MARGIN, block_dist: np.ndarray | None = None
 ) -> LossOutput:
     """Batch-hard triplet loss mined over all rows, ignoring modality tags.
 
@@ -454,7 +457,7 @@ def hard_triplet_global(
     return _batch_hard(batch.features, margin, batch.structure.layout.pairs, block_dist)
 
 
-def hard_triplet_intra(batch: LabeledBatch, margin: float = 0.1) -> LossOutput:
+def hard_triplet_intra(batch: LabeledBatch, margin: float = DEFAULT_MARGIN) -> LossOutput:
     """Batch-hard triplet loss mined separately inside each of the two modalities."""
     feats = batch.features
     value = 0.0
@@ -557,7 +560,7 @@ def compute_centers(batch: LabeledBatch) -> CenterStats:
     return CenterStats(s.identities, centers, neg_margins, own, dist)
 
 
-def dcl(batch: LabeledBatch, mode: str = "dyn") -> LossOutput:
+def dcl(batch: LabeledBatch, mode: str = DEFAULT_DCL_MODE) -> LossOutput:
     """Ratio of within-identity compactness to selected negative-to-center spread.
 
     The numerator sums, per identity, the mean distance of its rows to its

@@ -43,7 +43,9 @@ from .optim import (
 from .synthdata import SynthDataset
 
 SCHEDULES = ("gray_first", "rgb_first")
-DIRECTIONS = ("t2v", "v2t")
+#: Evaluation direction -> its (query, gallery) modality tags.
+_DIRECTION_TAGS = {"t2v": ("ir", "vis"), "v2t": ("vis", "ir")}
+DIRECTIONS = tuple(_DIRECTION_TAGS)
 #: Ablation column prefix -> the final-evaluation ``EvalReport`` field it summarizes.
 _ABLATION_METRICS = {
     "rank1": "rank1",
@@ -118,16 +120,22 @@ def stage_for_epoch(cfg: TrainConfig, epoch: int) -> Stage:
 
 
 def _eval_rows(dataset: SynthDataset, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """Query and gallery row indices for ``direction``; ``ConfigError`` if none can be scored."""
+    """Query and gallery row indices for ``direction``; ``ConfigError`` if none can be scored.
+
+    A split must hold both modalities, share an identity between its query
+    and gallery rows, and hold at least two identities in them: with one,
+    no query-gallery pair crosses identities.
+    """
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}")
-    ir_rows = dataset.modality_rows(Modality.IR)
-    vis_rows = dataset.modality_rows(Modality.VIS)
-    if ir_rows.size == 0 or vis_rows.size == 0:
+    q_rows, g_rows = (dataset.modality_rows(tag) for tag in _DIRECTION_TAGS[direction])
+    if q_rows.size == 0 or g_rows.size == 0:
         raise ConfigError("evaluation needs both visible and infrared rows")
-    q_rows, g_rows = (ir_rows, vis_rows) if direction == "t2v" else (vis_rows, ir_rows)
-    if not np.isin(dataset.labels[q_rows], dataset.labels[g_rows]).any():
+    q_ids, g_ids = dataset.labels[q_rows], dataset.labels[g_rows]
+    if not np.isin(q_ids, g_ids).any():
         raise ConfigError(f"no {direction} query identity appears in the evaluation gallery")
+    if (q_ids == g_ids[0]).all() and (g_ids == g_ids[0]).all():
+        raise ConfigError(f"{direction} evaluation needs two identities, its rows hold one")
     return q_rows, g_rows
 
 
@@ -140,7 +148,7 @@ def evaluate_params(
     the roles.
     """
     q_rows, g_rows = _eval_rows(dataset, direction)
-    q_tag, g_tag = ("ir", "vis") if direction == "t2v" else ("vis", "ir")
+    q_tag, g_tag = _DIRECTION_TAGS[direction]
     qf = extract_test_features(params, dataset.features[q_rows])
     gf = extract_test_features(params, dataset.features[g_rows])
     return evaluate(
@@ -156,19 +164,22 @@ def evaluate_params(
 def check_dataset(
     dataset: SynthDataset, cfg: TrainConfig, eval_dataset: SynthDataset | None = None
 ) -> None:
-    """``ConfigError`` unless every stage the schedule plays can draw its P x K batches
-    and the final epoch can score ``eval_dataset`` (else ``dataset``).
+    """``ConfigError`` unless ``cfg`` is valid, every stage the schedule plays can draw
+    its P x K batches, and the final epoch can score ``eval_dataset`` (else ``dataset``).
+
+    The one check a run makes before it starts: :func:`train` and
+    :func:`check_ablation` call it and do not validate ``cfg`` themselves.
     """
-    spec = BatchSpec(cfg.p, cfg.k)
+    cfg.validate()
     ids = dataset.identities
-    if len(ids) < spec.p:
-        raise ConfigError(f"dataset has {len(ids)} identities, batches need {spec.p}")
+    if len(ids) < cfg.p:
+        raise ConfigError(f"dataset has {len(ids)} identities, batches need {cfg.p}")
     for stage in dict.fromkeys(stage_for_epoch(cfg, e) for e in range(cfg.epochs)):
         for mod in stage.modality_pair:
-            short = [int(i) for i in ids if dataset.count_of(int(i), mod) < spec.k]
+            short = [int(i) for i in ids if dataset.count_of(int(i), mod) < cfg.k]
             if short:
                 raise ConfigError(
-                    f"{stage.name} needs {spec.k} {mod!r} rows per identity; "
+                    f"{stage.name} needs {cfg.k} {mod!r} rows per identity; "
                     f"identities {short[:4]} fall short"
                 )
     _eval_rows(dataset if eval_dataset is None else eval_dataset, cfg.eval_direction)
@@ -238,7 +249,6 @@ def train(
     epoch. ``on_epoch(epoch, params, log)`` is called after each epoch when
     provided, e.g. to stream logs or save checkpoints.
     """
-    cfg.validate()
     check_dataset(dataset, cfg, eval_dataset)
     classes = dataset.identities
     spec = BatchSpec(cfg.p, cfg.k)
@@ -309,7 +319,7 @@ def check_ablation(
     configs = []
     for name, delta in variants or [("base", {})]:
         try:
-            cfg = apply_train_overrides(base_cfg, delta).validate()
+            cfg = apply_train_overrides(base_cfg, delta)
             check_dataset(dataset, cfg, eval_dataset)
         except ConfigError as exc:
             raise ConfigError(f"variant {name!r}: {exc}") from exc

@@ -360,6 +360,31 @@ def test_unusable_dataset_exits_1_before_creating_the_run(
     assert not run_dir.exists()
 
 
+def test_train_on_a_one_identity_eval_split_exits_1_before_creating_the_run(
+    small_data, tmp_path, capsys
+):
+    cfg = write_small_config(tmp_path, small_data, _one_identity(tmp_path, small_data))
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--out", str(run_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "t2v evaluation needs two identities" in err
+    assert not run_dir.exists()
+
+
+def test_eval_on_a_one_identity_split_exits_1(small_data, tmp_path, capsys):
+    cfg = write_small_config(tmp_path, small_data)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    one_id = _one_identity(tmp_path, small_data)
+    rc = main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"), "--data", str(one_id)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "evaluation needs two identities" in captured.err
+
+
 @pytest.mark.parametrize(
     "content,needle",
     [

@@ -490,6 +490,14 @@ def test_evaluate_refuses_one_tag_before_ranking(monkeypatch):
     assert calls == []
 
 
+def test_evaluate_one_identity_has_no_negative_pair():
+    # every query and gallery row holds identity 3: no pair crosses identities
+    rngs = np.random.default_rng(5)
+    q, g = rngs.normal(size=(4, 3)), rngs.normal(size=(6, 3))
+    with pytest.raises(DegenerateError, match="no query-gallery pair crosses identities"):
+        evaluate(q, [3] * 4, g, [3] * 6)
+
+
 @pytest.mark.parametrize("bins", [2.5, "30", 30.0, None, True, 1, np.int64(1)])
 def test_bins_other_than_an_integer_from_2_fail_by_name(bins):
     rngs = np.random.default_rng(5)
