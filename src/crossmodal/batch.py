@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .core import RngStream, as_ids, as_vector, check_int
+from .core import RngStream, as_ids, as_vector, check_int, subsets
 from .errors import ConfigError, DimensionError, NumericError, SamplingError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -380,12 +380,31 @@ def sample_batch(
 
     Stage 1 draws grayscale+infrared rows, stage 2 visible+infrared. Identity
     choice is uniform; the same stream always reproduces the same batch.
+    This is the first batch of :func:`sample_batches` on ``[rng]``.
+    """
+    return next(sample_batches(dataset, spec, stage, [rng]))
+
+
+def sample_batches(
+    dataset: "SynthDataset", spec: BatchSpec, stage: Stage, rngs: Sequence[RngStream]
+) -> Iterator[LabeledBatch]:
+    """Yield the :func:`sample_batch` batch of each stream in ``rngs``, in order.
+
+    Each stream makes two generator calls: one ``choice`` for its P
+    identities, then one ``integers`` call in :func:`~crossmodal.core.subsets`
+    for its 2P cells, drawn identity by drawn identity, its first tag then
+    its second; these draw exactly the rows a ``choice`` per cell would
+    (cells of more than 10 000 rows may take ``choice`` itself, see there).
+    Every stream draws before the first batch is yielded, and the rows of
+    all the batches are gathered at once from the dataset's padded row table
+    (:meth:`~crossmodal.synthdata.SynthDataset.row_table`). A batch whose
+    features are not all finite raises ``NumericError`` when its turn
+    comes, after the batches before it.
 
     The batch carries its structure: the rows of the j-th drawn identity are
     block j of the layout shared by every batch of this stage and shape
     (``_sampled_layout``), so the only per-batch derivation is the order of
-    the P drawn identities. The batch is not validated again; its features
-    are checked to be finite.
+    the P drawn identities. The batch is not validated again.
     """
     pair = stage.modality_pair
     ids = dataset.identities
@@ -398,19 +417,23 @@ def sample_batch(
                 f"identity {ident} has {dataset.count_of(ident, mod)} {mod!r} rows, "
                 f"batch needs {spec.k}"
             )
-    chosen = rng.choice(len(ids), size=spec.p, replace=False)
-    cells = dataset.cells(pair)
-    picks = []
-    for i in chosen:
-        for rows in cells[i]:
-            picks.append(rows[rng.choice(len(rows), size=spec.k, replace=False)])
-    idx = np.concatenate(picks)
+    p, k, n = int(spec.p), int(spec.k), len(rngs)
+    draws = [rng.choice(len(ids), size=p, replace=False) for rng in rngs]
+    chosen = np.array(draws, dtype=np.int64).reshape(n, p)
+    rows, counts = dataset.row_table(pair)
+    cells = rows[chosen].reshape(n, 2 * p, rows.shape[-1])  # each stream's 2P cells, draw order
+    picks = subsets(rngs, counts[chosen].reshape(n, 2 * p), k)
+    idx = np.take_along_axis(cells, picks, axis=2).reshape(n, 2 * p * k)
     features, labels, tags = dataset.features[idx], dataset.labels[idx], dataset.modalities[idx]
-    _check_finite(features)
-    p, k = int(spec.p), int(spec.k)
+    finite = np.isfinite(features).all(axis=(1, 2))
     layout = _sampled_layout(stage, p, k)
-    order = np.argsort(chosen)  # identity code c is the drawn identity order[c]
-    identities = ids[chosen[order]]
+    order = np.argsort(chosen, axis=1)  # identity code c is the drawn identity order[c]
+    identities = ids[np.take_along_axis(chosen, order, axis=1)]
     _read_only(labels, tags, identities, order)
-    structure = BatchStructure(labels, tags, identities, tuple(sorted(pair)), k, layout, order)
-    return LabeledBatch(features, labels, tags, structure)
+    mods = tuple(sorted(pair))
+    for i in range(n):
+        if not finite[i]:
+            _check_finite(features[i])  # raises
+        lab, tag = labels[i], tags[i]  # one view each, shared by the batch and its structure
+        structure = BatchStructure(lab, tag, identities[i], mods, k, layout, order[i])
+        yield LabeledBatch(features[i], lab, tag, structure)

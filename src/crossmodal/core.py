@@ -19,6 +19,8 @@ _U = 2.0**-53
 #: bound, and far enough below the overflow threshold that no intermediate
 #: overflows.
 _SCALE_RANGE = (2.0**-960, 2.0**1020)
+#: Above this population numpy's no-replacement ``choice`` may shuffle instead of running Floyd.
+_TAIL_POP = 10_000
 
 
 def check_int(name: str, value, minimum: int | None = None) -> None:
@@ -106,18 +108,29 @@ def _cosine(x: np.ndarray) -> np.ndarray:
     return 1.0 - s
 
 
-def _matmul_form(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gallery_terms(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``b`` side of :func:`_matmul_form`: ``((-2 b)^T, |b_j|^2, max_j |b_j|)``.
+
+    A caller that forms many row blocks against one ``b`` computes these once.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        b2 = np.einsum("ij,ij->i", b, b)
+        return (-2.0 * b).T, b2, np.sqrt(b2.max())
+
+
+def _matmul_form(a: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
     """Matmul-form squared euclid distances less ``|a_i|^2``, and each row's squared scale.
 
+    ``terms`` are :func:`_gallery_terms` of the rows ``b``.
     ``m[i, j] = fl(fl(a_i . (-2 b_j)) + fl(|b_j|^2))``, from one BLAS call;
     ``|a_i|^2`` is left out because it shifts the whole row.
     ``scale[i] = (|a_i| + max_j |b_j|)^2``. Overflow is not reported:
     :func:`_certified` proves nothing for a row it reaches.
     """
+    neg2_bt, b2, b_max = terms
     with np.errstate(over="ignore", invalid="ignore"):
-        b2 = np.einsum("ij,ij->i", b, b)
-        scale = (np.sqrt(np.einsum("ij,ij->i", a, a)) + np.sqrt(b2.max())) ** 2
-        m = a @ (-2.0 * b).T
+        scale = (np.sqrt(np.einsum("ij,ij->i", a, a)) + b_max) ** 2
+        m = a @ neg2_bt
         m += b2
     return m, scale
 
@@ -249,3 +262,58 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"
+
+
+def subsets(streams, pops, k: int) -> np.ndarray:
+    """``out[s, i]``: ``choice(pops[s, i], size=k, replace=False)`` on ``streams[s]``, bit for bit.
+
+    ``pops`` holds one row of populations per stream. Each stream makes one
+    ``integers`` call for its row and ends where one ``choice`` per
+    population, in row order, leaves it. For a population of at most
+    ``_TAIL_POP`` rows, or with k <= pop // 50, numpy's no-replacement
+    ``choice`` runs Floyd's algorithm: draws in [0, j] for j = pop - k ...
+    pop - 1, a drawn value already taken replaced by j, then a Fisher-Yates
+    pass over the k picks, draws in [0, i] for i = k - 1 ... 1; each a
+    bounded draw as ``integers`` makes it, with every bound known before the
+    first. So all streams' draws are made first and one numpy step per pick
+    serves every population. Other populations (numpy shuffles instead) are
+    drawn by ``choice`` itself.
+
+    ``tests/test_core.py`` checks the equality against ``Generator.choice``
+    on both branches, so a numpy that draws otherwise fails there by name.
+    """
+    pops = np.asarray(pops, dtype=np.int64)
+    check_int("k", k, minimum=1)
+    if pops.ndim != 2 or len(pops) != len(streams):
+        raise DimensionError(f"need one row of populations per stream, got shape {pops.shape}")
+    if pops.size and pops.min() < k:
+        raise ConfigError(f"cannot draw {k} of {pops.min()} without replacement")
+    gens = [stream._gen for stream in streams]
+    if ((pops > _TAIL_POP) & (k > pops // 50)).any():
+        rows = [[g.choice(p, size=k, replace=False) for p in row] for g, row in zip(gens, pops)]
+        return np.array(rows)
+    step = np.arange(2 * k - 1)
+    # exclusive bounds: pop - k + 1 ... pop for Floyd's draws, k ... 2 for the shuffle's
+    high = np.where(step < k, pops[..., None] + (1 - k + step), 2 * k - step)
+    draws = np.array([g.integers(0, h) for g, h in zip(gens, high)], dtype=np.int64)
+    draws = draws.reshape(-1, step.size)
+    return _floyd(draws, high.reshape(-1, step.size), k).reshape(*pops.shape, k)
+
+
+def _floyd(draws: np.ndarray, high: np.ndarray, k: int) -> np.ndarray:
+    """Floyd's k picks then their Fisher-Yates shuffle, per row of ``draws``, a step per pick.
+
+    ``draws`` holds each population's 2k - 1 draws (:func:`subsets`)
+    and ``high`` their exclusive bounds, so Floyd's step t replaces a value
+    drawn before by ``high[:, t] - 1``.
+    """
+    n, d = len(draws), draws.T
+    out, top = d[:k].copy(), high.T[:k] - 1
+    for t in range(1, k):
+        np.copyto(out[t], top[t], where=np.logical_or.reduce(out[:t] == d[t]))
+    flat, at = out.reshape(-1), d[k:] * n + np.arange(n)
+    for s, i in enumerate(range(k - 1, 0, -1)):  # swap pick i with pick d[k + s]
+        held = flat.take(at[s])
+        flat.put(at[s], out[i])
+        out[i] = held
+    return out.T

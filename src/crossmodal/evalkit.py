@@ -33,6 +33,7 @@ from .core import (
     _BLOCK as _PAIRWISE_BLOCK,
     _certified,
     _euclid,
+    _gallery_terms,
     _matmul_form,
     as_ids,
     as_matrix,
@@ -146,7 +147,7 @@ def rank(query_feats, gallery_feats, query_ids, gallery_ids) -> RankingResult:
     keep its values and its tie rule.
     """
     qf, gf, qid, gid = _ranking_inputs(query_feats, gallery_feats, query_ids, gallery_ids)
-    m, scale = _matmul_form(qf, gf)
+    m, scale = _matmul_form(qf, _gallery_terms(gf))
     order = np.argsort(m, axis=1)
     certified = _sort_certified(m, scale, qf.shape[1])
     if not certified.all():
@@ -342,10 +343,11 @@ def modality_gap_ratio(feats, ids, tags) -> float:
 
 
 def _hit_positions(
-    qf: np.ndarray, gf: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    qf: np.ndarray, gf: np.ndarray, terms, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Positions of the relevant gallery rows ``cols`` of queries ``rows`` in ``rank``'s order.
 
+    ``terms`` are ``gf``'s :func:`_gallery_terms`, computed once per evaluation.
     ``rows`` is ascending; the positions come back ascending within each row,
     paired with ``rows`` as ``np.nonzero`` of ``rank``'s relevance would pair
     them. A certified row's values are distinct, so a hit's position is the
@@ -353,7 +355,7 @@ def _hit_positions(
     row reads its positions off ``_exact_order``, the rows and call ``rank``
     uses.
     """
-    m, scale = _matmul_form(qf, gf)
+    m, scale = _matmul_form(qf, terms)
     values = m[rows, cols]
     certified = _sort_certified(m, scale, qf.shape[1])
     if not certified.all():
@@ -406,13 +408,13 @@ def evaluate(
     grouped = gid[by_id]
     first_of = np.searchsorted(grouped, qid[kept])
     count = np.searchsorted(grouped, qid[kept], side="right") - first_of
-    scores = []
+    terms, scores = _gallery_terms(gf), []
     for a in range(0, kept.size, _BLOCK):
         n = count[a : a + _BLOCK]
         rows = np.repeat(np.arange(n.size), n)
         starts = np.cumsum(n) - n
         cols = by_id[np.arange(rows.size) + np.repeat(first_of[a : a + _BLOCK] - starts, n)]
-        pos = _hit_positions(qf[kept[a : a + _BLOCK]], gf, rows, cols)
+        pos = _hit_positions(qf[kept[a : a + _BLOCK]], gf, terms, rows, cols)
         scores.append(_hit_scores(rows, pos, (n.size, gf.shape[0])))
     first, ap, inp = map(np.concatenate, zip(*scores))
     return EvalReport(

@@ -106,6 +106,7 @@ from .core import (
     _certified,
     _cosine,
     _euclid,
+    _gallery_terms,
     _matmul_form,
     as_ids,
     as_matrix,
@@ -402,9 +403,10 @@ def _hardest_negatives(feats: np.ndarray, masks: PairMasks) -> np.ndarray:
     n = len(feats)
     near = np.empty(n, dtype=np.intp)
     gap, scale = np.empty(n), np.empty(n)
+    terms = _gallery_terms(feats)
     for a in range(0, n, _ROWS):
         part = slice(a, a + _ROWS)
-        m, scale[part] = _matmul_form(feats[part], feats)
+        m, scale[part] = _matmul_form(feats[part], terms)
         at = np.arange(len(m))
         m[at[:, None], masks.blocks[masks.id_codes[part]]] = np.inf  # each row's own identity
         near[part] = j = m.argmin(axis=1)

@@ -44,7 +44,7 @@ class SynthDataset:
     _index: dict = field(init=False, repr=False, default_factory=dict)
     _min_count: dict = field(init=False, repr=False, default_factory=dict)
     _identities: np.ndarray = field(init=False, repr=False, default=None)
-    _cells: dict = field(init=False, repr=False, default_factory=dict)
+    _tables: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.features, self.labels, self.modalities = coerce_rows(
@@ -79,14 +79,26 @@ class SynthDataset:
         mod = modality.value if isinstance(modality, Modality) else str(modality)
         return self._index.get((int(identity), mod), np.empty(0, dtype=np.int64))
 
-    def cells(self, pair: tuple[str, str]) -> list[tuple[np.ndarray, ...]]:
-        """Per identity, in ``identities`` order, its :meth:`rows_of` each tag in ``pair``.
+    def row_table(self, pair: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, counts)``: per identity in ``identities`` order, its :meth:`rows_of` per tag.
 
-        Built on the first call for a pair and kept: the batch sampler reads it every step.
+        The tags are those of ``pair``, in its order.
+        ``rows`` is n_ids x 2 x w, each cell's rows padded to the widest cell
+        with ``len(self)``, an index past the last row; ``counts`` (n_ids x 2)
+        says how many of each cell's entries are rows. Built on the first
+        call for a pair and kept, read-only: the batch sampler reads it every
+        epoch.
         """
-        if pair not in self._cells:
-            self._cells[pair] = [tuple(self.rows_of(i, m) for m in pair) for i in self.identities]
-        return self._cells[pair]
+        if pair not in self._tables:
+            cells = [self.rows_of(i, m) for i in self.identities for m in pair]
+            counts = np.array([c.size for c in cells], dtype=np.int64)
+            rows = np.full((len(cells), counts.max(initial=0)), len(self), dtype=np.int64)
+            for row, cell in zip(rows, cells):
+                row[: cell.size] = cell
+            rows, counts = rows.reshape(-1, 2, rows.shape[1]), counts.reshape(-1, 2)
+            rows.flags.writeable = counts.flags.writeable = False
+            self._tables[pair] = rows, counts
+        return self._tables[pair]
 
     def count_of(self, identity: int, modality: str | Modality) -> int:
         return int(self.rows_of(identity, modality).size)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .batch import BatchSpec, LabeledBatch, Modality, Stage, sample_batch
+from .batch import BatchSpec, LabeledBatch, Modality, Stage, sample_batches
 from .core import RngStream, check_int
 from .errors import ConfigError, CrossmodalError, NumericError
 from .evalkit import EvalReport, evaluate
@@ -268,9 +268,12 @@ def train(
         stage = stage_for_epoch(cfg, epoch)
         lr = cosine_lr(epoch, cfg.epochs, cfg.base_lr, cfg.base_lr / 100.0)
         sums: dict[str, float] = defaultdict(float)
+        batches = sample_batches(
+            dataset, spec, stage, [root.child(1, epoch, b) for b in range(n_steps)]
+        )
         for b in range(n_steps):
             try:
-                batch = sample_batch(dataset, spec, stage, root.child(1, epoch, b))
+                batch = next(batches)
                 targets = np.searchsorted(classes, batch.labels)
                 out, grads, trace = loss_and_grads(params, batch, stage, cfg.loss, targets)
                 step(opt, params, grads, lr)

@@ -8,7 +8,8 @@ exactly rather than just in distribution. The exceptions are
 ``ranked_block_scores``, which rebuilds ``evaluate``'s retrieval metrics from
 the library's own ``rank`` so they can be compared bit for bit, and
 ``similarity_stats`` and ``gap_ratio``, the library's former vectorized
-similarity diagnostics, kept verbatim as bitwise references.
+similarity diagnostics, and ``per_cell_rows``, the former PK sampler's
+draws, kept verbatim as bitwise references.
 """
 
 import math
@@ -509,3 +510,20 @@ def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, weight_decay):
         new_m.append(mi)
         new_v.append(vi)
     return new_p, new_m, new_v
+
+
+def per_cell_rows(dataset, spec, stage, rng):
+    """``sample_batch``'s draws as the library used to make them: ``(chosen, rows)``.
+
+    One ``choice`` for the P identities, then one per (identity, modality)
+    cell, in draw order and the stage's tag order; ``rows`` concatenates the
+    K dataset rows picked from each cell.
+    """
+    ids = dataset.identities
+    chosen = rng.choice(len(ids), size=spec.p, replace=False)
+    picks = []
+    for i in chosen:
+        for mod in stage.modality_pair:
+            rows = dataset.rows_of(ids[i], mod)
+            picks.append(rows[rng.choice(len(rows), size=spec.k, replace=False)])
+    return chosen, np.concatenate(picks)

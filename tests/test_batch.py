@@ -2,6 +2,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from conftest import make_pk_batch
 
@@ -15,6 +16,7 @@ from crossmodal.batch import (
     Stage,
     grayscale_of,
     sample_batch,
+    sample_batches,
 )
 from crossmodal.config import parse_config_file
 from crossmodal.core import RngStream
@@ -197,6 +199,106 @@ def _scrambled_dataset() -> SynthDataset:
     tags = np.tile(np.repeat(["vis", "gray", "ir"], 9), 40)
     perm = rng.permutation(labels.size)
     return SynthDataset(rng.normal(size=(labels.size, 5)), labels[perm], tags[perm])
+
+
+def _uneven_dataset() -> SynthDataset:
+    """The bundled split less up to 3 rows per (identity, modality) cell: 5 to 8 rows each."""
+    full = make_benchmark("train")
+    keep = np.ones(len(full), dtype=bool)
+    for ident in full.identities:
+        for shift, mod in enumerate(("vis", "gray", "ir")):
+            keep[full.rows_of(ident, mod)[: (ident + shift) % 4]] = False
+    return SynthDataset(full.features[keep], full.labels[keep], full.modalities[keep])
+
+
+_DRAW_CASES = {
+    "bundled": (lambda: load_features(ROOT / "data" / "benchmark_train.csv"), BatchSpec(8, 4)),
+    "uneven": (_uneven_dataset, BatchSpec(8, 4)),
+    "scrambled": (_scrambled_dataset, BatchSpec(32, 8)),
+}
+
+
+@pytest.mark.parametrize("stage", list(Stage))
+@pytest.mark.parametrize("case", list(_DRAW_CASES))
+def test_sample_batch_draws_the_rows_of_one_choice_per_cell(stage, case):
+    make, spec = _DRAW_CASES[case]
+    ds = make()
+    if case == "uneven":
+        assert sorted(set(ds.row_table(stage.modality_pair)[1].ravel().tolist())) == [5, 6, 7, 8]
+    for seed in range(50):
+        ours, ref = RngStream(seed, (9,)), RngStream(seed, (9,))
+        batch = sample_batch(ds, spec, stage, ours)
+        chosen, rows = oracles.per_cell_rows(ds, spec, stage, ref)
+        assert np.array_equal(batch.features, ds.features[rows])
+        assert np.array_equal(batch.labels, ds.labels[rows])
+        assert np.array_equal(batch.modalities, ds.modalities[rows])
+        assert np.array_equal(batch.structure.identities, np.sort(ds.identities[chosen]))
+        assert ours.integers(2**62) == ref.integers(2**62)  # both streams end in one place
+
+
+@pytest.mark.parametrize("stage", list(Stage))
+def test_sample_batches_yield_each_streams_own_batch(stage):
+    ds, spec = _uneven_dataset(), BatchSpec(8, 4)
+    streams = [RngStream(5, (1, b)) for b in range(6)]
+    batches = list(sample_batches(ds, spec, stage, streams))
+    assert len(batches) == len(streams)
+    assert list(sample_batches(ds, spec, stage, [])) == []
+    for b, batch in enumerate(batches):
+        want = sample_batch(ds, spec, stage, RngStream(5, (1, b)))
+        assert np.array_equal(batch.features, want.features)
+        assert np.array_equal(batch.labels, want.labels)
+        assert np.array_equal(batch.modalities, want.modalities)
+        assert np.array_equal(batch.structure.identities, want.structure.identities)
+        assert np.array_equal(batch.structure.order, want.structure.order)
+        assert batch.structure.layout is want.structure.layout
+        assert not batch.labels.flags.writeable and not batch.structure.order.flags.writeable
+
+
+def test_sample_batches_raise_a_non_finite_batch_in_its_turn():
+    full, spec, stage = make_benchmark("train"), BatchSpec(8, 4), Stage.STAGE2
+    feats = full.features.copy()
+    feats[full.rows_of(full.identities[0], "ir")] = np.nan  # in every batch drawing it
+    ds = SynthDataset(feats, full.labels, full.modalities)
+    streams = [RngStream(4, (b,)) for b in range(12)]
+    bad = []
+    for b in range(len(streams)):
+        try:
+            sample_batch(ds, spec, stage, RngStream(4, (b,)))
+            bad.append(False)
+        except NumericError:
+            bad.append(True)
+    first = bad.index(True)
+    assert first > 0
+    batches = sample_batches(ds, spec, stage, streams)
+    for _ in range(first):
+        assert np.isfinite(next(batches).features).all()
+    with pytest.raises(NumericError, match="^batch features contain NaN or Inf$"):
+        next(batches)
+
+
+class _CountingGenerator:
+    """Forwards to a numpy ``Generator``, recording the name of every method called."""
+
+    def __init__(self, gen):
+        self._gen, self.calls = gen, []
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("stage", list(Stage))
+def test_a_sampled_batch_makes_two_generator_calls(stage):
+    rng = RngStream(0)
+    counting = rng._gen = _CountingGenerator(rng._gen)
+    batch = sample_batch(_scrambled_dataset(), BatchSpec(32, 8), stage, rng)
+    assert len(batch) == 512
+    assert counting.calls == ["choice", "integers"]
 
 
 _STRUCTURE_FIELDS = ("labels", "tags", "identities", "modalities", "k")

@@ -7,6 +7,7 @@ from crossmodal.core import (
     cross_distances,
     euclidean_distance,
     pairwise_distances,
+    subsets,
 )
 from crossmodal.errors import ConfigError, DimensionError, NumericError
 
@@ -52,6 +53,69 @@ def test_pairwise_euclid_bitwise_equals_one_shot_form(rng, n, dim):
     assert np.array_equal(np.diag(dist), np.zeros(n))
     if n > 1:
         assert (dist[~np.eye(n, dtype=bool)] == 0).any()
+
+
+#: ``(populations, k)`` over both branches of numpy's no-replacement ``choice``:
+#: Floyd's (with pop = k and k = pop - 1) and the tail shuffle taken when
+#: pop > 10 000 and k > pop // 50, on both sides of each of those bounds.
+_SUBSET_CASES = [
+    ([8] * 16, 4),
+    ([16] * 64, 8),
+    ([5, 9, 6, 30, 7], 5),
+    ([4], 4),
+    ([5], 4),
+    ([2, 3, 1], 1),
+    ([10000], 300),
+    ([10001], 200),
+    ([10001], 201),
+    ([10001, 6, 20000], 5),
+    ([20000], 400),
+    ([20000], 401),
+    ([20000, 500, 10001], 401),
+    ([10001], 10001),
+    ([10002], 10001),
+]
+
+
+@pytest.mark.parametrize("pops, k", _SUBSET_CASES)
+def test_subsets_equal_one_choice_per_population(pops, k):
+    ours, ref = RngStream(11, (k,)), RngStream(11, (k,))
+    want = np.array([ref.choice(pop, size=k, replace=False) for pop in pops])
+    got = subsets([ours], [pops], k)
+    assert got.shape == (1, len(pops), k)
+    assert np.array_equal(got[0], want)
+    assert ours.integers(2**62) == ref.integers(2**62)  # the stream ends where choice left it
+
+
+def test_subsets_equal_choice_on_random_populations():
+    draw = RngStream(12)
+    for case in range(300):
+        k = int(draw.integers(1, 12))
+        pops = draw.integers(k, k + 30, size=int(draw.integers(1, 20)))
+        ours, ref = RngStream(case), RngStream(case)
+        want = np.array([ref.choice(pop, size=k, replace=False) for pop in pops])
+        assert np.array_equal(subsets([ours], [pops], k)[0], want), (pops.tolist(), k)
+        assert ours.integers(2**62) == ref.integers(2**62)
+
+
+@pytest.mark.parametrize(
+    "pops, k", [([[8, 9, 8], [12, 8, 10], [8, 8, 30]], 4), ([[10001]] * 2, 300)]
+)
+def test_subsets_draw_each_row_from_its_own_stream(pops, k):
+    ours = [RngStream(13, (s,)) for s in range(len(pops))]
+    refs = [RngStream(13, (s,)) for s in range(len(pops))]
+    want = [[ref.choice(pop, size=k, replace=False) for pop in row] for ref, row in zip(refs, pops)]
+    assert np.array_equal(subsets(ours, pops, k), np.array(want))
+    assert [s.integers(2**62) for s in ours] == [s.integers(2**62) for s in refs]
+
+
+def test_subsets_reject_more_picks_than_rows():
+    with pytest.raises(ConfigError, match="cannot draw 4 of 3"):
+        subsets([RngStream(0)], [[5, 3, 8]], 4)
+    with pytest.raises(ConfigError):
+        subsets([RngStream(0)], [[5]], 0)
+    with pytest.raises(DimensionError, match="one row of populations per stream"):
+        subsets([RngStream(0), RngStream(1)], [[5, 6]], 2)
 
 
 def test_pairwise_rejects_bad_metric(rng):

@@ -102,13 +102,23 @@ def test_rows_of_missing_cell_is_empty():
 
 
 def test_cells_list_each_identity_rows_per_tag():
-    ds = small()
+    """``row_table`` holds each identity's rows per tag, one padded cell each."""
+    # identity 1 loses a gray row and identity 2 an ir row, so cell sizes differ
+    full = small()
+    keep = np.ones(len(full), dtype=bool)
+    keep[full.rows_of(1, "gray")[0]] = keep[full.rows_of(2, "ir")[-1]] = False
+    ds = SynthDataset(full.features[keep], full.labels[keep], full.modalities[keep])
     pair = ("gray", "ir")
-    cells = ds.cells(pair)
-    assert ds.cells(pair) is cells  # built once per pair
-    assert len(cells) == len(ds.identities)
-    for ident, rows in zip(ds.identities, cells):
-        assert [r.tolist() for r in rows] == [ds.rows_of(ident, m).tolist() for m in pair]
+    table = ds.row_table(pair)
+    assert ds.row_table(pair) is table  # built once per pair
+    rows, counts = table
+    assert rows.shape == (len(ds.identities), 2, 3) and counts.shape == (len(ds.identities), 2)
+    assert not rows.flags.writeable and not counts.flags.writeable
+    for ident, cells, sizes in zip(ds.identities, rows, counts):
+        for cell, size, mod in zip(cells, sizes, pair):
+            assert cell[:size].tolist() == ds.rows_of(ident, mod).tolist()
+            assert (cell[size:] == len(ds)).all()  # padding indexes past the last row
+    assert counts[1].tolist() == [2, 3] and counts[2].tolist() == [3, 2]
 
 
 def test_save_load_roundtrip_is_bitwise(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crossmodal import trainer
-from crossmodal.batch import BatchSpec, FeatureLayout, Stage
+from crossmodal.batch import BatchSpec, FeatureLayout, Stage, sample_batch
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, NumericError, SamplingError
 from crossmodal.evalkit import report_text
@@ -192,6 +192,24 @@ def test_train_overflow_fails_on_the_batch_that_overflowed(tiny_data):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="^epoch 0, batch 0: non-finite parameter w1 "):
             train(tiny_data, tiny_cfg(base_lr=1e300))
+
+
+def test_train_names_the_first_batch_with_a_non_finite_row(tiny_data):
+    feats = tiny_data.features.copy()
+    feats[tiny_data.rows_of(1, "vis")[0]] = np.nan  # drawn in stage 2 only
+    data = SynthDataset(feats, tiny_data.labels, tiny_data.modalities)
+    cfg, bad = tiny_cfg(), []
+    root, spec = RngStream(cfg.seed), BatchSpec(cfg.p, cfg.k)
+    for epoch in range(cfg.stage1_epochs, cfg.epochs):
+        for b in range(steps_per_epoch(data, cfg)):
+            try:
+                sample_batch(data, spec, Stage.STAGE2, root.child(1, epoch, b))
+            except NumericError:
+                bad.append((epoch, b))
+    epoch, b = bad[0]
+    want = f"^epoch {epoch}, batch {b}: batch features contain NaN or Inf$"
+    with pytest.raises(NumericError, match=want):
+        train(data, cfg)
 
 
 def test_train_dataset_check_message(tiny_data):
