@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .core import RngStream, as_ids, as_vector, check_int, subsets
+from .core import RngStream, as_ids, as_matrix, as_vector, check_int, subsets
 from .errors import ConfigError, DimensionError, NumericError, SamplingError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,16 +74,20 @@ class FeatureLayout:
 def grayscale_of(visible, layout: FeatureLayout) -> np.ndarray:
     """Replace the color block with its mean; all other coordinates pass through.
 
-    This is the feature-level analogue of dropping chroma while keeping
-    luminance. Applying it twice gives the same result as applying it once.
+    ``visible`` is one vector, or rows of them along its last axis (a matrix
+    or a 3-D stack); each row is treated alone. This is the feature-level
+    analogue of dropping chroma while keeping luminance. A color block that
+    already holds one value is kept as it is (its computed mean may round
+    away from that value), so applying this twice gives exactly the result
+    of applying it once.
     """
-    v = as_vector(visible)
-    if v.shape[0] != layout.total_dims:
-        raise DimensionError(
-            f"vector has {v.shape[0]} dims, layout expects {layout.total_dims}"
-        )
+    v = as_vector(visible) if np.ndim(visible) == 1 else as_matrix(visible, stack=True)
+    if v.shape[-1] != layout.total_dims:
+        raise DimensionError(f"vector has {v.shape[-1]} dims, layout expects {layout.total_dims}")
     out = v.copy()
-    out[layout.color_slice] = out[layout.color_slice].mean()
+    color = out[..., layout.color_slice]  # a view into out
+    uniform = (color == color[..., :1]).all(axis=-1, keepdims=True)
+    np.copyto(color, color.mean(axis=-1, keepdims=True), where=~uniform)
     return out
 
 
@@ -410,17 +414,15 @@ def sample_batches(
     ids = dataset.identities
     if len(ids) < spec.p:
         raise SamplingError(f"dataset has {len(ids)} identities, batch needs {spec.p}")
-    for mod in pair:
-        if dataset.min_count(mod) < spec.k:
-            ident = next(i for i in ids if dataset.count_of(i, mod) < spec.k)
-            raise SamplingError(
-                f"identity {ident} has {dataset.count_of(ident, mod)} {mod!r} rows, "
-                f"batch needs {spec.k}"
-            )
+    rows, counts = dataset.row_table(pair)
+    if counts.min() < spec.k:
+        m, i = np.argwhere(counts.T < spec.k)[0]  # the first short cell, tag-major
+        raise SamplingError(
+            f"identity {ids[i]} has {counts[i, m]} {pair[m]!r} rows, batch needs {spec.k}"
+        )
     p, k, n = int(spec.p), int(spec.k), len(rngs)
     draws = [rng.choice(len(ids), size=p, replace=False) for rng in rngs]
     chosen = np.array(draws, dtype=np.int64).reshape(n, p)
-    rows, counts = dataset.row_table(pair)
     cells = rows[chosen].reshape(n, 2 * p, rows.shape[-1])  # each stream's 2P cells, draw order
     picks = subsets(rngs, counts[chosen].reshape(n, 2 * p), k)
     idx = np.take_along_axis(cells, picks, axis=2).reshape(n, 2 * p * k)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import MODALITY_CODES, FeatureLayout, Modality, coerce_rows, grayscale_of
+from .batch import MODALITY_CODES, FeatureLayout, Modality, _read_only, coerce_rows, grayscale_of
 from .core import RngStream, check_int
 from .errors import ConfigError, ParseError
 
@@ -32,7 +32,15 @@ _BENCHMARK_SEEDS = {"train": 11, "test": 12}
 
 @dataclass
 class SynthDataset:
-    """Feature rows with identity labels and modality tags, plus generator settings."""
+    """Feature rows with identity labels and modality tags, plus generator settings.
+
+    Construction sorts the rows once by (identity, tag) into a cell table, an
+    n_ids x 3 x w array: the cell of each identity (in ``identities`` order)
+    and tag (in ``MODALITY_CODES`` order) holds its row indices in dataset
+    order, padded to the widest cell with ``len(self)``, an index past the
+    last row. An n_ids x 3 array holds the cells' row counts. Both are
+    read-only, and every per-cell query reads them.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -41,9 +49,9 @@ class SynthDataset:
     gap_strength: float | None = None
     noise_sigma: float | None = None
     prototypes: np.ndarray | None = None
-    _index: dict = field(init=False, repr=False, default_factory=dict)
-    _min_count: dict = field(init=False, repr=False, default_factory=dict)
     _identities: np.ndarray = field(init=False, repr=False, default=None)
+    _rows: np.ndarray = field(init=False, repr=False, default=None)
+    _counts: np.ndarray = field(init=False, repr=False, default=None)
     _tables: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -52,16 +60,19 @@ class SynthDataset:
         )
         if (self.labels < 0).any():
             raise ConfigError("identity labels must be non-negative")
-        self._identities = np.unique(self.labels)
-        self._identities.flags.writeable = False
-        index: dict[tuple[int, str], list[int]] = {}
-        for row, (lab, mod) in enumerate(zip(self.labels, self.modalities)):
-            index.setdefault((int(lab), str(mod)), []).append(row)
-        self._index = {k: np.asarray(v, dtype=np.int64) for k, v in index.items()}
-        self._min_count = {
-            mod: min((self.count_of(i, mod) for i in self.identities), default=0)
-            for mod in MODALITY_CODES
-        }
+        ids, id_codes = np.unique(self.labels, return_inverse=True)
+        tags = np.argmax(self.modalities[:, None] == np.array(MODALITY_CODES), axis=1)
+        cells = id_codes * len(MODALITY_CODES) + tags  # a row's cell, identity-major
+        order = np.argsort(cells, kind="stable")  # rows cell by cell, in dataset order
+        counts = np.bincount(cells, minlength=ids.size * len(MODALITY_CODES))
+        cells = cells[order]
+        rank = np.arange(len(self)) - (np.cumsum(counts) - counts)[cells]  # place in its cell
+        rows = np.full((counts.size, counts.max(initial=0)), len(self), dtype=np.int64)
+        rows[cells, rank] = order
+        self._identities = ids
+        self._rows = rows.reshape(ids.size, len(MODALITY_CODES), rows.shape[1])
+        self._counts = counts.reshape(ids.size, len(MODALITY_CODES))
+        _read_only(self._identities, self._rows, self._counts)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -76,27 +87,24 @@ class SynthDataset:
 
     def rows_of(self, identity: int, modality: str | Modality) -> np.ndarray:
         """Row indices of one (identity, modality) cell, in dataset order."""
-        mod = modality.value if isinstance(modality, Modality) else str(modality)
-        return self._index.get((int(identity), mod), np.empty(0, dtype=np.int64))
+        ident, col = int(identity), _column(modality)
+        i = int(np.searchsorted(self._identities, ident))
+        if i == self._identities.size or self._identities[i] != ident:
+            return np.empty(0, dtype=np.int64)
+        return self._rows[i, col, : self._counts[i, col]]
 
     def row_table(self, pair: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, counts)``: per identity in ``identities`` order, its :meth:`rows_of` per tag.
+        """``(rows, counts)``: the cell table's columns for the tags of ``pair``, in its order.
 
-        The tags are those of ``pair``, in its order.
         ``rows`` is n_ids x 2 x w, each cell's rows padded to the widest cell
-        with ``len(self)``, an index past the last row; ``counts`` (n_ids x 2)
-        says how many of each cell's entries are rows. Built on the first
-        call for a pair and kept, read-only: the batch sampler reads it every
-        epoch.
+        of any tag with ``len(self)``; ``counts`` (n_ids x 2) says how many of
+        each cell's entries are rows. Built on the first call for a pair and
+        kept, read-only: the batch sampler reads it every epoch.
         """
         if pair not in self._tables:
-            cells = [self.rows_of(i, m) for i in self.identities for m in pair]
-            counts = np.array([c.size for c in cells], dtype=np.int64)
-            rows = np.full((len(cells), counts.max(initial=0)), len(self), dtype=np.int64)
-            for row, cell in zip(rows, cells):
-                row[: cell.size] = cell
-            rows, counts = rows.reshape(-1, 2, rows.shape[1]), counts.reshape(-1, 2)
-            rows.flags.writeable = counts.flags.writeable = False
+            cols = [_column(m) for m in pair]
+            rows, counts = self._rows.take(cols, axis=1), self._counts.take(cols, axis=1)
+            _read_only(rows, counts)
             self._tables[pair] = rows, counts
         return self._tables[pair]
 
@@ -104,13 +112,20 @@ class SynthDataset:
         return int(self.rows_of(identity, modality).size)
 
     def min_count(self, modality: str | Modality) -> int:
-        """Fewest rows any identity has in the modality, computed once at construction."""
-        return self._min_count[modality.value if isinstance(modality, Modality) else str(modality)]
+        """Fewest rows any identity has in the modality (0 for a set with no rows)."""
+        return int(self._counts[:, _column(modality)].min(initial=len(self)))
 
     def modality_rows(self, modality: str | Modality) -> np.ndarray:
         """All row indices carrying the given tag."""
-        mod = modality.value if isinstance(modality, Modality) else str(modality)
-        return np.flatnonzero(self.modalities == mod)
+        return np.flatnonzero(self.modalities == MODALITY_CODES[_column(modality)])
+
+
+def _column(modality: str | Modality) -> int:
+    """The tag's column in the cell table: its place in ``MODALITY_CODES``."""
+    tag = modality.value if isinstance(modality, Modality) else str(modality)
+    if tag not in MODALITY_CODES:
+        raise ConfigError(f"unknown modality tag {tag!r}")
+    return MODALITY_CODES.index(tag)
 
 
 def generate(
@@ -127,7 +142,9 @@ def generate(
     ``[prototype + noise | color prototype + noise | 0]``; each infrared row is
     ``[prototype + noise | 0 | gap_strength * (modality prototype + noise)]``;
     each grayscale row is the grayscale view of the visible row at the same
-    position.
+    position. Rows run identity by identity, each its vis, gray, then ir rows.
+    One normal draw holds all the noise, identity by identity: its visible
+    shared and color blocks, then its infrared shared and modality blocks.
     """
     check_int("n_ids", n_ids)
     check_int("per_modality", per_modality)
@@ -143,35 +160,20 @@ def generate(
     color = proto_rng.normal(size=(n_ids, layout.color_dims))
     modality = proto_rng.normal(size=(n_ids, layout.modality_dims))
 
-    d = layout.total_dims
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    tags: list[str] = []
-    for ident in range(n_ids):
-        vis = np.zeros((per_modality, d))
-        vis[:, layout.shared_slice] = shared[ident] + noise_sigma * sample_rng.normal(
-            size=(per_modality, layout.shared_dims)
-        )
-        vis[:, layout.color_slice] = color[ident] + noise_sigma * sample_rng.normal(
-            size=(per_modality, layout.color_dims)
-        )
-        ir = np.zeros((per_modality, d))
-        ir[:, layout.shared_slice] = shared[ident] + noise_sigma * sample_rng.normal(
-            size=(per_modality, layout.shared_dims)
-        )
-        ir[:, layout.modality_slice] = gap_strength * (
-            modality[ident]
-            + noise_sigma * sample_rng.normal(size=(per_modality, layout.modality_dims))
-        )
-        gray = np.stack([grayscale_of(row, layout) for row in vis])
-        for block, tag in ((vis, Modality.VIS), (gray, Modality.GRAY), (ir, Modality.IR)):
-            rows.append(block)
-            labels.extend([ident] * per_modality)
-            tags.extend([tag.value] * per_modality)
+    cells = np.zeros((n_ids, len(MODALITY_CODES), per_modality, layout.total_dims))
+    vis, gray, ir = cells.transpose(1, 0, 2, 3)  # views, in MODALITY_CODES order
+    sh, co, mo = layout.shared_slice, layout.color_slice, layout.modality_slice
+    blocks = ((vis, sh, shared), (vis, co, color), (ir, sh, shared), (ir, mo, modality))
+    widths = [per_modality * proto.shape[1] for _, _, proto in blocks]
+    noise = np.split(sample_rng.normal(size=(n_ids, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    for (rows, cols, proto), draw in zip(blocks, noise):  # in noise order
+        rows[..., cols] = proto[:, None] + noise_sigma * draw.reshape(n_ids, per_modality, -1)
+    ir[..., mo] *= gap_strength
+    gray[...] = grayscale_of(vis, layout)
     return SynthDataset(
-        features=np.concatenate(rows, axis=0),
-        labels=np.asarray(labels),
-        modalities=np.asarray(tags),
+        features=cells.reshape(-1, layout.total_dims),
+        labels=np.repeat(np.arange(n_ids), len(MODALITY_CODES) * per_modality),
+        modalities=np.tile(np.repeat(MODALITY_CODES, per_modality), n_ids),
         layout=layout,
         gap_strength=gap_strength,
         noise_sigma=noise_sigma,

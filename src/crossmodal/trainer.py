@@ -175,12 +175,13 @@ def check_dataset(
     if len(ids) < cfg.p:
         raise ConfigError(f"dataset has {len(ids)} identities, batches need {cfg.p}")
     for stage in dict.fromkeys(stage_for_epoch(cfg, e) for e in range(cfg.epochs)):
-        for mod in stage.modality_pair:
-            short = [int(i) for i in ids if dataset.count_of(int(i), mod) < cfg.k]
-            if short:
+        counts = dataset.row_table(stage.modality_pair)[1]
+        for mod, count in zip(stage.modality_pair, counts.T):
+            short = ids[count < cfg.k]
+            if short.size:
                 raise ConfigError(
                     f"{stage.name} needs {cfg.k} {mod!r} rows per identity; "
-                    f"identities {short[:4]} fall short"
+                    f"identities {short[:4].tolist()} fall short"
                 )
     _eval_rows(dataset if eval_dataset is None else eval_dataset, cfg.eval_direction)
 

@@ -8,8 +8,9 @@ exactly rather than just in distribution. The exceptions are
 ``ranked_block_scores``, which rebuilds ``evaluate``'s retrieval metrics from
 the library's own ``rank`` so they can be compared bit for bit, and
 ``similarity_stats`` and ``gap_ratio``, the library's former vectorized
-similarity diagnostics, and ``per_cell_rows``, the former PK sampler's
-draws, kept verbatim as bitwise references.
+similarity diagnostics, ``per_cell_rows``, the former PK sampler's
+draws, and ``per_identity_dataset`` and ``row_index``, the former dataset
+generator and cell index, kept verbatim as bitwise references.
 """
 
 import math
@@ -527,3 +528,52 @@ def per_cell_rows(dataset, spec, stage, rng):
             rows = dataset.rows_of(ids[i], mod)
             picks.append(rows[rng.choice(len(rows), size=spec.k, replace=False)])
     return chosen, np.concatenate(picks)
+
+
+def per_identity_dataset(n_ids, per_modality, layout, gap_strength, noise_sigma, rng):
+    """``generate``'s arrays as the library used to draw them, identity by identity.
+
+    Returns ``(features, labels, tags, prototypes)``. Per identity, four
+    normal draws (visible shared, visible color, infrared shared, infrared
+    modality); each grayscale row is its visible row with the color block
+    replaced by its mean, one row at a time.
+    """
+    proto_rng = rng.child(0)
+    sample_rng = rng.child(1)
+    shared = proto_rng.normal(size=(n_ids, layout.shared_dims))
+    color = proto_rng.normal(size=(n_ids, layout.color_dims))
+    modality = proto_rng.normal(size=(n_ids, layout.modality_dims))
+    d = layout.total_dims
+    rows, labels, tags = [], [], []
+    for ident in range(n_ids):
+        vis = np.zeros((per_modality, d))
+        vis[:, layout.shared_slice] = shared[ident] + noise_sigma * sample_rng.normal(
+            size=(per_modality, layout.shared_dims)
+        )
+        vis[:, layout.color_slice] = color[ident] + noise_sigma * sample_rng.normal(
+            size=(per_modality, layout.color_dims)
+        )
+        ir = np.zeros((per_modality, d))
+        ir[:, layout.shared_slice] = shared[ident] + noise_sigma * sample_rng.normal(
+            size=(per_modality, layout.shared_dims)
+        )
+        ir[:, layout.modality_slice] = gap_strength * (
+            modality[ident]
+            + noise_sigma * sample_rng.normal(size=(per_modality, layout.modality_dims))
+        )
+        gray = vis.copy()
+        for row in gray:
+            row[layout.color_slice] = row[layout.color_slice].mean()
+        for block, tag in ((vis, "vis"), (gray, "gray"), (ir, "ir")):
+            rows.append(block)
+            labels.extend([ident] * per_modality)
+            tags.extend([tag] * per_modality)
+    return np.concatenate(rows, axis=0), np.asarray(labels), np.asarray(tags), shared
+
+
+def row_index(labels, tags):
+    """``{(identity, tag): rows}`` built row by row, as ``SynthDataset`` used to index cells."""
+    index = {}
+    for row, (lab, mod) in enumerate(zip(labels, tags)):
+        index.setdefault((int(lab), str(mod)), []).append(row)
+    return {k: np.asarray(v, dtype=np.int64) for k, v in index.items()}

@@ -80,6 +80,40 @@ def test_grayscale_dimension_mismatch():
         grayscale_of(np.zeros(5), FeatureLayout(2, 2, 2))
 
 
+@pytest.mark.parametrize("layout", [FeatureLayout(2, 3, 1), FeatureLayout(3, 19, 2)])
+@pytest.mark.parametrize("lead", [(5,), (3, 4)])
+def test_grayscale_of_rows_equals_the_per_vector_call(layout, lead):
+    rows = np.random.default_rng(len(lead)).normal(size=lead + (layout.total_dims,))
+    before = rows.copy()
+    out = grayscale_of(rows, layout)
+    want = [grayscale_of(v, layout) for v in rows.reshape(-1, layout.total_dims)]
+    assert out.tobytes() == np.stack(want).tobytes()
+    assert grayscale_of(out, layout).tobytes() == out.tobytes()  # idempotent on rows too
+    assert np.array_equal(rows, before)  # input untouched
+
+
+@pytest.mark.parametrize("color_dims", range(1, 13))
+def test_grayscale_of_is_idempotent_bit_for_bit_at_every_color_width(color_dims):
+    # the mean of equal values can round away from them (about one row in eight at width 5)
+    layout = FeatureLayout(2, color_dims, 1)
+    rows = np.random.default_rng(color_dims).normal(size=(200, layout.total_dims))
+    once = grayscale_of(rows, layout)
+    assert grayscale_of(once, layout).tobytes() == once.tobytes()
+    for v in once[:8]:
+        assert grayscale_of(v, layout).tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 6), (2, 3, 6)])
+def test_grayscale_of_refuses_bad_input_of_every_shape(shape):
+    layout = FeatureLayout(2, 2, 2)
+    bad = np.zeros(shape)
+    bad.flat[-1] = np.inf
+    with pytest.raises(NumericError):
+        grayscale_of(bad, layout)
+    with pytest.raises(DimensionError):
+        grayscale_of(np.zeros(shape[:-1] + (5,)), layout)
+
+
 def test_batch_spec_validation():
     assert BatchSpec(2, 2).rows == 8
     with pytest.raises(ConfigError):
@@ -189,6 +223,16 @@ def test_sample_batch_names_the_short_identity():
     with pytest.raises(SamplingError, match="identity 1 has 2 'ir' rows, batch needs 3"):
         sample_batch(ds, BatchSpec(2, 3), Stage.STAGE2, RngStream(0))
     assert len(sample_batch(ds, BatchSpec(2, 2), Stage.STAGE2, RngStream(0))) == 8
+
+
+def test_sample_batch_names_a_short_identity_of_the_first_tag_first():
+    # identity 0 falls short in 'ir' and identity 2 in 'vis'; stage 2 draws vis, then ir
+    cells = {(0, "vis"): 3, (0, "ir"): 2, (1, "vis"): 3, (1, "ir"): 3, (2, "vis"): 2, (2, "ir"): 3}
+    labels = np.repeat([i for i, _ in cells], list(cells.values()))
+    tags = np.repeat([m for _, m in cells], list(cells.values()))
+    ds = SynthDataset(np.zeros((labels.size, 2)), labels, tags)
+    with pytest.raises(SamplingError, match="identity 2 has 2 'vis' rows, batch needs 3"):
+        sample_batch(ds, BatchSpec(2, 3), Stage.STAGE2, RngStream(0))
 
 
 def _scrambled_dataset() -> SynthDataset:

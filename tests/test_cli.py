@@ -80,6 +80,14 @@ def test_generate_writes_loadable_deterministic_file(small_data, tmp_path, capsy
     assert twin.read_bytes() == small_data.read_bytes()
 
 
+@pytest.mark.parametrize("seed,split", [(11, "train"), (12, "test")])
+def test_generate_writes_the_bundled_split_byte_for_byte(tmp_path, capsys, seed, split):
+    out = tmp_path / f"{split}.csv"
+    assert main(["generate", "--seed", str(seed), "--out", str(out)]) == 0
+    root = Path(__file__).resolve().parent.parent
+    assert out.read_bytes() == (root / "data" / f"benchmark_{split}.csv").read_bytes()
+
+
 def test_generate_failed_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
     out = tmp_path / "feats.csv"
     out.write_text("old\n")

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from crossmodal.batch import FeatureLayout, grayscale_of
@@ -8,6 +9,7 @@ from crossmodal.synthdata import (
     BENCHMARK_GAP,
     BENCHMARK_LAYOUT,
     BENCHMARK_N_IDS,
+    BENCHMARK_NOISE,
     BENCHMARK_PER_MODALITY,
     SynthDataset,
     generate,
@@ -101,7 +103,7 @@ def test_rows_of_missing_cell_is_empty():
     assert ds.count_of(99, "ir") == 0
 
 
-def test_cells_list_each_identity_rows_per_tag():
+def test_row_table_pads_each_identity_rows_per_tag():
     """``row_table`` holds each identity's rows per tag, one padded cell each."""
     # identity 1 loses a gray row and identity 2 an ir row, so cell sizes differ
     full = small()
@@ -119,6 +121,98 @@ def test_cells_list_each_identity_rows_per_tag():
             assert cell[:size].tolist() == ds.rows_of(ident, mod).tolist()
             assert (cell[size:] == len(ds)).all()  # padding indexes past the last row
     assert counts[1].tolist() == [2, 3] and counts[2].tolist() == [3, 2]
+
+
+def test_row_table_without_rows_is_empty():
+    empty = SynthDataset(np.zeros((0, 3)), [], [])
+    rows, counts = empty.row_table(("gray", "ir"))
+    assert rows.shape == (0, 2, 0) and counts.shape == (0, 2)
+    assert empty.min_count("vis") == 0 and empty.rows_of(0, "vis").size == 0
+    vis_only = SynthDataset(np.zeros((4, 3)), [0, 0, 1, 1], ["vis"] * 4)
+    rows, counts = vis_only.row_table(("gray", "ir"))
+    assert rows.shape == (2, 2, 2) and (rows == 4).all() and not counts.any()
+    assert not rows.flags.writeable and not counts.flags.writeable
+
+
+def _generate_cases():
+    """``(n_ids, per_modality, layout, gap, noise, seed, path)``: benchmark sets, then random."""
+    bench = (BENCHMARK_LAYOUT, BENCHMARK_GAP, BENCHMARK_NOISE)
+    for seed in range(3):  # bench/workloads.py: train_wide's two sets, eval_gallery's gallery
+        yield (64, 16, *bench, seed, (2, 0))
+        yield (16, 8, *bench, seed, (2, 1))
+        yield (128, 16, *bench, seed, (2,))
+    yield (BENCHMARK_N_IDS, BENCHMARK_PER_MODALITY, *bench, 11, ())  # the bundled splits
+    yield (BENCHMARK_N_IDS, BENCHMARK_PER_MODALITY, *bench, 12, ())
+    draw = np.random.default_rng(30)
+    for case in range(24):
+        n_ids, per = (int(x) for x in draw.integers(2, 12, size=2))
+        layout = FeatureLayout(*(int(x) for x in draw.integers(1, 20, size=3)))
+        gap = 0.0 if case == 1 else float(draw.uniform(0, 3))
+        noise = 0.0 if case % 4 == 0 else float(draw.uniform(0, 2))
+        yield (n_ids, per, layout, gap, noise, case, (int(draw.integers(0, 5)),))
+
+
+@pytest.mark.parametrize("case", list(_generate_cases()), ids=lambda c: f"{c[0]}x{c[1]}-s{c[5]}")
+def test_generate_equals_the_per_identity_draws_bit_for_bit(case):
+    *shape, seed, path = case
+    ds = generate(*shape, RngStream(seed).child(*path))
+    features, labels, tags, prototypes = oracles.per_identity_dataset(
+        *shape, RngStream(seed).child(*path)
+    )
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+    assert ds.modalities.dtype == tags.dtype and np.array_equal(ds.modalities, tags)
+    assert ds.prototypes.tobytes() == prototypes.tobytes()
+
+
+def _cell_set(seed: int) -> SynthDataset:
+    """Rows in shuffled order, labels up to 10^6, 0 to 5 rows per cell; every third lacks gray."""
+    draw = np.random.default_rng(seed)
+    ids = np.sort(draw.choice(np.arange(1, 10**6), size=int(draw.integers(1, 12)), replace=False))
+    absent = "gray" if seed % 3 == 0 else None
+    cells = [(i, m) for i in ids for m in ("vis", "gray", "ir") if m != absent]
+    sizes = draw.integers(0, 6, size=len(cells))
+    labels = np.repeat([i for i, _ in cells], sizes).astype(np.int64)
+    tags = np.repeat([m for _, m in cells], sizes)
+    perm = draw.permutation(labels.size)
+    return SynthDataset(draw.normal(size=(labels.size, 2)), labels[perm], tags[perm])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cell_table_equals_the_row_by_row_index(seed):
+    ds = _cell_set(seed)
+    index = oracles.row_index(ds.labels, ds.modalities)
+    present = sorted({ident for ident, _ in index})
+    assert ds.identities.tolist() == present
+    below_between_above = [0, *(i + 1 for i in present), 10**6, 2**63 - 1, 2**64]
+    for ident in present + [i for i in below_between_above if i not in present]:
+        for mod in ("vis", "gray", "ir"):
+            want = index.get((ident, mod), np.empty(0, dtype=np.int64))
+            assert ds.rows_of(ident, mod).tolist() == want.tolist()
+            assert ds.count_of(ident, mod) == want.size
+    for mod in ("vis", "gray", "ir"):
+        assert ds.min_count(mod) == min((len(index.get((i, mod), ())) for i in present), default=0)
+        assert ds.modality_rows(mod).tolist() == np.flatnonzero(ds.modalities == mod).tolist()
+    for pair in [("gray", "ir"), ("vis", "ir"), ("ir", "vis"), ("vis", "gray")]:
+        rows, counts = ds.row_table(pair)
+        assert rows.shape[:2] == counts.shape == (len(present), 2)
+        for ident, cells, sizes in zip(present, rows, counts):
+            for cell, size, mod in zip(cells, sizes, pair):
+                assert cell[:size].tolist() == index.get((ident, mod), np.empty(0)).tolist()
+                assert (cell[size:] == len(ds)).all()
+
+
+def test_cell_queries_name_an_unknown_tag():
+    ds = small()
+    for query in (
+        lambda: ds.rows_of(0, "rgb"),
+        lambda: ds.count_of(0, "rgb"),
+        lambda: ds.min_count("rgb"),
+        lambda: ds.modality_rows("rgb"),
+        lambda: ds.row_table(("rgb", "ir")),
+    ):
+        with pytest.raises(ConfigError, match="unknown modality tag 'rgb'"):
+            query()
 
 
 def test_save_load_roundtrip_is_bitwise(tmp_path):
