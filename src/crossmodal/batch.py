@@ -106,10 +106,6 @@ class BatchSpec:
         if self.k < 2:
             raise ConfigError("batch spec needs k >= 2 rows per modality")
 
-    @property
-    def rows(self) -> int:
-        return 2 * self.p * self.k
-
 
 def coerce_rows(features, labels, modalities):
     """Coerce to 2-D float64 features with one int64 label and one known tag per row.
@@ -143,7 +139,7 @@ def _read_only(*arrays: np.ndarray) -> None:
         arr.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairMasks:
     """Pairs over a row set: distinct rows (``off``), same identity (``pos``), other (``neg``).
 
@@ -157,7 +153,7 @@ class PairMasks:
     every_pos: bool
     every_neg: bool
     blocks: np.ndarray
-    id_codes: np.ndarray = field(repr=False, compare=False)
+    id_codes: np.ndarray = field(repr=False)
 
     @classmethod
     def of(cls, id_codes: np.ndarray) -> "PairMasks":
@@ -194,7 +190,7 @@ class PairMasks:
         return self.masks[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowLayout:
     """Which rows share an identity (codes 0 to P - 1) and each row's modality code.
 
@@ -235,7 +231,7 @@ class RowLayout:
         return _positive_pairs(self.mod_codes[None], ids[:, :, None] == ids[:, None, :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchStructure:
     """Sorted distinct identities and modalities, the batch's row layout, and cell size k.
 
@@ -251,8 +247,8 @@ class BatchStructure:
     identities: np.ndarray
     modalities: tuple[str, ...]
     k: int
-    layout: RowLayout = field(repr=False, compare=False)
-    order: np.ndarray = field(repr=False, compare=False)
+    layout: RowLayout = field(repr=False)
+    order: np.ndarray = field(repr=False)
 
     @cached_property
     def members(self) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +279,7 @@ def _positive_pairs(mods: np.ndarray, same_id: np.ndarray | None = None):
     return intra, cross
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledBatch:
     """Feature rows with a per-row identity label and modality tag.
 
@@ -301,7 +297,7 @@ class LabeledBatch:
     features: np.ndarray
     labels: np.ndarray
     modalities: np.ndarray
-    _structure: BatchStructure | None = field(default=None, repr=False, compare=False)
+    _structure: BatchStructure | None = field(default=None, repr=False)
 
     def __post_init__(self):
         s = self._structure
@@ -318,10 +314,6 @@ class LabeledBatch:
 
     def __len__(self) -> int:
         return self.features.shape[-2]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[-1]
 
     @property
     def structure(self) -> BatchStructure:

@@ -187,31 +187,27 @@ def cmd_train(args) -> int:
         text = json.dumps(manifest, indent=2) + "\n"
         _write_atomic(os.path.join(out_dir, "manifest.json"), text)
 
-    record("running")
-    _write_atomic(os.path.join(out_dir, "config.resolved.cfg"), config.resolved_text(cfg))
-
-    log_path = os.path.join(out_dir, "epochs.csv")
-    log_fh = open(log_path, "w", encoding="ascii")
-    log_fh.write(EPOCH_CSV_HEADER + "\n")
-
     def save(name, params):
         _write_atomic(os.path.join(out_dir, name), lambda path: save_checkpoint(path, params))
 
-    def on_epoch(epoch, params, log):
-        log_fh.write(_epoch_csv_row(log) + "\n")
-        if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
-            save(f"checkpoint_epoch{epoch}.npz", params)
+    record("running")
+    try:  # from here on, every failure is recorded in the manifest
+        _write_atomic(os.path.join(out_dir, "config.resolved.cfg"), config.resolved_text(cfg))
+        with open(os.path.join(out_dir, "epochs.csv"), "w", encoding="ascii") as log_fh:
+            log_fh.write(EPOCH_CSV_HEADER + "\n")
 
-    try:
-        params, logs = trainer.train(dataset, cfg.train, eval_dataset, on_epoch=on_epoch)
+            def on_epoch(epoch, params, log):
+                log_fh.write(_epoch_csv_row(log) + "\n")
+                if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
+                    save(f"checkpoint_epoch{epoch}.npz", params)
+
+            params, logs = trainer.train(dataset, cfg.train, eval_dataset, on_epoch=on_epoch)
         save("checkpoint.npz", params)
         report = logs[-1].eval
         _write_reports(out_dir, cfg.train.eval_direction, report)
     except (CrossmodalError, OSError) as exc:
         record(f"failed: {exc}")
         raise
-    finally:
-        log_fh.close()
     record("complete")
     print(f"run directory: {out_dir}")
     print(

@@ -9,8 +9,8 @@ from .errors import ConfigError, DimensionError, LabelError, NumericError
 #: Norm threshold below which cosine distance is treated as undefined.
 NORM_EPS = 1e-12
 
-#: ``pairwise_distances`` is built in ``_BLOCK``-row blocks over the
-#: upper triangle.
+#: ``pairwise_distances`` (over the upper triangle) and ``cross_distances``
+#: are built in ``_BLOCK``-row blocks.
 _BLOCK = 32
 #: Unit roundoff of float64.
 _U = 2.0**-53
@@ -215,11 +215,21 @@ def pairwise_distances(batch) -> np.ndarray:
 
 
 def cross_distances(a, b) -> np.ndarray:
-    """Rectangular euclid distance matrix between rows of ``a`` and rows of ``b``."""
+    """Rectangular euclid distance matrix between rows of ``a`` and rows of ``b``.
+
+    Built from :func:`_euclid` in ``_BLOCK``-row blocks of ``a``, each entry
+    from its own d-vector, so it is bitwise equal to the one-shot form while
+    the largest temporary is a _BLOCK x m x d difference tensor.
+    """
     xa, xb = as_matrix(a), as_matrix(b)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
-    return _euclid(xa, xb)
+    if xa.shape[0] <= _BLOCK:  # one block: no output buffer beside it
+        return _euclid(xa, xb)
+    out = np.empty((xa.shape[0], xb.shape[0]))
+    for i in range(0, xa.shape[0], _BLOCK):
+        out[i : i + _BLOCK] = _euclid(xa[i : i + _BLOCK], xb)
+    return out
 
 
 class RngStream:

@@ -13,7 +13,8 @@ and in a certified row (every value distinct) the position of a relevant row
 is the ``searchsorted`` index of its own value. Rows that fail the
 certificate read their positions off ``_exact_order``. A certified block
 holds its _BLOCK x m values, sorted in place, and a _BLOCK x m row of
-precisions; fallback rows keep the O(rows * m * d) difference form.
+precisions; fallback rows keep the difference form, whose largest
+temporary is ``cross_distances``' 32 x m x d block.
 
 The similarity histograms hold one _BLOCK x m block of similarities, its
 same-identity mask and a _BLOCK x m array of lookup cells that every block
@@ -53,7 +54,7 @@ _CELLS = 4096
 _STACK_BYTES = 2**20
 
 
-@dataclass
+@dataclass(eq=False)
 class RankingResult:
     """Per-query gallery orderings with relevance flags aligned to each ordering.
 
@@ -67,16 +68,8 @@ class RankingResult:
     gallery_ids: np.ndarray
     dropped: int
 
-    @property
-    def n_queries(self) -> int:
-        return self.order.shape[0]
 
-    @property
-    def n_gallery(self) -> int:
-        return self.order.shape[1]
-
-
-@dataclass
+@dataclass(eq=False)
 class EvalReport:
     """Retrieval metrics plus cross-modality similarity diagnostics."""
 

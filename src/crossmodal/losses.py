@@ -139,7 +139,7 @@ DCL_EPS = 1e-12
 _ROWS = 64
 
 
-@dataclass
+@dataclass(eq=False)
 class Mining:
     """A loss's discrete decisions, as references to arrays it built; read by :meth:`gap`.
 
@@ -187,7 +187,7 @@ class Mining:
         return float(np.min(gaps, initial=np.inf))
 
 
-@dataclass
+@dataclass(eq=False)
 class LossOutput:
     """Loss value (``(S,)`` for a stack) and its gradient with respect to the direct input rows."""
 
@@ -196,7 +196,7 @@ class LossOutput:
     mining: Mining | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class ObjectiveOutput:
     """A stage objective: total value plus gradients per consumed tensor.
 
@@ -232,11 +232,10 @@ class LossConfig:
         return self
 
 
-@dataclass
+@dataclass(eq=False)
 class CenterStats:
     """Per-identity center vectors and the mean distance of other-identity rows."""
 
-    identities: np.ndarray
     centers: np.ndarray
     neg_margins: np.ndarray
     #: P x n: whether batch row r belongs to identity c, and its distance to center c.
@@ -559,7 +558,7 @@ def compute_centers(batch: LabeledBatch) -> CenterStats:
     for a in range(0, n, _ROWS):
         dist[..., a : a + _ROWS] = _euclid(centers, feats[..., a : a + _ROWS, :])
     neg_margins = (dist * ~own).sum(axis=-1) / (n - count)
-    return CenterStats(s.identities, centers, neg_margins, own, dist)
+    return CenterStats(centers, neg_margins, own, dist)
 
 
 def dcl(batch: LabeledBatch, mode: str = DEFAULT_DCL_MODE) -> LossOutput:

@@ -111,7 +111,7 @@ def _adopt(cls, flat: np.ndarray, like, **fields):
     return obj
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """All parameter tensors plus the batch-norm running statistics."""
 
@@ -142,27 +142,10 @@ class ModelParams:
     def in_dim(self) -> int:
         return self.w1.shape[-2]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[-1]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.w2.shape[-1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.wc.shape[-1]
-
-    def copy(self) -> "ModelParams":
-        """A deep copy; a stack keeps its ``(S, F)`` layout."""
-        mean, var = self.bn_running_mean.copy(), self.bn_running_var.copy()
-        return _adopt(ModelParams, self.flat.copy(), self, bn_running_mean=mean, bn_running_var=var)
-
-
-@dataclass
+@dataclass(eq=False)
 class ModelGrads:
-    """Gradients (or Adam moments) for every trainable tensor, also indexable by name."""
+    """Gradients (or Adam moments) for every trainable tensor."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -181,11 +164,8 @@ class ModelGrads:
         """Tensors shaped like ``like``'s that are views of ``flat`` itself, not a copy."""
         return _adopt(cls, flat, like)
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return getattr(self, name)
 
-
-@dataclass
+@dataclass(eq=False)
 class ForwardTrace:
     """Intermediate tensors cached by forward for the backward pass."""
 
@@ -264,23 +244,19 @@ def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 
 def backward(
-    trace: ForwardTrace,
-    params: ModelParams,
-    d_embeddings: np.ndarray | None = None,
-    d_logits: np.ndarray | None = None,
+    trace: ForwardTrace, params: ModelParams, d_embeddings: np.ndarray, d_logits: np.ndarray
 ) -> ModelGrads:
     """Merge the two upstream gradient paths and backpropagate to all parameters.
 
-    The optional upstreams are gradients with respect to the raw embeddings
-    and the logits; a missing one is treated as zero.
+    The upstreams are gradients with respect to the raw embeddings and the logits.
     """
     n = trace.x.shape[-2]
-    if d_logits is None:
-        d_logits = np.zeros_like(trace.logits)
-    else:
-        d_logits = np.asarray(d_logits, dtype=np.float64)
-        if d_logits.shape != trace.logits.shape:
-            raise DimensionError("d_logits shape does not match the traced logits")
+    d_logits = np.asarray(d_logits, dtype=np.float64)
+    if d_logits.shape != trace.logits.shape:
+        raise DimensionError("d_logits shape does not match the traced logits")
+    d_embeddings = np.asarray(d_embeddings, dtype=np.float64)
+    if d_embeddings.shape != trace.embeddings.shape:
+        raise DimensionError("d_embeddings shape does not match the trace")
     # every gradient is written straight into its slice of one flat buffer
     grads = ModelGrads.adopt(np.empty_like(params.flat), params)
     np.matmul(_t(trace.bn_embeddings), d_logits, out=grads.wc)
@@ -294,12 +270,7 @@ def backward(
     dvar = (dxhat * xmu).sum(axis=-2) * (-0.5) * trace.istd**3
     dmean = -dxhat.sum(axis=-2) * trace.istd + dvar * (-2.0) * xmu.mean(axis=-2)
     d_emb = dxhat * _rows(trace.istd) + _rows(dvar) * 2.0 * xmu / n + _rows(dmean) / n
-
-    if d_embeddings is not None:
-        d_embeddings = np.asarray(d_embeddings, dtype=np.float64)
-        if d_embeddings.shape != trace.embeddings.shape:
-            raise DimensionError("d_embeddings shape does not match the trace")
-        d_emb = d_emb + d_embeddings
+    d_emb = d_emb + d_embeddings
 
     np.matmul(_t(trace.a1), d_emb, out=grads.w2)
     d_emb.sum(axis=-2, out=grads.b2)
@@ -359,7 +330,7 @@ def save_checkpoint(path, params: ModelParams, optim_state=None) -> None:
         arrays["opt_hyper"] = np.array(hyper)
         for moment in ("m", "v"):
             for name in TRAINABLE:
-                arrays[f"opt_{moment}_{name}"] = getattr(optim_state, moment)[name]
+                arrays[f"opt_{moment}_{name}"] = getattr(getattr(optim_state, moment), name)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 

@@ -51,8 +51,8 @@ def init_optim_state(
     return OptimState(base_lr, weight_decay, step_count=0, m=m, v=v)
 
 
-def step(state: OptimState, params: ModelParams, grads: ModelGrads, lr: float | None = None) -> None:
-    """One bias-corrected moment update with weight decay applied directly to params.
+def step(state: OptimState, params: ModelParams, grads: ModelGrads, lr: float) -> None:
+    """One bias-corrected moment update at learning rate ``lr``, weight decay applied to params.
 
     Gradients are checked before the update: a non-finite entry rejects the
     whole step and leaves state and params untouched. Parameters are checked
@@ -60,8 +60,6 @@ def step(state: OptimState, params: ModelParams, grads: ModelGrads, lr: float | 
     ``NumericError`` naming the tensor and the step count.
     """
     check_single("step", params=params.flat, grads=grads.flat, m=state.m.flat, v=state.v.flat)
-    if lr is None:
-        lr = state.base_lr
     if not 0 <= lr < np.inf:
         raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
     if not np.isfinite(grads.flat).all():

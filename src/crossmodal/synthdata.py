@@ -30,7 +30,7 @@ BENCHMARK_LAYOUT = FeatureLayout(shared_dims=6, color_dims=5, modality_dims=5)
 _BENCHMARK_SEEDS = {"train": 11, "test": 12}
 
 
-@dataclass
+@dataclass(eq=False)
 class SynthDataset:
     """Feature rows with identity labels and modality tags, plus generator settings.
 
@@ -48,7 +48,6 @@ class SynthDataset:
     layout: FeatureLayout | None = None
     gap_strength: float | None = None
     noise_sigma: float | None = None
-    prototypes: np.ndarray | None = None
     _identities: np.ndarray = field(init=False, repr=False, default=None)
     _rows: np.ndarray = field(init=False, repr=False, default=None)
     _counts: np.ndarray = field(init=False, repr=False, default=None)
@@ -107,13 +106,6 @@ class SynthDataset:
             _read_only(rows, counts)
             self._tables[pair] = rows, counts
         return self._tables[pair]
-
-    def count_of(self, identity: int, modality: str | Modality) -> int:
-        return int(self.rows_of(identity, modality).size)
-
-    def min_count(self, modality: str | Modality) -> int:
-        """Fewest rows any identity has in the modality (0 for a set with no rows)."""
-        return int(self._counts[:, _column(modality)].min(initial=len(self)))
 
     def modality_rows(self, modality: str | Modality) -> np.ndarray:
         """All row indices carrying the given tag."""
@@ -177,7 +169,6 @@ def generate(
         layout=layout,
         gap_strength=gap_strength,
         noise_sigma=noise_sigma,
-        prototypes=shared,
     )
 
 

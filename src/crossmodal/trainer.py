@@ -103,7 +103,6 @@ class EpochLog:
     stage: int
     lr: float
     terms: dict[str, float]
-    n_batches: int
     eval: EvalReport | None = None
 
 
@@ -289,7 +288,7 @@ def train(
         last = epoch == cfg.epochs - 1
         if last or (cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0):
             report = evaluate_params(params, eval_ds, cfg.eval_direction)
-        log = EpochLog(epoch, stage.value, lr, terms, n_steps, report)
+        log = EpochLog(epoch, stage.value, lr, terms, report)
         logs.append(log)
         if on_epoch is not None:
             on_epoch(epoch, params, log)

@@ -39,7 +39,7 @@ from crossmodal.losses import (
     stage2_objective,
 )
 from crossmodal.synthdata import SynthDataset, load_features, make_benchmark
-from crossmodal.trainer import train
+from crossmodal.trainer import steps_per_epoch, train
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -115,7 +115,6 @@ def test_grayscale_of_refuses_bad_input_of_every_shape(shape):
 
 
 def test_batch_spec_validation():
-    assert BatchSpec(2, 2).rows == 8
     with pytest.raises(ConfigError):
         BatchSpec(1, 4)
     with pytest.raises(ConfigError):
@@ -128,7 +127,7 @@ def test_labeled_batch_validation():
     batch = LabeledBatch(feats, labels, ["vis", "ir", "vis", "ir"])
     assert batch.validate() is batch
     assert batch.cell_count() == 1
-    assert batch.dim == 2 and len(batch) == 4
+    assert len(batch) == 4
     with pytest.raises(ConfigError):
         LabeledBatch(feats, labels, ["vis", "ir", "vis", "rgb"])
     with pytest.raises(DimensionError):
@@ -173,16 +172,17 @@ def test_cell_count_rejects_uneven_cells():
 def test_sample_batch_structure_and_determinism():
     ds = make_benchmark("train")
     spec = BatchSpec(4, 3)
+    n = 2 * spec.p * spec.k
     for stage in (Stage.STAGE1, Stage.STAGE2):
         batch = sample_batch(ds, spec, stage, RngStream(5))
-        assert len(batch) == spec.rows
+        assert len(batch) == n
         assert batch.structure.modalities == tuple(sorted(stage.modality_pair))
         assert len(batch.structure.identities) == spec.p
         assert batch.cell_count() == spec.k
         # rows are drawn without replacement: all distinct
         combos = {(int(l), str(m), tuple(f)) for l, m, f in
                   zip(batch.labels, batch.modalities, batch.features)}
-        assert len(combos) == spec.rows
+        assert len(combos) == n
     again = sample_batch(ds, spec, Stage.STAGE1, RngStream(5))
     ref = sample_batch(ds, spec, Stage.STAGE1, RngStream(5))
     assert np.array_equal(again.features, ref.features)
@@ -219,7 +219,9 @@ def test_structure_survives_feature_swap_but_not_label_change():
 def test_sample_batch_names_the_short_identity():
     tags = ["vis"] * 3 + ["ir"] * 3
     ds = SynthDataset(np.zeros((11, 2)), [0] * 6 + [1] * 5, tags + tags[:5])
-    assert (ds.min_count("vis"), ds.min_count(Modality.IR), ds.min_count("gray")) == (3, 2, 0)
+    vis, ir = ds.row_table(("vis", "ir"))[1].min(axis=0)  # the fewest rows of each tag
+    gray = ds.row_table(("gray", "ir"))[1][:, 0].min()
+    assert (vis, ir, gray) == (3, 2, 0)
     with pytest.raises(SamplingError, match="identity 1 has 2 'ir' rows, batch needs 3"):
         sample_batch(ds, BatchSpec(2, 3), Stage.STAGE2, RngStream(0))
     assert len(sample_batch(ds, BatchSpec(2, 2), Stage.STAGE2, RngStream(0))) == 8
@@ -444,7 +446,7 @@ def test_sampled_batches_share_one_layout_per_stage_and_shape():
     assert a.layout is b.layout
     assert a.layout.pairs is b.layout.pairs  # the n x n masks, built once for both
     pairs = a.layout.pairs
-    rows = np.arange(0, spec.rows, 3)
+    rows = np.arange(0, 2 * spec.p * spec.k, 3)
     assert np.array_equal(pairs.neg_rows(rows), pairs.neg[rows])
     assert sample_batch(ds, spec, Stage.STAGE1, RngStream(0)).structure.layout is not a.layout
     narrow = sample_batch(ds, BatchSpec(8, 3), Stage.STAGE2, RngStream(0))
@@ -477,7 +479,8 @@ def test_training_validates_no_batch_and_derives_masks_once_per_layout(monkeypat
     monkeypatch.setattr(PairMasks, "of", classmethod(counted_of))
     batch_module._sampled_layout.cache_clear()
     cfg = parse_config_file(ROOT / "configs" / "default.cfg").train
-    _, logs = train(load_features(ROOT / "data" / "benchmark_train.csv"), cfg)
-    assert sum(log.n_batches for log in logs) == 224
+    data = load_features(ROOT / "data" / "benchmark_train.csv")
+    _, logs = train(data, cfg)
+    assert len(logs) * steps_per_epoch(data, cfg) == 224
     # one layout per stage: stage 1 reads its pairs within each modality, stage 2 over all rows
     assert calls == {"validate": 0, "PairMasks.of": 3}

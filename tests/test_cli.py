@@ -525,6 +525,28 @@ def test_failed_checkpoint_write_records_status(small_data, tmp_path, capsys, mo
     assert not (run_dir / "report_t2v.txt").exists()
 
 
+@pytest.mark.parametrize("name", ["config.resolved.cfg", "epochs.csv"])
+def test_failed_setup_write_records_status(small_data, tmp_path, capsys, monkeypatch, name):
+    # the files written after the manifest says "running", before training starts
+    def refusing(write):
+        def refuse(path, *args, **kwargs):
+            if os.path.basename(path) == name:
+                raise OSError(f"cannot write {name}")
+            return write(path, *args, **kwargs)
+
+        return refuse
+
+    monkeypatch.setattr(cli, "_write_atomic", refusing(cli._write_atomic))
+    monkeypatch.setattr(cli, "open", refusing(open), raising=False)
+    cfg = write_small_config(tmp_path, small_data)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {name}\n"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == f"failed: cannot write {name}"
+    assert not (run_dir / "checkpoint.npz").exists()
+
+
 def test_eval_reproduces_training_report(small_data, tmp_path, capsys):
     cfg = write_small_config(tmp_path, small_data)
     run_dir = tmp_path / "run"

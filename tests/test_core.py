@@ -4,6 +4,7 @@ import pytest
 import oracles
 from crossmodal.core import (
     RngStream,
+    _euclid,
     cross_distances,
     euclidean_distance,
     pairwise_distances,
@@ -125,10 +126,12 @@ def test_pairwise_rejects_bad_metric(rng):
 
 
 def test_cross_distances_match_pairwise_blocks(rng):
-    a = rng.normal(size=(4, 3))
     b = rng.normal(size=(5, 3))
-    full = pairwise_distances(np.concatenate([a, b]))
-    assert np.allclose(cross_distances(a, b), full[:4, 4:], atol=1e-12)
+    for rows in (4, 32, 33, 70):  # one block, then 32-row blocks and a shorter last one
+        a = rng.normal(size=(rows, 3))
+        full = pairwise_distances(np.concatenate([a, b]))
+        assert np.allclose(cross_distances(a, b), full[:rows, rows:], atol=1e-12)
+        assert cross_distances(a, b).tobytes() == _euclid(a, b).tobytes()  # the one-shot form
     with pytest.raises(DimensionError):
         cross_distances(a, rng.normal(size=(2, 7)))
 

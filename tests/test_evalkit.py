@@ -9,7 +9,7 @@ import pytest
 import oracles
 from conftest import pin_note
 from crossmodal import evalkit
-from crossmodal.core import RngStream, cross_distances
+from crossmodal.core import RngStream, _euclid, cross_distances
 from crossmodal.errors import (
     ConfigError,
     DegenerateError,
@@ -92,7 +92,7 @@ def _assert_matches_oracles(qf, gf, qid, gid):
     result = rank(qf, gf, qid, gid)
 
     kept_rows = [i for i in range(n_q) if qid[i] in gid.tolist()]
-    assert result.n_queries == len(kept_rows)
+    assert result.order.shape == (len(kept_rows), n_g)
     assert result.dropped == n_q - len(kept_rows)
 
     ap_sum = inp_sum = 0.0
@@ -268,6 +268,24 @@ def test_rank_falls_back_above_the_certified_scale(fallback_rows, scale):
         result = rank(qf, gf, np.zeros(3, dtype=int), np.zeros(50, dtype=int))
     assert sum(map(len, fallback_rows)) == 3
     assert np.array_equal(result.order, np.argsort(cross_distances(qf, gf), axis=1, kind="stable"))
+
+
+def test_rank_fallback_streams_its_difference_tensor(fallback_rows):
+    # 1000 queries against 500 rows listed twice: every row ties, so every row falls
+    # back; a one-shot 1000 x 1000 x 16 difference tensor would be 128 MB
+    r = np.random.default_rng(2)
+    qf, gf = r.normal(size=(1000, 16)), np.repeat(r.normal(size=(500, 16)), 2, axis=0)
+    qid, gid = np.arange(1000) % 500, np.repeat(np.arange(500), 2)
+    tracemalloc.start()
+    try:
+        result = rank(qf, gf, qid, gid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, fallback_rows)) == 1000
+    one_shot = np.argsort(_euclid(qf, gf), axis=1, kind="stable")
+    assert result.order.tobytes() == one_shot.tobytes()
+    assert peak < 40 * 2**20
 
 
 def test_rank_validation_and_degenerate():

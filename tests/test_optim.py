@@ -24,8 +24,9 @@ def test_init_state_shapes_and_validation():
     state = init_optim_state(params, base_lr=0.01)
     assert state.step_count == 0
     for name in TRAINABLE:
-        assert state.m[name].shape == getattr(params, name).shape
-        assert not state.m[name].any() and not state.v[name].any()
+        m, v = getattr(state.m, name), getattr(state.v, name)
+        assert m.shape == getattr(params, name).shape
+        assert not m.any() and not v.any()
     with pytest.raises(ConfigError):
         init_optim_state(params, base_lr=-1.0)
     with pytest.raises(ConfigError):
@@ -40,7 +41,7 @@ def test_step_matches_scalar_oracle():
     oracle_v = {n: np.zeros_like(snapshots[n]).ravel().tolist() for n in TRAINABLE}
     oracle_p = {n: snapshots[n].ravel().tolist() for n in TRAINABLE}
     for t in (1, 2, 3):
-        step(state, params, grads)
+        step(state, params, grads, 0.05)
         for name in TRAINABLE:
             oracle_p[name], oracle_m[name], oracle_v[name] = oracles.adamw_step(
                 oracle_p[name],
@@ -57,8 +58,8 @@ def test_step_matches_scalar_oracle():
             assert np.allclose(
                 getattr(params, name).ravel(), oracle_p[name], atol=1e-12
             ), name
-            assert np.allclose(state.m[name].ravel(), oracle_m[name], atol=1e-12)
-            assert np.allclose(state.v[name].ravel(), oracle_v[name], atol=1e-12)
+            assert np.allclose(getattr(state.m, name).ravel(), oracle_m[name], atol=1e-12)
+            assert np.allclose(getattr(state.v, name).ravel(), oracle_v[name], atol=1e-12)
     assert state.step_count == 3
 
 
@@ -68,28 +69,15 @@ def test_decay_only_step():
     params.w1[...] = 1.0
     zero = ModelGrads(*(np.zeros_like(getattr(params, n)) for n in TRAINABLE))
     state = init_optim_state(params, base_lr=0.1, weight_decay=0.01)
-    step(state, params, zero)
+    step(state, params, zero, 0.1)
     assert np.allclose(params.w1, 0.999, atol=1e-15)
-
-
-def test_explicit_lr_argument_overrides_base():
-    params, grads = make_setup()
-    twin, _ = make_setup()
-    state = init_optim_state(params, base_lr=123.0, weight_decay=0.0)
-    twin_state = init_optim_state(twin, base_lr=0.05, weight_decay=0.0)
-    step(state, params, grads, lr=0.05)
-    step(twin_state, twin, grads)
-    for name in TRAINABLE:
-        assert np.array_equal(getattr(params, name), getattr(twin, name))
-    with pytest.raises(ConfigError):
-        step(state, params, grads, lr=-0.1)
 
 
 @pytest.mark.parametrize("lr", [-0.1, np.nan, np.inf])
 def test_bad_learning_rate_is_refused_before_any_write(lr):
     params, grads = make_setup()
     state = init_optim_state(params)
-    step(state, params, grads)  # warm the moments
+    step(state, params, grads, state.base_lr)  # warm the moments
     before = [t.copy() for t in (params.flat, state.m.flat, state.v.flat)]
     with pytest.raises(ConfigError, match="^learning rate must be finite and >= 0"):
         step(state, params, grads, lr=lr)
@@ -101,16 +89,16 @@ def test_bad_learning_rate_is_refused_before_any_write(lr):
 def test_nonfinite_gradient_rejects_whole_step():
     params, grads = make_setup()
     state = init_optim_state(params)
-    step(state, params, grads)  # warm the moments
+    step(state, params, grads, state.base_lr)  # warm the moments
     before_p = {n: getattr(params, n).copy() for n in TRAINABLE}
-    before_m = {n: state.m[n].copy() for n in TRAINABLE}
+    before_m = {n: getattr(state.m, n).copy() for n in TRAINABLE}
     grads.w2[0, 0] = np.nan
     with pytest.raises(NumericError, match="w2"):
-        step(state, params, grads)
+        step(state, params, grads, state.base_lr)
     assert state.step_count == 1
     for name in TRAINABLE:
         assert np.array_equal(getattr(params, name), before_p[name]), name
-        assert np.array_equal(state.m[name], before_m[name]), name
+        assert np.array_equal(getattr(state.m, name), before_m[name]), name
 
 
 def test_overflowing_step_names_parameter_and_step():
@@ -118,7 +106,7 @@ def test_overflowing_step_names_parameter_and_step():
     state = init_optim_state(params, base_lr=1e300)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="^non-finite parameter w1 after step 1$"):
-            step(state, params, grads)
+            step(state, params, grads, state.base_lr)
     assert state.step_count == 1
 
 
@@ -128,7 +116,7 @@ def test_overflowing_step_raises_without_a_numpy_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="^non-finite parameter w1 after step 1$"):
-            step(state, params, grads)
+            step(state, params, grads, state.base_lr)
 
 
 def test_cosine_lr_endpoints_and_midpoint():

@@ -22,7 +22,6 @@ from crossmodal.core import _BLOCK, RngStream
 from crossmodal.errors import DimensionError
 from crossmodal.losses import LossConfig
 from crossmodal.model import (
-    TRAINABLE,
     ModelGrads,
     ModelParams,
     backward,
@@ -190,7 +189,8 @@ def test_loss_and_grads_slices(shape, stage):
     else:
         batch = _sampled_batch(8, stage)
     targets = np.searchsorted(batch.structure.identities, batch.labels)
-    params = init_params(batch.dim, 6, 4, len(batch.structure.identities), RngStream(9))
+    n_classes = len(batch.structure.identities)
+    params = init_params(batch.features.shape[1], 6, 4, n_classes, RngStream(9))
     stack = _param_stack(params, 10)
     cfg = LossConfig()
     out, grads, trace = loss_and_grads(stack, batch, stage, cfg, targets)
@@ -250,12 +250,12 @@ def test_update_bn_stats_refuses_a_stack_before_writing():
 def test_optim_step_refuses_a_stack_before_writing():
     params, stack = _model_and_stack()
     x = RngStream(2).normal(size=(12, 5))
-    _, _, logits, trace = forward(stack, x)
-    grads = backward(trace, stack, d_logits=np.ones_like(logits))
+    emb, _, logits, trace = forward(stack, x)
+    grads = backward(trace, stack, d_embeddings=np.zeros_like(emb), d_logits=np.ones_like(logits))
     state = init_optim_state(params)
     before = _state_bytes(stack.flat, state.m.flat, state.v.flat)
     with pytest.raises(DimensionError, match="^step takes one model, not a stack: params"):
-        step(state, stack, grads)
+        step(state, stack, grads, state.base_lr)
     assert state.step_count == 0
     assert _state_bytes(stack.flat, state.m.flat, state.v.flat) == before
 
@@ -283,16 +283,3 @@ def test_constructors_refuse_a_stack_by_name(cls):
         cls(**{**tensors, "b1": params.b1[None]})
     with pytest.raises(DimensionError, match=r": wc has shape \(12,\), not 2-D "):
         cls(**{**tensors, "wc": params.wc.ravel()})
-
-
-def test_copy_keeps_a_stack_layout():
-    params, stack = _model_and_stack()
-    copied = stack.copy()
-    assert copied.flat.shape == (S, params.flat.size)
-    assert same_bits(copied.flat, stack.flat) and not np.shares_memory(copied.flat, stack.flat)
-    for name in TRAINABLE:
-        assert np.shares_memory(getattr(copied, name), copied.flat)
-        assert same_bits(getattr(copied, name), getattr(stack, name))
-    for name in ("bn_running_mean", "bn_running_var"):
-        assert same_bits(getattr(copied, name), getattr(stack, name))
-        assert not np.shares_memory(getattr(copied, name), getattr(stack, name))

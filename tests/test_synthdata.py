@@ -32,7 +32,7 @@ def test_generate_counts_and_tags():
     assert np.array_equal(ds.identities, np.arange(4))
     for ident in range(4):
         for mod in ("vis", "gray", "ir"):
-            assert ds.count_of(ident, mod) == 3
+            assert ds.rows_of(ident, mod).size == 3
     assert ds.modality_rows("vis").size == 12
 
 
@@ -45,10 +45,11 @@ def test_generate_block_structure():
     assert not ir[:, LAYOUT.color_slice].any()
     assert ir[:, LAYOUT.modality_slice].any()
     # noiseless rows sit on the identity prototype
+    prototypes = oracles.per_identity_dataset(4, 3, LAYOUT, 1.5, 0.0, RngStream(0))[3]
     for ident in ds.identities:
         rows = ds.features[ds.rows_of(ident, "vis")][:, LAYOUT.shared_slice]
         assert np.allclose(rows, rows[0], atol=1e-15)
-        assert np.allclose(rows[0], ds.prototypes[ident], atol=1e-15)
+        assert np.allclose(rows[0], prototypes[ident], atol=1e-15)
 
 
 def test_gray_rows_are_grayscale_views_of_vis():
@@ -100,7 +101,7 @@ def test_dataset_validation():
 def test_rows_of_missing_cell_is_empty():
     ds = small()
     assert ds.rows_of(99, "vis").size == 0
-    assert ds.count_of(99, "ir") == 0
+    assert ds.rows_of(99, "ir").size == 0
 
 
 def test_row_table_pads_each_identity_rows_per_tag():
@@ -127,7 +128,7 @@ def test_row_table_without_rows_is_empty():
     empty = SynthDataset(np.zeros((0, 3)), [], [])
     rows, counts = empty.row_table(("gray", "ir"))
     assert rows.shape == (0, 2, 0) and counts.shape == (0, 2)
-    assert empty.min_count("vis") == 0 and empty.rows_of(0, "vis").size == 0
+    assert empty.rows_of(0, "vis").size == 0
     vis_only = SynthDataset(np.zeros((4, 3)), [0, 0, 1, 1], ["vis"] * 4)
     rows, counts = vis_only.row_table(("gray", "ir"))
     assert rows.shape == (2, 2, 2) and (rows == 4).all() and not counts.any()
@@ -156,13 +157,12 @@ def _generate_cases():
 def test_generate_equals_the_per_identity_draws_bit_for_bit(case):
     *shape, seed, path = case
     ds = generate(*shape, RngStream(seed).child(*path))
-    features, labels, tags, prototypes = oracles.per_identity_dataset(
+    features, labels, tags, _ = oracles.per_identity_dataset(
         *shape, RngStream(seed).child(*path)
     )
     assert ds.features.tobytes() == features.tobytes()
     assert ds.labels.tobytes() == labels.tobytes()
     assert ds.modalities.dtype == tags.dtype and np.array_equal(ds.modalities, tags)
-    assert ds.prototypes.tobytes() == prototypes.tobytes()
 
 
 def _cell_set(seed: int) -> SynthDataset:
@@ -189,9 +189,9 @@ def test_cell_table_equals_the_row_by_row_index(seed):
         for mod in ("vis", "gray", "ir"):
             want = index.get((ident, mod), np.empty(0, dtype=np.int64))
             assert ds.rows_of(ident, mod).tolist() == want.tolist()
-            assert ds.count_of(ident, mod) == want.size
     for mod in ("vis", "gray", "ir"):
-        assert ds.min_count(mod) == min((len(index.get((i, mod), ())) for i in present), default=0)
+        fewest = ds.row_table((mod, "ir"))[1][:, 0].min(initial=len(ds))
+        assert fewest == min((len(index.get((i, mod), ())) for i in present), default=0)
         assert ds.modality_rows(mod).tolist() == np.flatnonzero(ds.modalities == mod).tolist()
     for pair in [("gray", "ir"), ("vis", "ir"), ("ir", "vis"), ("vis", "gray")]:
         rows, counts = ds.row_table(pair)
@@ -206,8 +206,6 @@ def test_cell_queries_name_an_unknown_tag():
     ds = small()
     for query in (
         lambda: ds.rows_of(0, "rgb"),
-        lambda: ds.count_of(0, "rgb"),
-        lambda: ds.min_count("rgb"),
         lambda: ds.modality_rows("rgb"),
         lambda: ds.row_table(("rgb", "ir")),
     ):

@@ -247,13 +247,14 @@ def test_one_optimizer_spans_the_stage_switch(tiny_data, monkeypatch):
     seen, logs = _train_recording_steps(monkeypatch, tiny_data, tiny_cfg())
     assert [log.stage for log in logs] == [1, 1, 2, 2]
     assert len({id(state) for state, _ in seen}) == 1
-    assert seen[-1][0].step_count == len(seen) == sum(log.n_batches for log in logs)
+    assert seen[-1][0].step_count == len(seen) == len(logs) * steps_per_epoch(tiny_data, tiny_cfg())
 
 
 def test_every_step_uses_its_epochs_logged_lr(tiny_data, monkeypatch):
     cfg = tiny_cfg()
     seen, logs = _train_recording_steps(monkeypatch, tiny_data, cfg)
-    assert [lr for _, lr in seen] == [log.lr for log in logs for _ in range(log.n_batches)]
+    n_steps = steps_per_epoch(tiny_data, cfg)
+    assert [lr for _, lr in seen] == [log.lr for log in logs for _ in range(n_steps)]
     want = [cosine_lr(e, cfg.epochs, cfg.base_lr, cfg.base_lr / 100.0) for e in range(cfg.epochs)]
     assert [log.lr for log in logs] == want
 
