@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -164,6 +165,13 @@ class PairMasks:
         _read_only(blocks)
         return cls(every_pos, bool(np.count_nonzero(counts) >= 2), blocks, id_codes)
 
+    @cached_property
+    def own_rows(self) -> np.ndarray:
+        """n x (n / P): the rows of each row's identity (``blocks[id_codes]``); read-only."""
+        own = self.blocks[self.id_codes]
+        _read_only(own)
+        return own
+
     def neg_rows(self, rows: np.ndarray) -> np.ndarray:
         """``neg[rows]``, without deriving ``neg``."""
         return self.id_codes[rows, None] != self.id_codes
@@ -230,6 +238,16 @@ class RowLayout:
         ids = self.id_codes[None]
         return _positive_pairs(self.mod_codes[None], ids[:, :, None] == ids[:, None, :])
 
+    @cached_property
+    def block_weights(self) -> np.ndarray:
+        """``msel``'s pair weights over ``block_pairs``: ``intra / (k - 1) - cross / k``."""
+        return _pair_weights(self.block_pairs, self.pairs.blocks.shape[1] // 2)
+
+    @cached_property
+    def batch_weights(self) -> np.ndarray:
+        """``msel``'s pair weights over ``batch_pairs``, as :attr:`block_weights`."""
+        return _pair_weights(self.batch_pairs, self.pairs.blocks.shape[1] // 2)
+
 
 @dataclass(frozen=True, eq=False)
 class BatchStructure:
@@ -277,6 +295,14 @@ def _positive_pairs(mods: np.ndarray, same_id: np.ndarray | None = None):
         cross &= same_id
     _read_only(intra, cross)
     return intra, cross
+
+
+def _pair_weights(pairs: tuple[np.ndarray, np.ndarray], k: int) -> np.ndarray:
+    """``intra / (k - 1) - cross / k`` of ``pairs = (intra, cross)``, k rows per cell; read-only."""
+    intra, cross = pairs
+    weights = intra / (k - 1.0) - cross / float(k)
+    _read_only(weights)
+    return weights
 
 
 @dataclass(eq=False)
@@ -353,6 +379,12 @@ def _check_finite(features: np.ndarray) -> None:
         raise NumericError("batch features contain NaN or Inf")
 
 
+#: Streams that :func:`sample_batches` draws together: one Floyd pass, row gather
+#: and label gather serve this many batches, and the arrays they fill stay small
+#: (a 64-row batch's row indices and labels take 1 KB) for a run of any length.
+_STREAMS = 64
+
+
 @lru_cache(maxsize=None)
 def _sampled_layout(stage: Stage, p: int, k: int) -> RowLayout:
     """The layout every :func:`sample_batch` batch of this stage and P x K shares.
@@ -369,6 +401,14 @@ def _sampled_layout(stage: Stage, p: int, k: int) -> RowLayout:
     return layout
 
 
+@lru_cache(maxsize=None)
+def _sampled_tags(stage: Stage, p: int, k: int, dtype: np.dtype) -> np.ndarray:
+    """The tags of every :func:`sample_batch` row of this stage and P x K, in ``dtype``; read-only."""
+    tags = np.tile(np.repeat(np.array(stage.modality_pair, dtype=dtype), k), p)
+    _read_only(tags)
+    return tags
+
+
 def sample_batch(
     dataset: "SynthDataset", spec: BatchSpec, stage: Stage, rng: RngStream
 ) -> LabeledBatch:
@@ -382,25 +422,33 @@ def sample_batch(
 
 
 def sample_batches(
-    dataset: "SynthDataset", spec: BatchSpec, stage: Stage, rngs: Sequence[RngStream]
+    dataset: "SynthDataset", spec: BatchSpec, stage: Stage, rngs: Iterable[RngStream]
 ) -> Iterator[LabeledBatch]:
     """Yield the :func:`sample_batch` batch of each stream in ``rngs``, in order.
 
-    Each stream makes two generator calls: one ``choice`` for its P
-    identities, then one ``integers`` call in :func:`~crossmodal.core.subsets`
-    for its 2P cells, drawn identity by drawn identity, its first tag then
-    its second; these draw exactly the rows a ``choice`` per cell would
-    (cells of more than 10 000 rows may take ``choice`` itself, see there).
-    Every stream draws before the first batch is yielded, and the rows of
-    all the batches are gathered at once from the dataset's padded row table
-    (:meth:`~crossmodal.synthdata.SynthDataset.row_table`). A batch whose
-    features are not all finite raises ``NumericError`` when its turn
-    comes, after the batches before it.
+    ``rngs`` is an iterable, consumed once, ``_STREAMS`` streams at a time:
+    each stream is taken in turn, makes its two generator calls and is
+    dropped, so a lazy iterable keeps one stream alive at a time. The calls
+    are one ``choice`` for its P identities, then one ``integers`` call in
+    :func:`~crossmodal.core.subsets` for its 2P cells, drawn identity by
+    drawn identity, its first tag then its second; these draw exactly the
+    rows a ``choice`` per cell would (cells of more than 10 000 rows may
+    take ``choice`` itself, see there). Floyd's steps, the row indices
+    (read from the dataset's padded row table,
+    :meth:`~crossmodal.synthdata.SynthDataset.row_table`) and the labels
+    then come in one pass over the block's streams, before its first batch
+    is yielded. Each batch's features are gathered when its turn comes; a
+    batch whose features are not all finite raises ``NumericError`` then,
+    after the batches before it.
 
     The batch carries its structure: the rows of the j-th drawn identity are
     block j of the layout shared by every batch of this stage and shape
-    (``_sampled_layout``), so the only per-batch derivation is the order of
-    the P drawn identities. The batch is not validated again.
+    (``_sampled_layout``), and its tags are one read-only array shared the
+    same way, so the only per-batch derivation is the order of the P drawn
+    identities. The batch is not validated again. A block's row indices and
+    labels are dropped before its last batch is yielded, and a batch holds
+    its own labels, so a caller that evaluates after its last step holds
+    none of them.
     """
     pair = stage.modality_pair
     ids = dataset.identities
@@ -412,22 +460,36 @@ def sample_batches(
         raise SamplingError(
             f"identity {ids[i]} has {counts[i, m]} {pair[m]!r} rows, batch needs {spec.k}"
         )
-    p, k, n = int(spec.p), int(spec.k), len(rngs)
-    draws = [rng.choice(len(ids), size=p, replace=False) for rng in rngs]
-    chosen = np.array(draws, dtype=np.int64).reshape(n, p)
-    cells = rows[chosen].reshape(n, 2 * p, rows.shape[-1])  # each stream's 2P cells, draw order
-    picks = subsets(rngs, counts[chosen].reshape(n, 2 * p), k)
-    idx = np.take_along_axis(cells, picks, axis=2).reshape(n, 2 * p * k)
-    features, labels, tags = dataset.features[idx], dataset.labels[idx], dataset.modalities[idx]
-    finite = np.isfinite(features).all(axis=(1, 2))
+    p, k = int(spec.p), int(spec.k)
     layout = _sampled_layout(stage, p, k)
-    order = np.argsort(chosen, axis=1)  # identity code c is the drawn identity order[c]
-    identities = ids[np.take_along_axis(chosen, order, axis=1)]
-    _read_only(labels, tags, identities, order)
+    tags = _sampled_tags(stage, p, k, dataset.modalities.dtype)
     mods = tuple(sorted(pair))
-    for i in range(n):
-        if not finite[i]:
-            _check_finite(features[i])  # raises
-        lab, tag = labels[i], tags[i]  # one view each, shared by the batch and its structure
-        structure = BatchStructure(lab, tag, identities[i], mods, k, layout, order[i])
-        yield LabeledBatch(features[i], lab, tag, structure)
+    drawn: list[np.ndarray] = []  # the block's draws of P identities, stream by stream
+
+    def cell_pops(rng: RngStream) -> np.ndarray:
+        """Draw the stream's P identities; its 2P cells' row counts, in draw order."""
+        drawn.append(rng.choice(len(ids), size=p, replace=False))
+        return counts[drawn[-1]].reshape(2 * p)
+
+    streams = iter(rngs)
+    while True:
+        drawn.clear()
+        picks = subsets(islice(streams, _STREAMS), cell_pops, k).reshape(-1, p, 2, k)
+        if not drawn:
+            return
+        chosen = np.array(drawn, dtype=np.int64)
+        # row j * 2k + m * k + t: pick t of drawn identity j's tag-m cell
+        idx = rows[chosen[:, :, None, None], np.arange(2)[:, None], picks].reshape(-1, 2 * p * k)
+        labels = dataset.labels[idx]
+        order = np.argsort(chosen, axis=1)  # identity code c is the drawn identity order[c]
+        identities = ids[np.take_along_axis(chosen, order, axis=1)]
+        _read_only(identities, order)
+        for i in range(len(idx)):
+            features = dataset.features[idx[i]]
+            _check_finite(features)
+            lab = labels[i].copy()  # not a view, which would keep ``labels`` alive
+            _read_only(lab)
+            structure = BatchStructure(lab, tags, identities[i], mods, k, layout, order[i])
+            if i == len(idx) - 1:
+                del idx, labels
+            yield LabeledBatch(features, lab, tags, structure)

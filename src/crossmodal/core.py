@@ -232,6 +232,15 @@ def cross_distances(a, b) -> np.ndarray:
     return out
 
 
+def _checked_path(path) -> tuple[int, ...]:
+    """``path`` as a tuple of ints; ``ConfigError`` unless each component is an integer >= 0."""
+    for p in path:
+        check_int("path", p)
+        if p < 0:
+            raise ConfigError("stream path components must be non-negative")
+    return tuple(int(p) for p in path)
+
+
 class RngStream:
     """Seeded PCG64 stream with deterministic, spawnable child streams.
 
@@ -243,20 +252,24 @@ class RngStream:
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         check_int("seed", seed)
-        self.seed = int(seed)
-        if self.seed < 0:
+        if seed < 0:
             raise ConfigError("seed must be non-negative")
-        for p in path:
-            check_int("path", p)
-            if p < 0:
-                raise ConfigError("stream path components must be non-negative")
-        self.path = tuple(int(p) for p in path)
-        seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
+        self._start(int(seed), _checked_path(path))
+
+    def _start(self, seed: int, path: tuple[int, ...]) -> None:
+        self.seed, self.path = seed, path
+        seq = np.random.SeedSequence(seed, spawn_key=path)
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def child(self, *path: int) -> "RngStream":
-        """Deterministic substream at the given path suffix."""
-        return RngStream(self.seed, self.path + path)
+        """Deterministic substream at the given path suffix: ``RngStream(seed, self.path + path)``.
+
+        Only the suffix is checked; the seed and this stream's path were
+        checked when it was made.
+        """
+        stream = object.__new__(RngStream)
+        stream._start(self.seed, self.path + _checked_path(path))
+        return stream
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
         return self._gen.normal(loc, scale, size)
@@ -277,50 +290,68 @@ class RngStream:
 def subsets(streams, pops, k: int) -> np.ndarray:
     """``out[s, i]``: ``choice(pops[s, i], size=k, replace=False)`` on ``streams[s]``, bit for bit.
 
-    ``pops`` holds one row of populations per stream. Each stream makes one
-    ``integers`` call for its row and ends where one ``choice`` per
-    population, in row order, leaves it. For a population of at most
-    ``_TAIL_POP`` rows, or with k <= pop // 50, numpy's no-replacement
-    ``choice`` runs Floyd's algorithm: draws in [0, j] for j = pop - k ...
-    pop - 1, a drawn value already taken replaced by j, then a Fisher-Yates
-    pass over the k picks, draws in [0, i] for i = k - 1 ... 1; each a
-    bounded draw as ``integers`` makes it, with every bound known before the
-    first. So all streams' draws are made first and one numpy step per pick
-    serves every population. Other populations (numpy shuffles instead) are
-    drawn by ``choice`` itself.
+    ``streams`` is an iterable, consumed once. ``pops`` holds one row of
+    populations per stream, or is a function that returns a stream's row
+    when given the stream, called just before the stream's own draws (so
+    the row may come from draws already made on it). Each stream makes its
+    draws when its turn comes and is then dropped; one vectorised pass
+    (:func:`_floyd`) then turns every stream's draws into its picks.
+
+    Each stream ends where one ``choice`` per population, in row order,
+    leaves it. For a population of at most ``_TAIL_POP`` rows, or with
+    k <= pop // 50, numpy's no-replacement ``choice`` runs Floyd's
+    algorithm: draws in [0, j] for j = pop - k ... pop - 1, a drawn value
+    already taken replaced by j, then a Fisher-Yates pass over the k picks,
+    draws in [0, i] for i = k - 1 ... 1; each a bounded draw as ``integers``
+    makes it, with every bound known before the first. So a stream makes
+    one ``integers`` call for its whole row, and one numpy step per pick
+    serves every population of every stream. A row holding another
+    population (numpy shuffles instead) is drawn by ``choice`` itself.
 
     ``tests/test_core.py`` checks the equality against ``Generator.choice``
     on both branches, so a numpy that draws otherwise fails there by name.
     """
-    pops = np.asarray(pops, dtype=np.int64)
     check_int("k", k, minimum=1)
-    if pops.ndim != 2 or len(pops) != len(streams):
-        raise DimensionError(f"need one row of populations per stream, got shape {pops.shape}")
-    if pops.size and pops.min() < k:
-        raise ConfigError(f"cannot draw {k} of {pops.min()} without replacement")
-    gens = [stream._gen for stream in streams]
-    if ((pops > _TAIL_POP) & (k > pops // 50)).any():
-        rows = [[g.choice(p, size=k, replace=False) for p in row] for g, row in zip(gens, pops)]
-        return np.array(rows)
+    if not callable(pops):
+        pops = np.asarray(pops, dtype=np.int64)
+        if pops.ndim != 2 or len(pops) != len(streams):
+            raise DimensionError(f"need one row of populations per stream, got shape {pops.shape}")
     step = np.arange(2 * k - 1)
     # exclusive bounds: pop - k + 1 ... pop for Floyd's draws, k ... 2 for the shuffle's
-    high = np.where(step < k, pops[..., None] + (1 - k + step), 2 * k - step)
-    draws = np.array([g.integers(0, h) for g, h in zip(gens, high)], dtype=np.int64)
-    draws = draws.reshape(-1, step.size)
-    return _floyd(draws, high.reshape(-1, step.size), k).reshape(*pops.shape, k)
+    floyd_step = (step < k).astype(np.int64)
+    shift = np.where(floyd_step, 1 - k + step, 2 * k - step)
+    rows, draws, shuffled = [], [], {}
+    for s, stream in enumerate(streams):
+        row = np.asarray(pops(stream) if callable(pops) else pops[s], dtype=np.int64)
+        if row.size and row.min() < k:
+            raise ConfigError(f"cannot draw {k} of {row.min()} without replacement")
+        if row.size and row.max() > _TAIL_POP and (k > row[row > _TAIL_POP] // 50).any():
+            shuffled[s] = [stream._gen.choice(p, size=k, replace=False) for p in row]
+        else:
+            draws.append(stream._gen.integers(0, row[:, None] * floyd_step + shift))
+        rows.append(row)
+    m = len(rows[0]) if rows else 0
+    out = np.empty((len(rows), m, k), dtype=np.int64)
+    floyd = [s for s in range(len(rows)) if s not in shuffled]
+    if floyd and m:
+        pops_floyd = np.concatenate([rows[s] for s in floyd])
+        out[floyd] = _floyd(np.concatenate(draws), pops_floyd, k).reshape(-1, m, k)
+    for s, picks in shuffled.items():
+        out[s] = picks
+    return out
 
 
-def _floyd(draws: np.ndarray, high: np.ndarray, k: int) -> np.ndarray:
+def _floyd(draws: np.ndarray, pops: np.ndarray, k: int) -> np.ndarray:
     """Floyd's k picks then their Fisher-Yates shuffle, per row of ``draws``, a step per pick.
 
-    ``draws`` holds each population's 2k - 1 draws (:func:`subsets`)
-    and ``high`` their exclusive bounds, so Floyd's step t replaces a value
-    drawn before by ``high[:, t] - 1``.
+    ``draws`` holds the 2k - 1 draws (:func:`subsets`) of each population
+    in ``pops``, so Floyd's step t replaces a value drawn before by its
+    bound less one, ``pops - k + t``.
     """
     n, d = len(draws), draws.T
-    out, top = d[:k].copy(), high.T[:k] - 1
+    out = d[:k].copy()
     for t in range(1, k):
-        np.copyto(out[t], top[t], where=np.logical_or.reduce(out[:t] == d[t]))
+        np.copyto(out[t], pops - k + t, where=np.logical_or.reduce(out[:t] == d[t]))
     flat, at = out.reshape(-1), d[k:] * n + np.arange(n)
     for s, i in enumerate(range(k - 1, 0, -1)):  # swap pick i with pick d[k + s]
         held = flat.take(at[s])

@@ -33,8 +33,13 @@ coefficient 0. The pair masks, identity blocks and block pairs these losses
 read come from the batch's row layout (``BatchStructure.layout``), in the
 layout's own identity order: derived once per validated batch, and shared as
 they are by every sampled batch of one stage and shape
-(``batch.sample_batch``). Every kernel that reads the blocks treats each
-block on its own, so their order changes no bit. Only the center statistics
+(``batch.sample_batch``). So are the two constants that depend only on
+the layout: ``msel``'s pair weights ``intra / (k - 1) - cross / k``
+(``RowLayout.block_weights``, and ``batch_weights`` for the cosine metric)
+and the hardest-negative miner's own-identity columns ``blocks[id_codes]``
+(``PairMasks.own_rows``), each the per-call expression byte for byte.
+Every kernel that reads the blocks treats each block on its own, so their
+order changes no bit. Only the center statistics
 (``compute_centers``, ``dcl``) sum over identities; they read the
 memberships, which come in identity code order (sorted labels). The n x n
 pair masks are derived only when read.
@@ -407,7 +412,7 @@ def _hardest_negatives(feats: np.ndarray, masks: PairMasks) -> np.ndarray:
         part = slice(a, a + _ROWS)
         m, scale[part] = _matmul_form(feats[part], terms)
         at = np.arange(len(m))
-        m[at[:, None], masks.blocks[masks.id_codes[part]]] = np.inf  # each row's own identity
+        m[at[:, None], masks.own_rows[part]] = np.inf  # each row's own identity
         near[part] = j = m.argmin(axis=1)
         first = m[at, j]
         m[at, j] = np.inf
@@ -510,8 +515,10 @@ def msel(
     n = len(batch)
     if metric == "euclid":
         blocks, (intra, cross) = s.layout.pairs.blocks, s.layout.block_pairs
+        weights = s.layout.block_weights
     else:
         blocks, (intra, cross) = np.arange(n)[None], s.layout.batch_pairs
+        weights = s.layout.batch_weights
     x = feats.take(blocks, axis=-2)  # C order, as the reductions below need
     if metric == "euclid":
         dist = _within_blocks(x) if block_dist is None else block_dist
@@ -525,7 +532,7 @@ def msel(
     # d(value)/d(dist[a, i]) for each anchor a and partner i, then chain through
     # the metric. Each unordered pair appears twice in the anchor sum, once per
     # role, so the per-pair weight is symmetrized before the chain rule.
-    w = (2.0 * diff / n)[..., None] * (intra / (k - 1.0) - cross / float(k))
+    w = (2.0 * diff / n)[..., None] * weights
     sym = w + w.swapaxes(-1, -2)
     grad = np.empty_like(feats)
     if metric == "euclid":

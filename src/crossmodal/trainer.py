@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -248,6 +249,14 @@ def train(
     the training set); ``eval_every=n`` adds an evaluation after every n-th
     epoch. ``on_epoch(epoch, params, log)`` is called after each epoch when
     provided, e.g. to stream logs or save checkpoints.
+
+    Step b of epoch e trains on the batch of stream ``(seed, 1, e, b)``. No
+    batch depends on the parameters, so each stage run (the consecutive
+    epochs that play one stage) draws its batches with one
+    :func:`~crossmodal.batch.sample_batches` call, from streams built one
+    at a time, many batches ahead of their steps. A batch's error (a
+    non-finite row) still comes at its own step, named ``epoch e, batch
+    b``, after every earlier epoch has been logged.
     """
     check_dataset(dataset, cfg, eval_dataset)
     classes = dataset.identities
@@ -264,34 +273,34 @@ def train(
     n_steps = steps_per_epoch(dataset, cfg)
     eval_ds = eval_dataset if eval_dataset is not None else dataset
     logs: list[EpochLog] = []
-    for epoch in range(cfg.epochs):
-        stage = stage_for_epoch(cfg, epoch)
-        lr = cosine_lr(epoch, cfg.epochs, cfg.base_lr, cfg.base_lr / 100.0)
-        sums: dict[str, float] = defaultdict(float)
-        batches = sample_batches(
-            dataset, spec, stage, [root.child(1, epoch, b) for b in range(n_steps)]
-        )
-        for b in range(n_steps):
-            try:
-                batch = next(batches)
-                targets = np.searchsorted(classes, batch.labels)
-                out, grads, trace = loss_and_grads(params, batch, stage, cfg.loss, targets)
-                step(opt, params, grads, lr)
-                update_bn_stats(params, trace)
-            except CrossmodalError as exc:
-                raise type(exc)(f"epoch {epoch}, batch {b}: {exc}") from exc
-            for key, val in out.terms.items():
-                sums[key] += val
-            del out  # its mining record holds this step's block and center distances
-        terms = {key: val / n_steps for key, val in sums.items()}
-        report = None
-        last = epoch == cfg.epochs - 1
-        if last or (cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0):
-            report = evaluate_params(params, eval_ds, cfg.eval_direction)
-        log = EpochLog(epoch, stage.value, lr, terms, report)
-        logs.append(log)
-        if on_epoch is not None:
-            on_epoch(epoch, params, log)
+    for stage, run in groupby(range(cfg.epochs), key=lambda e: stage_for_epoch(cfg, e)):
+        epochs = list(run)
+        streams = (root.child(1, e, b) for e in epochs for b in range(n_steps))
+        batches = sample_batches(dataset, spec, stage, streams)
+        for epoch in epochs:
+            lr = cosine_lr(epoch, cfg.epochs, cfg.base_lr, cfg.base_lr / 100.0)
+            sums: dict[str, float] = defaultdict(float)
+            for b in range(n_steps):
+                try:
+                    batch = next(batches)
+                    targets = np.searchsorted(classes, batch.labels)
+                    out, grads, trace = loss_and_grads(params, batch, stage, cfg.loss, targets)
+                    step(opt, params, grads, lr)
+                    update_bn_stats(params, trace)
+                except CrossmodalError as exc:
+                    raise type(exc)(f"epoch {epoch}, batch {b}: {exc}") from exc
+                for key, val in out.terms.items():
+                    sums[key] += val
+                del out  # its mining record holds this step's block and center distances
+            terms = {key: val / n_steps for key, val in sums.items()}
+            report = None
+            last = epoch == cfg.epochs - 1
+            if last or (cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0):
+                report = evaluate_params(params, eval_ds, cfg.eval_direction)
+            log = EpochLog(epoch, stage.value, lr, terms, report)
+            logs.append(log)
+            if on_epoch is not None:
+                on_epoch(epoch, params, log)
     return params, logs
 
 

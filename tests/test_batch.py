@@ -300,6 +300,27 @@ def test_sample_batches_yield_each_streams_own_batch(stage):
         assert not batch.labels.flags.writeable and not batch.structure.order.flags.writeable
 
 
+def test_sample_batches_draw_a_lazy_stream_past_several_blocks():
+    ds, spec, stage = _uneven_dataset(), BatchSpec(8, 4), Stage.STAGE1
+    n = 2 * batch_module._STREAMS + 3
+    taken = []
+
+    def streams():
+        for b in range(n):
+            taken.append(b)
+            yield RngStream(6, (1, b))
+
+    batches = sample_batches(ds, spec, stage, streams())
+    first = next(batches)
+    assert taken == list(range(batch_module._STREAMS))  # one block drawn ahead, no more
+    for b, batch in enumerate([first, *batches]):
+        want = sample_batch(ds, spec, stage, RngStream(6, (1, b)))
+        assert batch.features.tobytes() == want.features.tobytes(), b
+        assert batch.labels.tobytes() == want.labels.tobytes(), b
+        assert batch.structure.order.tobytes() == want.structure.order.tobytes(), b
+    assert taken == list(range(n))
+
+
 def test_sample_batches_raise_a_non_finite_batch_in_its_turn():
     full, spec, stage = make_benchmark("train"), BatchSpec(8, 4), Stage.STAGE2
     feats = full.features.copy()
@@ -345,6 +366,27 @@ def test_a_sampled_batch_makes_two_generator_calls(stage):
     batch = sample_batch(_scrambled_dataset(), BatchSpec(32, 8), stage, rng)
     assert len(batch) == 512
     assert counting.calls == ["choice", "integers"]
+
+
+@pytest.mark.parametrize("stage", list(Stage))
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 3), (8, 4), (32, 8)])
+def test_cached_layout_constants_equal_their_expressions(stage, p, k):
+    sampled = sample_batch(_scrambled_dataset(), BatchSpec(p, k), stage, RngStream(1, (p, k)))
+    fresh = LabeledBatch(sampled.features, sampled.labels.copy(), sampled.modalities.copy())
+    for batch in (sampled, fresh.validate()):
+        layout = batch.structure.layout
+        for weights, (intra, cross) in (
+            (layout.block_weights, layout.block_pairs),
+            (layout.batch_weights, layout.batch_pairs),
+        ):
+            want = intra / (k - 1.0) - cross / float(k)  # msel's per-call expression
+            assert weights.dtype == want.dtype and weights.shape == want.shape
+            assert weights.tobytes() == want.tobytes() and not weights.flags.writeable
+        for masks in (layout.pairs, *(masks for _, masks in layout.modality_pairs)):
+            want = masks.blocks[masks.id_codes]  # the miner's per-call expression
+            assert masks.own_rows.dtype == want.dtype and masks.own_rows.shape == want.shape
+            assert masks.own_rows.tobytes() == want.tobytes()
+            assert not masks.own_rows.flags.writeable
 
 
 _STRUCTURE_FIELDS = ("labels", "tags", "identities", "modalities", "k")

@@ -164,3 +164,31 @@ def test_rng_rejects_bad_seeds():
         RngStream(-1)
     with pytest.raises(ConfigError):
         RngStream(0).child(-2)
+
+
+@pytest.mark.parametrize(
+    "seed, path, suffix",
+    [(0, (), (1,)), (3, (1, 2), (5, 0, 7)), (2**40, (9,), (np.int64(4), 2)), (7, (1,), ())],
+)
+def test_child_draws_equal_the_stream_at_the_joined_path(seed, path, suffix):
+    child, ref = RngStream(seed, path).child(*suffix), RngStream(seed, path + suffix)
+    assert (child.seed, child.path) == (ref.seed, ref.path)
+    assert all(type(p) is int for p in child.path)
+    assert np.array_equal(child.integers(0, 2**62, size=8), ref.integers(0, 2**62, size=8))
+    assert np.array_equal(child.child(2).normal(size=3), ref.child(2).normal(size=3))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (-2, "stream path components must be non-negative"),
+        (1.5, "path must be an integer, got 1.5"),
+        (True, "path must be an integer, got True"),
+        ("3", "path must be an integer, got '3'"),
+    ],
+)
+def test_child_refuses_a_bad_component_as_the_constructor_does(bad, message):
+    for make in (lambda: RngStream(0, (1,)).child(2, bad), lambda: RngStream(0, (1, 2, bad))):
+        with pytest.raises(ConfigError) as info:
+            make()
+        assert str(info.value) == message

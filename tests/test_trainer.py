@@ -1,10 +1,14 @@
+import gc
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crossmodal import trainer
 from crossmodal.batch import BatchSpec, FeatureLayout, Stage, sample_batch
+from crossmodal.config import parse_config_file
 from crossmodal.core import RngStream
 from crossmodal.errors import ConfigError, NumericError, SamplingError
 from crossmodal.evalkit import report_text
@@ -12,7 +16,7 @@ from crossmodal.gradcheck import check_component
 from crossmodal.losses import LossConfig
 from crossmodal.model import TRAINABLE, check_encoder
 from crossmodal.optim import cosine_lr
-from crossmodal.synthdata import SynthDataset, generate
+from crossmodal.synthdata import SynthDataset, generate, load_features
 from crossmodal.trainer import (
     EpochLog,
     TrainConfig,
@@ -194,22 +198,101 @@ def test_train_overflow_fails_on_the_batch_that_overflowed(tiny_data):
             train(tiny_data, tiny_cfg(base_lr=1e300))
 
 
-def test_train_names_the_first_batch_with_a_non_finite_row(tiny_data):
-    feats = tiny_data.features.copy()
-    feats[tiny_data.rows_of(1, "vis")[0]] = np.nan  # drawn in stage 2 only
-    data = SynthDataset(feats, tiny_data.labels, tiny_data.modalities)
-    cfg, bad = tiny_cfg(), []
-    root, spec = RngStream(cfg.seed), BatchSpec(cfg.p, cfg.k)
+def _with_a_nan_vis_row(data: SynthDataset) -> SynthDataset:
+    feats = data.features.copy()
+    feats[data.rows_of(1, "vis")[0]] = np.nan  # drawn in stage 2 only
+    return SynthDataset(feats, data.labels, data.modalities)
+
+
+def _non_finite_steps(data: SynthDataset, cfg: TrainConfig) -> list[tuple[int, int]]:
+    """Every stage-2 ``(epoch, batch)`` whose own ``sample_batch`` raises ``NumericError``."""
+    bad, root, spec = [], RngStream(cfg.seed), BatchSpec(cfg.p, cfg.k)
     for epoch in range(cfg.stage1_epochs, cfg.epochs):
         for b in range(steps_per_epoch(data, cfg)):
             try:
                 sample_batch(data, spec, Stage.STAGE2, root.child(1, epoch, b))
             except NumericError:
                 bad.append((epoch, b))
-    epoch, b = bad[0]
+    return bad
+
+
+def test_train_names_the_first_batch_with_a_non_finite_row(tiny_data):
+    data, cfg = _with_a_nan_vis_row(tiny_data), tiny_cfg()
+    epoch, b = _non_finite_steps(data, cfg)[0]
     want = f"^epoch {epoch}, batch {b}: batch features contain NaN or Inf$"
     with pytest.raises(NumericError, match=want):
         train(data, cfg)
+
+
+def test_a_non_finite_batch_past_its_runs_first_epoch_fails_in_its_turn(tiny_data):
+    # the run's batches are drawn before its first step; this one still fails when reached
+    data = _with_a_nan_vis_row(tiny_data)
+    for seed in range(50):
+        cfg = tiny_cfg(epochs=8, stage1_epochs=2, seed=seed)
+        epoch, b = _non_finite_steps(data, cfg)[0]
+        if epoch > cfg.stage1_epochs and b > 0:
+            break
+    else:
+        pytest.fail("no seed puts the first bad batch past the run's first epoch and batch")
+    seen = []
+    want = f"^epoch {epoch}, batch {b}: batch features contain NaN or Inf$"
+    with pytest.raises(NumericError, match=want):
+        train(data, cfg, on_epoch=lambda e, params, log: seen.append(e))
+    assert seen == list(range(epoch))
+
+
+@pytest.mark.parametrize("schedule", ["gray_first", "rgb_first"])
+@pytest.mark.parametrize("stage1_epochs", [0, 3, 6])
+def test_each_step_is_fed_its_own_streams_batch(tiny_data, monkeypatch, schedule, stage1_epochs):
+    cfg = tiny_cfg(epochs=6, stage1_epochs=stage1_epochs, schedule=schedule)
+    fed, real = [], trainer.loss_and_grads
+
+    def spy(params, batch, stage, loss_cfg, targets):
+        fed.append((batch, stage, targets))
+        return real(params, batch, stage, loss_cfg, targets)
+
+    monkeypatch.setattr(trainer, "loss_and_grads", spy)
+    train(tiny_data, cfg)
+    root, spec, n_steps = RngStream(cfg.seed), BatchSpec(cfg.p, cfg.k), steps_per_epoch(tiny_data, cfg)
+    steps = [(e, b) for e in range(cfg.epochs) for b in range(n_steps)]
+    assert len(fed) == len(steps)
+    for (e, b), (batch, stage, targets) in zip(steps, fed):
+        assert stage is stage_for_epoch(cfg, e)
+        want = sample_batch(tiny_data, spec, stage, root.child(1, e, b))
+        got_s, want_s = batch.structure, want.structure
+        pairs = [(batch.features, want.features), (batch.labels, want.labels)]
+        pairs += [(batch.modalities, want.modalities), (got_s.order, want_s.order)]
+        pairs += [(got_s.identities, want_s.identities)]
+        pairs += [(targets, np.searchsorted(tiny_data.identities, want.labels))]
+        for got, expect in pairs:
+            assert got.dtype == expect.dtype and got.shape == expect.shape, (e, b)
+            assert got.tobytes() == expect.tobytes(), (e, b)
+        assert got_s.layout is want_s.layout
+
+
+#: The ``tracemalloc`` peak, above its start, of one training of ``configs/default.cfg`` on
+#: the bundled splits, as measured at the commit before the sampler drew a stage run's batches
+#: together: ``tracemalloc.start()`` after one warm-up training in the same process, then
+#: ``get_traced_memory()`` peak minus current at the start (1 073.8 KB, numpy 2.4, Python 3.11).
+#: The peak is the final evaluation's; whatever the sampler holds at that point adds to it.
+DEFAULT_TRAIN_TRACED_PEAK = 1_099_532
+
+
+def test_default_training_peak_stays_within_a_tenth_of_its_recorded_value():
+    root = Path(__file__).resolve().parent.parent
+    cfg = parse_config_file(root / "configs" / "default.cfg").train
+    train_set = load_features(root / "data" / "benchmark_train.csv")
+    eval_set = load_features(root / "data" / "benchmark_test.csv")
+    train(train_set, cfg, eval_set)  # builds the row tables and the shared layouts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train(train_set, cfg, eval_set)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * DEFAULT_TRAIN_TRACED_PEAK, peak
 
 
 def test_train_dataset_check_message(tiny_data):

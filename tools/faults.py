@@ -6,7 +6,11 @@ generated gallery, by default 128 identities x 16 rows per modality: 2 x 2048
 rows, the ``eval_gallery`` benchmark shape. Every call is measured inside
 this process, with ``resource.getrusage`` minor faults and
 ``time.perf_counter`` on both sides, so a build that reallocates large
-temporaries on every block shows as faults per call.
+temporaries on every block shows as faults per call. Each call then runs a
+second time, untimed, under ``tracemalloc``: ``traced_peak_kb`` is that
+run's peak of Python-allocated memory (numpy arrays included) above its
+start. Unlike the resident set size, it does not move with where the
+checkout lies or what the process mapped before.
 
 Run from the repository root (``OPENBLAS_NUM_THREADS=1`` runs BLAS on one
 thread, as the benchmark does)::
@@ -21,6 +25,7 @@ import argparse
 import resource
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,6 +43,17 @@ def measured(call):
     result = call()
     wall = time.perf_counter() - start
     return result, wall, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+
+def traced_peak_kb(call) -> float:
+    """Peak traced allocation of ``call()`` above its start, in KB; the result is dropped."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - start) / 1024
+    finally:
+        tracemalloc.stop()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,12 +75,19 @@ def main(argv: list[str] | None = None) -> int:
         RngStream(args.seed).child(2),
     )
     print(f"# evaluate: t2v, 2 x {args.ids * args.per} rows")
-    print(f"{'call':12s} {'wall_s':>8s} {'minor_faults':>12s}")
-    (params, _), wall, faults = measured(lambda: trainer.train(train_set, cfg.validate(), eval_set))
-    print(f"{'train':12s} {wall:8.4f} {faults:12d}")
+    print(f"{'call':12s} {'wall_s':>8s} {'minor_faults':>12s} {'traced_peak_kb':>14s}")
+
+    def train():
+        return trainer.train(train_set, cfg.validate(), eval_set)
+
+    def evaluate():
+        return trainer.evaluate_params(params, gallery, "t2v")
+
+    (params, _), wall, faults = measured(train)
+    print(f"{'train':12s} {wall:8.4f} {faults:12d} {traced_peak_kb(train):14.1f}")
     for call in range(1, args.calls + 1):
-        _, wall, faults = measured(lambda: trainer.evaluate_params(params, gallery, "t2v"))
-        print(f"{'evaluate':8s} {call:<3d} {wall:8.4f} {faults:12d}")
+        _, wall, faults = measured(evaluate)
+        print(f"{'evaluate':8s} {call:<3d} {wall:8.4f} {faults:12d} {traced_peak_kb(evaluate):14.1f}")
     return 0
 
 
