@@ -288,13 +288,14 @@ class RngStream:
 
 
 def subsets(streams, pops, k: int) -> np.ndarray:
-    """``out[s, i]``: ``choice(pops[s, i], size=k, replace=False)`` on ``streams[s]``, bit for bit.
+    """``out[s, i]``: ``choice(row[i], size=k, replace=False)`` on ``streams[s]``, bit for bit,
+    where ``row = pops(streams[s])``.
 
-    ``streams`` is an iterable, consumed once. ``pops`` holds one row of
-    populations per stream, or is a function that returns a stream's row
-    when given the stream, called just before the stream's own draws (so
-    the row may come from draws already made on it). Each stream makes its
-    draws when its turn comes and is then dropped; one vectorised pass
+    ``streams`` is an iterable, consumed once. ``pops`` is a function that
+    returns a stream's row of populations when given the stream, called just
+    before the stream's own draws (so the row may come from draws already
+    made on it); every row has the same length. Each stream makes its draws
+    when its turn comes and is then dropped; one vectorised pass
     (:func:`_floyd`) then turns every stream's draws into its picks.
 
     Each stream ends where one ``choice`` per population, in row order,
@@ -312,17 +313,13 @@ def subsets(streams, pops, k: int) -> np.ndarray:
     on both branches, so a numpy that draws otherwise fails there by name.
     """
     check_int("k", k, minimum=1)
-    if not callable(pops):
-        pops = np.asarray(pops, dtype=np.int64)
-        if pops.ndim != 2 or len(pops) != len(streams):
-            raise DimensionError(f"need one row of populations per stream, got shape {pops.shape}")
     step = np.arange(2 * k - 1)
     # exclusive bounds: pop - k + 1 ... pop for Floyd's draws, k ... 2 for the shuffle's
     floyd_step = (step < k).astype(np.int64)
     shift = np.where(floyd_step, 1 - k + step, 2 * k - step)
     rows, draws, shuffled = [], [], {}
     for s, stream in enumerate(streams):
-        row = np.asarray(pops(stream) if callable(pops) else pops[s], dtype=np.int64)
+        row = np.asarray(pops(stream), dtype=np.int64)
         if row.size and row.min() < k:
             raise ConfigError(f"cannot draw {k} of {row.min()} without replacement")
         if row.size and row.max() > _TAIL_POP and (k > row[row > _TAIL_POP] // 50).any():

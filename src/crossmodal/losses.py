@@ -206,13 +206,14 @@ class ObjectiveOutput:
     """A stage objective: total value plus gradients per consumed tensor.
 
     ``grad_embeddings`` matches the batch embedding matrix, ``grad_logits`` the
-    classifier logits. ``terms`` holds each component's value for logging,
+    classifier logits (None when the objective was given none to read).
+    ``terms`` holds each component's value for logging,
     ``mining`` the merged :class:`Mining` records of the terms.
     """
 
     value: float | np.ndarray
     grad_embeddings: np.ndarray
-    grad_logits: np.ndarray
+    grad_logits: np.ndarray | None
     terms: dict[str, float | np.ndarray] = field(default_factory=dict)
     mining: Mining | None = None
 
@@ -647,6 +648,14 @@ def _finite(term: str, loss, *args) -> LossOutput:
     return part
 
 
+def reads_logits(stage: Stage, cfg: LossConfig) -> bool:
+    """Whether ``stage``'s objective under ``cfg`` has the identity term, its one reader of logits.
+
+    Always in stage 1; in stage 2 only with ``cfg.include_id_stage2``.
+    """
+    return stage is Stage.STAGE1 or cfg.include_id_stage2
+
+
 def _objective(
     stage: Stage, batch: LabeledBatch, logits, labels, cfg: LossConfig
 ) -> ObjectiveOutput:
@@ -654,7 +663,9 @@ def _objective(
 
     The first term counts at weight 1 and each later one as ``value + w * v``,
     its gradient as ``grad += w * g``; a term at weight 0 is not computed. The
-    identity term adds its value last; off, its logits gradient is zeros.
+    identity term (:func:`reads_logits`) adds its value last; off, its logits
+    gradient is zeros, or None when ``logits`` is None (no head ran), and
+    ``labels`` is not read.
     """
     cfg.validate()
     s = batch.structure
@@ -686,8 +697,8 @@ def _objective(
             grad += weight * part.grad
         terms[name] = part.value
         mined.append(part.mining)
-    grad_logits = np.zeros(np.shape(logits))
-    if stage is Stage.STAGE1 or cfg.include_id_stage2:
+    grad_logits = None if logits is None else np.zeros(np.shape(logits))
+    if reads_logits(stage, cfg):
         ce = _finite("id", identity_loss, logits, labels)
         value, grad_logits, terms["id"] = value + ce.value, ce.grad, ce.value
     mining = Mining(parts=tuple(mined)) if np.ndim(batch.features) == 2 else None

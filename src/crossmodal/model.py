@@ -3,10 +3,13 @@
 The forward pass is ``x -> linear -> relu -> linear -> embeddings`` followed by
 a 1-D batch-norm layer (the "neck") and a linear classifier on the normalized
 embeddings. Metric losses consume the raw embeddings; the identity loss
-consumes the logits. Training (:func:`forward`) normalizes on batch statistics;
-retrieval (:func:`extract_test_features`) uses the post-norm embeddings on the
-running statistics, which only an explicit :func:`update_bn_stats` call changes,
-with the standard momentum ``BN_MOMENTUM``.
+consumes the logits. Training (:func:`forward`) normalizes on batch statistics,
+and runs the neck and classifier (the "head") only when asked: a step whose
+objective reads no logits takes the batch statistics and skips the head, and
+its :func:`backward` leaves the head's gradients at zero. Retrieval
+(:func:`extract_test_features`) uses the post-norm embeddings on the running
+statistics, which only an explicit :func:`update_bn_stats` call changes, with
+the standard momentum ``BN_MOMENTUM``.
 
 The ``TRAINABLE`` tensors of :class:`ModelParams` and :class:`ModelGrads` are
 views, in ``TRAINABLE`` order, of one contiguous float64 vector ``flat``; the
@@ -167,7 +170,11 @@ class ModelGrads:
 
 @dataclass(eq=False)
 class ForwardTrace:
-    """Intermediate tensors cached by forward for the backward pass."""
+    """Intermediate tensors cached by forward for the backward pass.
+
+    A head-free trace (``forward(..., head=False)``) holds the encoder's
+    tensors and the batch statistics; its neck and logits fields are None.
+    """
 
     x: np.ndarray
     z1: np.ndarray
@@ -175,10 +182,10 @@ class ForwardTrace:
     embeddings: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-    istd: np.ndarray
-    xhat: np.ndarray
-    bn_embeddings: np.ndarray
-    logits: np.ndarray
+    istd: np.ndarray | None = None
+    xhat: np.ndarray | None = None
+    bn_embeddings: np.ndarray | None = None
+    logits: np.ndarray | None = None
 
 
 def init_params(
@@ -231,12 +238,21 @@ def _neck(params: ModelParams, emb, mean, var) -> tuple[np.ndarray, np.ndarray, 
     return istd, xhat, _rows(params.bn_gamma) * xhat + _rows(params.bn_beta)
 
 
-def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, ForwardTrace]:
-    """Encoder, neck on batch statistics, classifier: ``(emb, bn_emb, logits, trace)``."""
+def forward(
+    params: ModelParams, x, head: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, ForwardTrace]:
+    """Encoder, neck on batch statistics, classifier: ``(emb, bn_emb, logits, trace)``.
+
+    With ``head=False`` the batch statistics are still taken (they feed
+    :func:`update_bn_stats`) but the neck and classifier do not run:
+    ``bn_emb`` and ``logits`` are None, and the trace is head-free.
+    """
     xm, z1, a1, emb = _encode(params, x)
     if xm.shape[-2] < 2:
         raise ConfigError("batch norm on batch statistics needs at least 2 rows")
     mean, var = emb.mean(axis=-2), emb.var(axis=-2)
+    if not head:
+        return emb, None, None, ForwardTrace(xm, z1, a1, emb, mean, var)
     istd, xhat, bn = _neck(params, emb, mean, var)
     logits = bn @ params.wc + _rows(params.bc)
     trace = ForwardTrace(xm, z1, a1, emb, mean, var, istd, xhat, bn, logits)
@@ -244,33 +260,42 @@ def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 
 def backward(
-    trace: ForwardTrace, params: ModelParams, d_embeddings: np.ndarray, d_logits: np.ndarray
+    trace: ForwardTrace, params: ModelParams, d_embeddings: np.ndarray, d_logits: np.ndarray | None
 ) -> ModelGrads:
     """Merge the two upstream gradient paths and backpropagate to all parameters.
 
-    The upstreams are gradients with respect to the raw embeddings and the logits.
+    The upstreams are gradients with respect to the raw embeddings and the
+    logits. With ``d_logits`` None there is no logits upstream: the head's
+    gradients (``bn_gamma``, ``bn_beta``, ``wc``, ``bc``) are zeros and the
+    embeddings' gradient is ``d_embeddings`` alone. A head-free trace takes
+    no logits upstream (``DimensionError``).
     """
-    n = trace.x.shape[-2]
-    d_logits = np.asarray(d_logits, dtype=np.float64)
-    if d_logits.shape != trace.logits.shape:
-        raise DimensionError("d_logits shape does not match the traced logits")
     d_embeddings = np.asarray(d_embeddings, dtype=np.float64)
     if d_embeddings.shape != trace.embeddings.shape:
         raise DimensionError("d_embeddings shape does not match the trace")
-    # every gradient is written straight into its slice of one flat buffer
-    grads = ModelGrads.adopt(np.empty_like(params.flat), params)
-    np.matmul(_t(trace.bn_embeddings), d_logits, out=grads.wc)
-    d_logits.sum(axis=-2, out=grads.bc)
+    # every gradient is written straight into its slice of one flat buffer; with
+    # no logits upstream the head's slices keep their zeros
+    grads = ModelGrads.adopt(np.zeros_like(params.flat), params)
+    d_emb = d_embeddings
+    if d_logits is not None:
+        if trace.logits is None:
+            raise DimensionError("d_logits given for a head-free trace, which has no logits")
+        d_logits = np.asarray(d_logits, dtype=np.float64)
+        if d_logits.shape != trace.logits.shape:
+            raise DimensionError("d_logits shape does not match the traced logits")
+        n = trace.x.shape[-2]
+        np.matmul(_t(trace.bn_embeddings), d_logits, out=grads.wc)
+        d_logits.sum(axis=-2, out=grads.bc)
 
-    d_bn = d_logits @ _t(params.wc)
-    (d_bn * trace.xhat).sum(axis=-2, out=grads.bn_gamma)
-    d_bn.sum(axis=-2, out=grads.bn_beta)
-    dxhat = d_bn * _rows(params.bn_gamma)
-    xmu = trace.embeddings - _rows(trace.mean)
-    dvar = (dxhat * xmu).sum(axis=-2) * (-0.5) * trace.istd**3
-    dmean = -dxhat.sum(axis=-2) * trace.istd + dvar * (-2.0) * xmu.mean(axis=-2)
-    d_emb = dxhat * _rows(trace.istd) + _rows(dvar) * 2.0 * xmu / n + _rows(dmean) / n
-    d_emb = d_emb + d_embeddings
+        d_bn = d_logits @ _t(params.wc)
+        (d_bn * trace.xhat).sum(axis=-2, out=grads.bn_gamma)
+        d_bn.sum(axis=-2, out=grads.bn_beta)
+        dxhat = d_bn * _rows(params.bn_gamma)
+        xmu = trace.embeddings - _rows(trace.mean)
+        dvar = (dxhat * xmu).sum(axis=-2) * (-0.5) * trace.istd**3
+        dmean = -dxhat.sum(axis=-2) * trace.istd + dvar * (-2.0) * xmu.mean(axis=-2)
+        d_emb = dxhat * _rows(trace.istd) + _rows(dvar) * 2.0 * xmu / n + _rows(dmean) / n
+        d_emb = d_emb + d_embeddings
 
     np.matmul(_t(trace.a1), d_emb, out=grads.w2)
     d_emb.sum(axis=-2, out=grads.b2)

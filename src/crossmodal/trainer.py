@@ -21,7 +21,7 @@ from .batch import BatchSpec, LabeledBatch, Modality, Stage, sample_batches
 from .core import RngStream, check_int
 from .errors import ConfigError, CrossmodalError, NumericError
 from .evalkit import EvalReport, evaluate
-from .losses import LossConfig, ObjectiveOutput, stage1_objective, stage2_objective
+from .losses import LossConfig, ObjectiveOutput, reads_logits, stage1_objective, stage2_objective
 from .model import (
     ForwardTrace,
     ModelGrads,
@@ -197,17 +197,18 @@ def _forward_objective(
     batch: LabeledBatch,
     stage: Stage,
     cfg: LossConfig,
-    targets: np.ndarray,
+    targets: np.ndarray | None,
 ) -> tuple[ObjectiveOutput, ForwardTrace]:
     """The half of :func:`loss_and_grads` before ``backward``: the objective and the trace.
 
-    The forward pass and the objective run with numpy's floating-point
-    warnings off, because each result is checked next: a non-finite batch
-    mean or variance raises ``NumericError`` naming it, and the objective
-    names its first non-finite term.
+    The forward pass runs the head only when the objective reads logits
+    (:func:`~crossmodal.losses.reads_logits`). It and the objective run
+    with numpy's floating-point warnings off, because each result is checked
+    next: a non-finite batch mean or variance raises ``NumericError`` naming
+    it, and the objective names its first non-finite term.
     """
     with np.errstate(all="ignore"):
-        emb, _, logits, trace = forward(params, batch.features)
+        emb, _, logits, trace = forward(params, batch.features, head=reads_logits(stage, cfg))
         for name, stat in (("mean", trace.mean), ("variance", trace.var)):
             if not np.isfinite(stat).all():
                 raise NumericError(f"non-finite batch-norm {name} in the forward pass")
@@ -220,7 +221,7 @@ def loss_and_grads(
     batch: LabeledBatch,
     stage: Stage,
     cfg: LossConfig,
-    targets: np.ndarray,
+    targets: np.ndarray | None,
 ) -> tuple[ObjectiveOutput, ModelGrads, ForwardTrace]:
     """One training step short of the update: forward, stage objective, backward.
 
@@ -230,6 +231,13 @@ def loss_and_grads(
     parameter gradients and the forward trace for the batch-norm update.
     Non-finite batch statistics and loss terms raise ``NumericError`` by
     name (:func:`_forward_objective`).
+
+    An objective that reads no logits (stage 2 without
+    ``include_id_stage2``, see :func:`~crossmodal.losses.reads_logits`)
+    does not read ``targets`` either, and its step runs no neck or
+    classifier: the trace holds no neck or logits arrays, ``grad_logits``
+    is None, and the head's gradients are zeros, the bits the full pass
+    gives them on a zero logits upstream.
     """
     out, trace = _forward_objective(params, batch, stage, cfg, targets)
     grads = backward(trace, params, d_embeddings=out.grad_embeddings, d_logits=out.grad_logits)
@@ -275,6 +283,7 @@ def train(
     logs: list[EpochLog] = []
     for stage, run in groupby(range(cfg.epochs), key=lambda e: stage_for_epoch(cfg, e)):
         epochs = list(run)
+        head = reads_logits(stage, cfg.loss)
         streams = (root.child(1, e, b) for e in epochs for b in range(n_steps))
         batches = sample_batches(dataset, spec, stage, streams)
         for epoch in epochs:
@@ -283,7 +292,7 @@ def train(
             for b in range(n_steps):
                 try:
                     batch = next(batches)
-                    targets = np.searchsorted(classes, batch.labels)
+                    targets = np.searchsorted(classes, batch.labels) if head else None
                     out, grads, trace = loss_and_grads(params, batch, stage, cfg.loss, targets)
                     step(opt, params, grads, lr)
                     update_bn_stats(params, trace)

@@ -82,7 +82,7 @@ _SUBSET_CASES = [
 def test_subsets_equal_one_choice_per_population(pops, k):
     ours, ref = RngStream(11, (k,)), RngStream(11, (k,))
     want = np.array([ref.choice(pop, size=k, replace=False) for pop in pops])
-    got = subsets([ours], [pops], k)
+    got = subsets([ours], lambda stream: pops, k)
     assert got.shape == (1, len(pops), k)
     assert np.array_equal(got[0], want)
     assert ours.integers(2**62) == ref.integers(2**62)  # the stream ends where choice left it
@@ -95,7 +95,7 @@ def test_subsets_equal_choice_on_random_populations():
         pops = draw.integers(k, k + 30, size=int(draw.integers(1, 20)))
         ours, ref = RngStream(case), RngStream(case)
         want = np.array([ref.choice(pop, size=k, replace=False) for pop in pops])
-        assert np.array_equal(subsets([ours], [pops], k)[0], want), (pops.tolist(), k)
+        assert np.array_equal(subsets([ours], lambda stream: pops, k)[0], want), (pops.tolist(), k)
         assert ours.integers(2**62) == ref.integers(2**62)
 
 
@@ -106,17 +106,16 @@ def test_subsets_draw_each_row_from_its_own_stream(pops, k):
     ours = [RngStream(13, (s,)) for s in range(len(pops))]
     refs = [RngStream(13, (s,)) for s in range(len(pops))]
     want = [[ref.choice(pop, size=k, replace=False) for pop in row] for ref, row in zip(refs, pops)]
-    assert np.array_equal(subsets(ours, pops, k), np.array(want))
+    row_of = {id(stream): row for stream, row in zip(ours, pops)}  # each stream's own row
+    assert np.array_equal(subsets(ours, lambda stream: row_of[id(stream)], k), np.array(want))
     assert [s.integers(2**62) for s in ours] == [s.integers(2**62) for s in refs]
 
 
 def test_subsets_reject_more_picks_than_rows():
     with pytest.raises(ConfigError, match="cannot draw 4 of 3"):
-        subsets([RngStream(0)], [[5, 3, 8]], 4)
+        subsets([RngStream(0)], lambda stream: [5, 3, 8], 4)
     with pytest.raises(ConfigError):
-        subsets([RngStream(0)], [[5]], 0)
-    with pytest.raises(DimensionError, match="one row of populations per stream"):
-        subsets([RngStream(0), RngStream(1)], [[5, 6]], 2)
+        subsets([RngStream(0)], lambda stream: [5], 0)
 
 
 def test_pairwise_rejects_bad_metric(rng):

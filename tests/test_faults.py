@@ -36,3 +36,13 @@ def test_prints_the_training_then_each_evaluation(capsys):
     assert [row[:-3] for row in rows] == [["train"], ["evaluate", "1"], ["evaluate", "2"]]
     for row in rows:
         assert float(row[-3]) > 0 and int(row[-2]) >= 0 and float(row[-1]) > 0
+
+
+def test_prints_each_fresh_processs_median_evaluation(capsys):
+    argv = ["--ids", "4", "--per", "4", "--calls", "3", "--processes", "2"]
+    assert _probe().main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# evaluate: t2v, 2 x 16 rows, 3 calls a process", "process  median_wall_s"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["1", "2"]
+    assert all(float(row[1]) > 0 for row in rows)

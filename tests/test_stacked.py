@@ -42,8 +42,13 @@ def same_bits(a, b) -> bool:
 
 
 def assert_slices(stacked, one, s):
-    """``stacked``'s slice s is ``one``: floats, arrays, dicts of them, or outputs with fields."""
-    if isinstance(one, dict):
+    """``stacked``'s slice s is ``one``: floats, arrays, dicts of them, or outputs with fields.
+
+    A field that one side leaves None (a head-free step's logits) is None on both.
+    """
+    if one is None or stacked is None:
+        assert stacked is None and one is None
+    elif isinstance(one, dict):
         assert stacked.keys() == one.keys()
         for key in one:
             assert_slices(stacked[key], one[key], s)
@@ -201,6 +206,8 @@ def test_loss_and_grads_slices(shape, stage):
         assert_slices(out, o, s)
         assert_slices(grads.flat, g.flat, s)
         assert_slices(trace.logits, t.logits, s)
+    if stage is Stage.STAGE2:  # the default stage-2 objective reads no logits
+        assert trace.logits is None and out.grad_logits is None
 
 
 def test_stacked_calls_build_no_traced_distance_matrix(monkeypatch):

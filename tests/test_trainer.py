@@ -1,20 +1,21 @@
 import gc
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crossmodal import trainer
+from crossmodal import gradcheck, trainer
 from crossmodal.batch import BatchSpec, FeatureLayout, Stage, sample_batch
 from crossmodal.config import parse_config_file
 from crossmodal.core import RngStream
-from crossmodal.errors import ConfigError, NumericError, SamplingError
+from crossmodal.errors import ConfigError, DimensionError, NumericError, SamplingError
 from crossmodal.evalkit import report_text
 from crossmodal.gradcheck import check_component
-from crossmodal.losses import LossConfig
-from crossmodal.model import TRAINABLE, check_encoder
+from crossmodal.losses import LossConfig, reads_logits
+from crossmodal.model import TRAINABLE, ModelGrads, backward, check_encoder, forward, init_params
 from crossmodal.optim import cosine_lr
 from crossmodal.synthdata import SynthDataset, generate, load_features
 from crossmodal.trainer import (
@@ -263,7 +264,10 @@ def test_each_step_is_fed_its_own_streams_batch(tiny_data, monkeypatch, schedule
         pairs = [(batch.features, want.features), (batch.labels, want.labels)]
         pairs += [(batch.modalities, want.modalities), (got_s.order, want_s.order)]
         pairs += [(got_s.identities, want_s.identities)]
-        pairs += [(targets, np.searchsorted(tiny_data.identities, want.labels))]
+        if reads_logits(stage, cfg.loss):
+            pairs += [(targets, np.searchsorted(tiny_data.identities, want.labels))]
+        else:  # the objective reads no logits, so no classifier targets are made
+            assert targets is None, (e, b)
         for got, expect in pairs:
             assert got.dtype == expect.dtype and got.shape == expect.shape, (e, b)
             assert got.tobytes() == expect.tobytes(), (e, b)
@@ -340,6 +344,107 @@ def test_every_step_uses_its_epochs_logged_lr(tiny_data, monkeypatch):
     assert [lr for _, lr in seen] == [log.lr for log in logs for _ in range(n_steps)]
     want = [cosine_lr(e, cfg.epochs, cfg.base_lr, cfg.base_lr / 100.0) for e in range(cfg.epochs)]
     assert [log.lr for log in logs] == want
+
+
+# ---------------------------------------------------------------- head-free steps
+
+_HEAD = ("bn_gamma", "bn_beta", "wc", "bc")
+
+
+def _default_run():
+    root = Path(__file__).resolve().parent.parent
+    cfg = parse_config_file(root / "configs" / "default.cfg").train
+    return load_features(root / "data" / "benchmark_train.csv"), cfg
+
+
+def _step_bytes(monkeypatch, dataset, cfg, full_pass):
+    """Per step: its stage, its gradients, the parameters after ``step`` and the
+    running statistics after ``update_bn_stats``.
+
+    ``full_pass`` runs every step's forward with the head, so the objective
+    gets logits and a step that reads none feeds ``backward`` their zero
+    gradient: the reference a head-free step must equal.
+    """
+    real_lg, real_step, real_bn = trainer.loss_and_grads, trainer.step, trainer.update_bn_stats
+    steps = []
+
+    def loss_and_grads(params, batch, stage, loss_cfg, targets):
+        out, grads, trace = real_lg(params, batch, stage, loss_cfg, targets)
+        steps.append({"stage": stage, "grads": ModelGrads.adopt(grads.flat.copy(), params)})
+        return out, grads, trace
+
+    def step(state, params, grads, lr):
+        real_step(state, params, grads, lr)
+        steps[-1]["params"] = params.flat.tobytes()
+
+    def update_bn_stats(params, trace):
+        real_bn(params, trace)
+        steps[-1]["stats"] = params.bn_running_mean.tobytes() + params.bn_running_var.tobytes()
+
+    with monkeypatch.context() as m:
+        if full_pass:
+            m.setattr(trainer, "forward", lambda params, x, head=True: forward(params, x))
+        m.setattr(trainer, "loss_and_grads", loss_and_grads)
+        m.setattr(trainer, "step", step)
+        m.setattr(trainer, "update_bn_stats", update_bn_stats)
+        train(dataset, cfg)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        {},
+        {"schedule": "rgb_first", "epochs": 4, "stage1_epochs": 2},
+        {"epochs": 3, "stage1_epochs": 0},
+    ],
+    ids=["default", "rgb_first", "stage1_epochs=0"],
+)
+def test_head_free_steps_equal_the_full_pass_byte_for_byte(monkeypatch, delta):
+    dataset, cfg = _default_run()
+    cfg = replace(cfg, **delta)
+    got = _step_bytes(monkeypatch, dataset, cfg, full_pass=False)
+    want = _step_bytes(monkeypatch, dataset, cfg, full_pass=True)
+    assert len(got) == len(want) == cfg.epochs * steps_per_epoch(dataset, cfg)
+    head_free = 0
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g["stage"] is w["stage"], i
+        for name in TRAINABLE:
+            assert getattr(g["grads"], name).tobytes() == getattr(w["grads"], name).tobytes(), i
+        assert g["params"] == w["params"] and g["stats"] == w["stats"], i
+        if not reads_logits(g["stage"], cfg.loss):
+            head_free += 1
+            for name in _HEAD:  # +0.0: every byte zero
+                assert not any(getattr(g["grads"], name).tobytes()), (i, name)
+    n_stage2 = (cfg.epochs - cfg.stage1_epochs) * steps_per_epoch(dataset, cfg)
+    assert head_free == n_stage2 > 0  # 168 of the default recipe's 224 steps
+
+
+def _stage2_step(include_id_stage2: bool):
+    batch = gradcheck._random_batch(RngStream(5), 3, 2, 5, Stage.STAGE2.modality_pair).validate()
+    params = init_params(5, 6, 4, 3, RngStream(6))
+    loss_cfg = LossConfig(include_id_stage2=include_id_stage2)
+    return params, trainer.loss_and_grads(params, batch, Stage.STAGE2, loss_cfg, batch.labels)
+
+
+def test_a_stage2_step_traces_no_neck_or_logits():
+    _, (out, _, trace) = _stage2_step(include_id_stage2=False)
+    assert out.grad_logits is None and "id" not in out.terms
+    assert (trace.istd, trace.xhat, trace.bn_embeddings, trace.logits) == (None,) * 4
+    for stat in (trace.mean, trace.var):  # the running-statistics update still reads them
+        assert stat.shape == (4,)
+
+
+def test_a_stage2_step_with_the_identity_term_runs_the_head():
+    _, (out, grads, trace) = _stage2_step(include_id_stage2=True)
+    assert "id" in out.terms and trace.logits.shape == out.grad_logits.shape == (12, 3)
+    assert np.abs(grads.wc).max() > 0
+
+
+def test_a_head_free_trace_refuses_a_logits_upstream():
+    params, (out, _, trace) = _stage2_step(include_id_stage2=False)
+    with pytest.raises(DimensionError, match="head-free trace"):
+        backward(trace, params, out.grad_embeddings, np.zeros((12, 3)))
 
 
 # ---------------------------------------------------------------- ablation

@@ -12,17 +12,26 @@ run's peak of Python-allocated memory (numpy arrays included) above its
 start. Unlike the resident set size, it does not move with where the
 checkout lies or what the process mapped before.
 
+With ``--processes N`` the script instead runs itself in N fresh
+interpreters, one after another, and prints each one's median evaluation
+wall time. A process keeps the speed mode its set-up (the training) left it
+in, so N medians show which modes the evaluation lands in, and how often,
+without the benchmark.
+
 Run from the repository root (``OPENBLAS_NUM_THREADS=1`` runs BLAS on one
 thread, as the benchmark does)::
 
     OPENBLAS_NUM_THREADS=1 python tools/faults.py   # 2 x 2048 rows, 5 evaluations
     python tools/faults.py --ids 8 --per 4 --calls 2
+    OPENBLAS_NUM_THREADS=1 python tools/faults.py --processes 8
 """
 
 from __future__ import annotations
 
 import argparse
 import resource
+import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -56,13 +65,37 @@ def traced_peak_kb(call) -> float:
         tracemalloc.stop()
 
 
+def process_medians(argv: list[str], processes: int) -> list[float]:
+    """Median evaluation wall time of each of ``processes`` fresh runs of this script on ``argv``."""
+    medians = []
+    for _ in range(processes):
+        run = subprocess.run(
+            [sys.executable, __file__, *argv], capture_output=True, text=True, check=True
+        )
+        rows = [line.split() for line in run.stdout.splitlines() if line.startswith("evaluate")]
+        medians.append(statistics.median(float(row[2]) for row in rows))
+    return medians
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ids", type=int, default=128, help="gallery identities")
     parser.add_argument("--per", type=int, default=16, help="gallery rows per modality")
     parser.add_argument("--calls", type=int, default=5, help="evaluations to measure")
     parser.add_argument("--seed", type=int, default=0, help="training seed and gallery stream")
+    parser.add_argument(
+        "--processes", type=int, default=0, help="run in this many fresh processes instead"
+    )
     args = parser.parse_args(argv)
+    if args.processes < 0:
+        parser.error("--processes must be >= 0")
+    if args.processes:
+        child = [f"--{name}={getattr(args, name)}" for name in ("ids", "per", "calls", "seed")]
+        print(f"# evaluate: t2v, 2 x {args.ids * args.per} rows, {args.calls} calls a process")
+        print(f"{'process':8s} {'median_wall_s':>13s}")
+        for i, median in enumerate(process_medians(child, args.processes), 1):
+            print(f"{i:<8d} {median:13.4f}")
+        return 0
     cfg = replace(config.parse_config_file(ROOT / "configs" / "default.cfg").train, seed=args.seed)
     train_set = synthdata.load_features(ROOT / "data" / "benchmark_train.csv")
     eval_set = synthdata.load_features(ROOT / "data" / "benchmark_test.csv")
